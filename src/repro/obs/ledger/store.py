@@ -28,6 +28,7 @@ import sys
 from datetime import datetime, timezone
 from typing import Any, Dict, List, Optional
 
+from repro.obs.appendlog import AppendLog
 from repro.obs.ledger.manifest import RunManifest
 
 #: Schema version stamped into every ledger entry.
@@ -52,7 +53,12 @@ def _utc_now() -> str:
 
 
 class Ledger:
-    """Append-only access to one ledger directory."""
+    """Append-only access to one ledger directory; thread-safe.
+
+    One instance may be shared by many threads (``repro serve`` does):
+    it caches the parsed entries and re-reads only what was appended
+    since, so a read costs what the new entries cost.
+    """
 
     def __init__(self, directory: Optional[str] = None) -> None:
         if directory is None:
@@ -61,6 +67,7 @@ class Ledger:
                 or DEFAULT_LEDGER_DIR
             )
         self.directory = directory
+        self._runs = AppendLog(self.runs_path)
 
     # ------------------------------------------------------------------
     # Paths
@@ -81,23 +88,13 @@ class Ledger:
     # Entries
     # ------------------------------------------------------------------
     def entries(self) -> List[Dict[str, Any]]:
-        """Every recorded entry, oldest first."""
-        if not os.path.exists(self.runs_path):
-            return []
-        out: List[Dict[str, Any]] = []
-        with open(self.runs_path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    out.append(json.loads(line))
-                except json.JSONDecodeError as error:
-                    raise ValueError(
-                        f"{self.runs_path}:{lineno}: corrupt ledger line "
-                        f"({error})"
-                    ) from None
-        return out
+        """Every recorded entry, oldest first.
+
+        Reads are incremental (see :class:`~repro.obs.appendlog.AppendLog`):
+        only bytes appended since the last call are parsed, and a
+        half-written last line stays invisible until its newline lands.
+        """
+        return self._runs.records()
 
     def append(
         self,
@@ -115,25 +112,26 @@ class Ledger:
         """
         os.makedirs(self.directory, exist_ok=True)
         manifest_dict = manifest.to_dict()
-        seq = len(self.entries()) + 1
-        entry = {
-            "schema_version": ENTRY_SCHEMA_VERSION,
-            "id": (
-                f"{manifest.kind[:3]}-{seq:04d}-"
-                f"{manifest_dict['manifest_hash'][:8]}"
-            ),
-            "created_utc": _utc_now(),
-            "kind": manifest.kind,
-            "label": manifest.label,
-            "manifest": manifest_dict,
-            "outcomes": outcomes,
-            "timing": timing or {},
-        }
-        if artifacts:
-            entry["artifacts"] = dict(artifacts)
-        with open(self.runs_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, separators=(",", ":")))
-            handle.write("\n")
+        # Held across numbering and writing: threads sharing this
+        # instance never mint the same id.
+        with self._runs.lock:
+            seq = len(self.entries()) + 1
+            entry = {
+                "schema_version": ENTRY_SCHEMA_VERSION,
+                "id": (
+                    f"{manifest.kind[:3]}-{seq:04d}-"
+                    f"{manifest_dict['manifest_hash'][:8]}"
+                ),
+                "created_utc": _utc_now(),
+                "kind": manifest.kind,
+                "label": manifest.label,
+                "manifest": manifest_dict,
+                "outcomes": outcomes,
+                "timing": timing or {},
+            }
+            if artifacts:
+                entry["artifacts"] = dict(artifacts)
+            self._runs.append(json.dumps(entry, separators=(",", ":")))
         return entry
 
     def get(self, ref: str) -> Dict[str, Any]:

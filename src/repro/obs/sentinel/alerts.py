@@ -17,6 +17,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.obs.appendlog import AppendLog
+
 __all__ = ["AlertLedger", "DEFAULT_ALERTS_DIR"]
 
 #: Where alerts live unless overridden (sibling of the run ledger).
@@ -33,6 +35,7 @@ class AlertLedger:
         if root is None:
             root = os.environ.get(ALERTS_DIR_ENV) or DEFAULT_ALERTS_DIR
         self.root = Path(root)
+        self._log = AppendLog(str(self.path))
 
     @property
     def path(self) -> Path:
@@ -42,28 +45,20 @@ class AlertLedger:
     def append(self, record: Dict[str, Any]) -> Dict[str, Any]:
         """Append one transition; returns the stamped envelope."""
         self.root.mkdir(parents=True, exist_ok=True)
-        envelope = {
-            "seq": self._next_seq(),
-            "created_utc": datetime.now(timezone.utc).isoformat(
-                timespec="seconds"
-            ),
-        }
-        envelope.update(record)
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(envelope, sort_keys=True) + "\n")
+        with self._log.lock:
+            envelope = {
+                "seq": self._next_seq(),
+                "created_utc": datetime.now(timezone.utc).isoformat(
+                    timespec="seconds"
+                ),
+            }
+            envelope.update(record)
+            self._log.append(json.dumps(envelope, sort_keys=True))
         return envelope
 
     def records(self) -> List[Dict[str, Any]]:
-        """Every transition, in append order."""
-        if not self.path.exists():
-            return []
-        out = []
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    out.append(json.loads(line))
-        return out
+        """Every transition, in append order (read incrementally)."""
+        return self._log.records()
 
     def _next_seq(self) -> int:
         records = self.records()

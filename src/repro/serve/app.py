@@ -17,9 +17,11 @@ subsystems earlier PRs built:
   polls status.
 
 The server is strictly an *observer* of the ledger directory it was
-pointed at: every GET re-reads the append-only files, so entries
-recorded by concurrent CLI runs appear without restarts, and nothing
-in the API mutates simulation state.
+pointed at: every GET picks up what was appended to ``runs.jsonl``
+since the last one (one shared :class:`~repro.obs.ledger.Ledger`
+parses only the new bytes), so entries recorded by concurrent CLI runs
+appear without restarts, and nothing in the API mutates simulation
+state.
 
 Endpoints (see docs/observability.md for the curl tour):
 
@@ -100,20 +102,27 @@ class ReproServer:
         rules: Any = None,
         alerts_dir: Optional[str] = None,
     ) -> None:
+        from repro.obs.ledger import Ledger
+        from repro.obs.ledger.provenance import version_string
         from repro.obs.sentinel import AlertEngine, AlertLedger, Scheduler
         from repro.obs.sentinel.rules import rules_from_dict
 
         self.ledger_dir = ledger_dir
         self.bench_dir = bench_dir
         self.title = title
+        #: The code this process loaded: computed once (it runs git).
+        self.version = version_string()
+        #: One incrementally-read ledger shared by every handler
+        #: thread, the job manager and the alert engine.
+        self._ledger = Ledger(ledger_dir)
         self.broker = EventBroker()
-        self.jobs = JobManager(broker=self.broker, ledger_dir=ledger_dir)
+        self.jobs = JobManager(broker=self.broker, ledger=self._ledger)
         self.scheduler = Scheduler(self.jobs)
         if isinstance(rules, dict):
             rules = rules_from_dict(rules)
         self.sentinel = AlertEngine(
             rules=rules or (),
-            ledger=self.ledger(),
+            ledger=self._ledger,
             alerts=(
                 AlertLedger(alerts_dir) if alerts_dir is not None else None
             ),
@@ -142,9 +151,7 @@ class ReproServer:
         return f"http://{self.host}:{self.port}"
 
     def ledger(self):
-        from repro.obs.ledger import Ledger
-
-        return Ledger(self.ledger_dir)
+        return self._ledger
 
     # ------------------------------------------------------------------
     def serve_forever(self) -> None:
@@ -198,6 +205,13 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # A buffered wfile sends headers and body in one write when both
+    # fit its 8 KiB buffer (the per-request flush in handle_one_request
+    # pushes it out; the SSE writers flush themselves).  TCP_NODELAY
+    # keeps Nagle from holding a keep-alive response -- or the second
+    # send of a larger body -- until the client's delayed ACK.
+    disable_nagle_algorithm = True
+    wbufsize = -1
 
     # Quiet by default: per-request lines are noise under test/CI.
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
@@ -324,12 +338,10 @@ class _Handler(BaseHTTPRequestHandler):
     # Endpoint bodies
     # ------------------------------------------------------------------
     def _health(self) -> Dict[str, Any]:
-        from repro.obs.ledger.provenance import version_string
-
         app = self.app
         return {
             "status": "ok",
-            "version": version_string(),
+            "version": app.version,
             "ledger_dir": app.ledger().directory,
             "runs": len(app.ledger().entries()),
             "subscribers": app.broker.subscriber_count,
@@ -544,13 +556,12 @@ class _Handler(BaseHTTPRequestHandler):
         return {"horizon_s": horizon, "scenarios": out}
 
     def _dashboard(self) -> str:
-        from repro.obs.ledger.provenance import version_string
         from repro.serve.dashboard import render_dashboard
 
         return render_dashboard(
             {
                 "title": self.app.title,
-                "version": version_string(),
+                "version": self.app.version,
                 "ledger_dir": self.app.ledger().directory,
             }
         )

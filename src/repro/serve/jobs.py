@@ -111,9 +111,11 @@ class Job:
 class JobManager:
     """Submission, execution and status of background serve jobs."""
 
-    def __init__(self, broker: Any = None, ledger_dir: Optional[str] = None):
+    def __init__(self, broker: Any = None, ledger: Any = None):
         self.broker = broker
-        self.ledger_dir = ledger_dir
+        #: Run ledger jobs record into (``repro serve`` shares its
+        #: own); ``None`` opens the default ledger at record time.
+        self.ledger = ledger
         self._lock = threading.Lock()
         #: Serialises actual simulation work across job threads.
         self._run_lock = threading.Lock()
@@ -392,7 +394,8 @@ class JobManager:
             params["seed"],
             backend=SerialBackend(),
         )
-        entry = Ledger(self.ledger_dir).append(
+        ledger = self.ledger if self.ledger is not None else Ledger()
+        entry = ledger.append(
             manifest,
             campaign_outcomes(campaign),
             {"wall_clock_s": wall_clock_s},

@@ -61,6 +61,24 @@ class TestAlertLedger:
         assert ledger.records() == []
         assert ledger.incidents() == []
 
+    def test_corrupt_line_reported_with_location(self, tmp_path):
+        ledger = AlertLedger(str(tmp_path / "alerts"))
+        ledger.append(transition("open"))
+        with ledger.path.open("a") as handle:
+            handle.write("{torn\n")
+        with pytest.raises(ValueError, match=r"alerts\.jsonl:2: corrupt"):
+            ledger.records()
+        with pytest.raises(ValueError, match=r"alerts\.jsonl:2: corrupt"):
+            ledger.append(transition("close"))
+
+    def test_seq_follows_appends_from_another_instance(self, tmp_path):
+        first = AlertLedger(str(tmp_path / "alerts"))
+        second = AlertLedger(str(tmp_path / "alerts"))
+        assert first.append(transition("open"))["seq"] == 1
+        assert second.append(transition("close"))["seq"] == 2
+        assert first.append(transition("open", id="inc-0002"))["seq"] == 3
+        assert [r["seq"] for r in second.records()] == [1, 2, 3]
+
 
 class TestFormatTransition:
     def test_open_line(self):
