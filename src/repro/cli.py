@@ -1452,13 +1452,28 @@ def _cmd_faults_run(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _reading_trace(path: Optional[str]):
+    """Guard a command body that reads the trace file at ``path``.
+
+    A missing file, or a malformed trace (the readers raise a
+    line-numbered ``ValueError``), ends the command with a one-line
+    message instead of a traceback.
+    """
+    if path is not None and not os.path.exists(path):
+        raise SystemExit(f"no such trace file: {path}")
+    try:
+        yield
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
+
+
 def _cmd_faults_score(args: argparse.Namespace) -> int:
     from repro.faults.campaign import score_trace
     from repro.faults.score import format_scores, write_scores_csv
 
-    if not os.path.exists(args.trace):
-        raise SystemExit(f"no such trace file: {args.trace}")
-    scores = score_trace(args.trace, horizon_s=args.horizon)
+    with _reading_trace(args.trace):
+        scores = score_trace(args.trace, horizon_s=args.horizon)
     print(format_scores(scores))
     if args.csv is not None:
         rows = write_scores_csv(args.csv, scores)
@@ -1469,26 +1484,15 @@ def _cmd_faults_score(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.obs.explain import explain_trace, timeline_from_trace
 
-    if not os.path.exists(args.trace):
-        raise SystemExit(f"no such trace file: {args.trace}")
-    if args.json:
-        records = timeline_from_trace(
-            args.trace,
-            since=args.since,
-            until=args.until,
-            kinds=args.kind,
+    render = timeline_from_trace if args.json else explain_trace
+    with _reading_trace(args.trace):
+        out = render(
+            args.trace, since=args.since, until=args.until, kinds=args.kind
         )
-        print(json.dumps(records, indent=2, sort_keys=True))
-        return 0
-    print(
-        explain_trace(
-            args.trace,
-            since=args.since,
-            until=args.until,
-            kinds=args.kind,
-        ),
-        end="",
-    )
+    if args.json:
+        print(json.dumps(out, indent=2, sort_keys=True))
+    else:
+        print(out, end="")
     return 0
 
 
@@ -1496,11 +1500,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.trace_command == "convert":
         from repro.obs.columnar.convert import convert_trace
 
-        if not os.path.exists(args.input):
-            raise SystemExit(f"no such trace file: {args.input}")
-        in_format, out_format, records = convert_trace(
-            args.input, args.output, to=args.to
-        )
+        with _reading_trace(args.input):
+            in_format, out_format, records = convert_trace(
+                args.input, args.output, to=args.to
+            )
         print(
             f"wrote {args.output} "
             f"({in_format} -> {out_format}, {records} records)"
@@ -1514,8 +1517,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.obs.live.report import DEFAULT_MAX_RUNS, write_report
 
-    if not os.path.exists(args.trace):
-        raise SystemExit(f"no such trace file: {args.trace}")
     out = args.out
     if out is None:
         base = args.trace
@@ -1523,14 +1524,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
             if base.endswith(suffix):
                 base = base[: -len(suffix)]
         out = base + ".html"
-    records = write_report(
-        args.trace,
-        out,
-        title=args.title,
-        max_runs=(
-            args.max_runs if args.max_runs is not None else DEFAULT_MAX_RUNS
-        ),
-    )
+    with _reading_trace(args.trace):
+        records = write_report(
+            args.trace,
+            out,
+            title=args.title,
+            max_runs=(
+                args.max_runs
+                if args.max_runs is not None
+                else DEFAULT_MAX_RUNS
+            ),
+        )
     print(f"wrote {out} ({records} trace records)")
     return 0
 
@@ -1932,31 +1936,29 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             "watch --tick needs rules: --rules FILE, --slo S, "
             "or --baseline LABEL"
         )
-    if args.trace is not None and not os.path.exists(args.trace):
-        raise SystemExit(f"no such trace file: {args.trace}")
-    ledger = None
-    if args.baseline is not None or args.ledger_dir is not None or (
-        args.rules and any(r.kind == "regression" for r in rules)
-    ):
-        from repro.obs.ledger import Ledger
+    with _reading_trace(args.trace):
+        ledger = None
+        if args.baseline is not None or args.ledger_dir is not None or (
+            args.rules and any(r.kind == "regression" for r in rules)
+        ):
+            from repro.obs.ledger import Ledger
 
-        ledger = Ledger(args.ledger_dir)
-    try:
+            ledger = Ledger(args.ledger_dir)
         sinks = sinks_from_specs(args.sink or ())
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
-    alerts = (
-        AlertLedger(args.alerts_dir) if args.alerts_dir is not None else None
-    )
-    return watch_tick(
-        rules,
-        trace=args.trace,
-        ledger=ledger,
-        alerts=alerts,
-        sinks=sinks,
-        snapshot_every=args.snapshot_every,
-        json_out=args.json,
-    )
+        alerts = (
+            AlertLedger(args.alerts_dir)
+            if args.alerts_dir is not None
+            else None
+        )
+        return watch_tick(
+            rules,
+            trace=args.trace,
+            ledger=ledger,
+            alerts=alerts,
+            sinks=sinks,
+            snapshot_every=args.snapshot_every,
+            json_out=args.json,
+        )
 
 
 def _dispatch(args: argparse.Namespace) -> int:

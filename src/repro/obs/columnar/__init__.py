@@ -3,26 +3,28 @@
 Structured-array storage for trace events (:mod:`.store`), an
 mmap/gzip-friendly on-disk container with a footer segment index
 (:mod:`.io`), a tracer-protocol tap that ships encoded batches across
-process pools (:mod:`.tap`), a vectorized query layer shared by
-``report``/``explain``/re-scoring/``serve`` (:mod:`.query`), lossless
-format conversion (:mod:`.convert`), and a synthetic trace generator
-for scale testing (:mod:`.synth`).
+process pools (:mod:`.tap`), the one query engine shared by
+``report``/``explain``/re-scoring/``watch``/``serve``
+(:mod:`.query`), lossless format conversion (:mod:`.convert`), and a
+synthetic trace generator for scale testing (:mod:`.synth`).
 
-The JSONL path remains the compatibility baseline: every record a
-columnar trace stores decodes back to the exact dict its JSONL twin
-parses to, and consumers produce byte-identical output from either
-representation (pinned by tests/obs/columnar).
+JSONL stays the interchange format, decoded at the file boundary:
+:func:`read_trace` streams a JSONL file straight into the columnar
+encoder, so every consumer queries the same representation whichever
+format the trace was written in.  Every record a columnar trace stores
+decodes back to the exact dict its JSONL twin parses to (pinned by
+tests/obs/columnar).
 """
 
 from .io import (
     read_columnar,
     read_footer,
+    read_trace,
     sniff_format,
     write_columnar,
 )
 from .query import (
     ColumnarQuery,
-    RecordsQuery,
     as_query,
     load_query,
 )
@@ -35,12 +37,12 @@ __all__ = [
     "ColumnarTap",
     "ColumnarTrace",
     "EventBatch",
-    "RecordsQuery",
     "as_query",
     "encode_records",
     "load_query",
     "read_columnar",
     "read_footer",
+    "read_trace",
     "sniff_format",
     "write_columnar",
 ]

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.obs.exporters import read_jsonl, write_jsonl
+from repro.obs.exporters import write_jsonl
 
-from .io import read_columnar, sniff_format, write_columnar
-from .store import ColumnarTrace
+from .io import read_trace, sniff_format, write_columnar
 
 #: Output format names accepted by :func:`convert_trace`.
 FORMATS = ("jsonl", "columnar")
@@ -58,20 +57,8 @@ def convert_trace(
             f"{FORMATS}"
         )
 
-    if in_format == "columnar":
-        trace = read_columnar(in_path)
-        if out_format == "columnar":
-            write_columnar(trace, out_path)
-            return in_format, out_format, len(trace)
-        return (
-            in_format,
-            out_format,
-            write_jsonl(out_path, trace.iter_records()),
-        )
-
-    records = read_jsonl(in_path)
-    if out_format == "jsonl":
-        return in_format, out_format, write_jsonl(out_path, records)
-    trace = ColumnarTrace.from_records(records)
-    write_columnar(trace, out_path)
-    return in_format, out_format, len(trace)
+    trace = read_trace(in_path)
+    if out_format == "columnar":
+        write_columnar(trace, out_path)
+        return in_format, out_format, len(trace)
+    return in_format, out_format, write_jsonl(out_path, trace.iter_records())

@@ -23,6 +23,10 @@ one footer parse regardless of size; ``.gz`` paths are transparently
 The arrays are written in fixed little-endian dtypes, so the bytes a
 given trace produces are platform-independent (and serial vs
 process-pool runs of the same campaign produce byte-identical files).
+
+:func:`read_trace` is the one reader every consumer goes through: it
+sniffs the format, loads ``.rcol`` as above, and decodes JSONL at this
+boundary by streaming its lines straight into the columnar encoder.
 """
 
 from __future__ import annotations
@@ -35,7 +39,9 @@ from typing import Any, BinaryIO, Dict, List, Tuple
 
 import numpy as np
 
-from .store import ColumnarTrace
+from repro.obs.exporters import iter_jsonl
+
+from .store import ColumnarTrace, encode_records
 
 MAGIC = b"RCOLTRC1"
 TRAILER = b"RCOLEND1"
@@ -186,12 +192,29 @@ def _trace_from_bytes(data: Any) -> ColumnarTrace:
 
 
 def read_columnar(path: str) -> ColumnarTrace:
-    """Load a columnar trace (gz-aware; plain files are memory-mapped)."""
-    if _is_gz(path):
-        with gzip.open(path, "rb") as handle:
-            return _trace_from_bytes(handle.read())
-    data = np.memmap(path, dtype=np.uint8, mode="r")
-    return _trace_from_bytes(data)
+    """Load a columnar trace (gz-aware; plain files are memory-mapped).
+
+    A malformed file raises ``ValueError("PATH: ...")``.
+    """
+    try:
+        if _is_gz(path):
+            with gzip.open(path, "rb") as handle:
+                return _trace_from_bytes(handle.read())
+        data = np.memmap(path, dtype=np.uint8, mode="r")
+        return _trace_from_bytes(data)
+    except ValueError as error:
+        raise ValueError(f"{path}: {error}") from None
+
+
+def read_trace(path: str) -> ColumnarTrace:
+    """Load a trace file in either format (gz-transparent).
+
+    JSONL is streamed line by line into the encoder, so the list of
+    record dicts is never built.
+    """
+    if sniff_format(path) == "columnar":
+        return read_columnar(path)
+    return ColumnarTrace.from_batches([encode_records(iter_jsonl(path))])
 
 
 def read_footer(path: str) -> Dict[str, Any]:

@@ -1,60 +1,53 @@
-"""One query interface over both trace representations.
+"""The trace query engine behind every trace consumer.
 
-``repro report``, ``repro explain``, offline re-scoring and ``repro
-serve`` all ask the same questions of a trace: which runs does it
-hold, what does each run's ``run.meta`` say, how many events of each
-kind, where are the completions/faults/triggers, what do the
-response-time percentiles look like over time.  This module gives
-those questions one interface -- :class:`TraceQuery` / :class:`RunView`
--- with two implementations:
+``repro report``, ``repro explain``, offline re-scoring, ``repro
+watch --tick`` and ``repro serve`` all ask the same questions of a
+trace: which runs does it hold, what does each run's ``run.meta`` say,
+how many events of each kind, where are the completions/faults/
+triggers, what do the response-time percentiles look like over time.
+:class:`ColumnarQuery` (and its per-run :class:`ColumnarRunView`)
+answers them over a :class:`~repro.obs.columnar.store.ColumnarTrace`,
+vectorized: counts are one ``bincount``, run grouping is one stable
+argsort, completions are a per-shape float gather, and windowed
+percentiles bin a million latencies without building a million dicts.
+Sparse questions (the handful of fault/trigger records a narrative
+needs) decode just those rows.
 
-:class:`RecordsQuery`
-    Wraps an already-parsed list of JSONL record dicts and answers by
-    the exact scans the consumers used to inline.  This is the
-    compatibility baseline: running a consumer through a
-    ``RecordsQuery`` produces byte-identical output to the historical
-    record-list code path.
+There is one engine and one representation.  JSONL is decoded at the
+file boundary: :func:`load_query` reads either file format through
+:func:`~repro.obs.columnar.io.read_trace`, which streams JSONL lines
+straight into the columnar encoder, and :func:`as_query` encodes an
+in-memory record list the same way.  A consumer therefore produces
+byte-identical output from a record list, its JSONL file and its
+``.rcol`` conversion.
 
-:class:`ColumnarQuery`
-    Wraps a :class:`~repro.obs.columnar.store.ColumnarTrace` and
-    answers vectorized: counts are one ``bincount``, run grouping is
-    one stable argsort, completions are a per-shape float gather, and
-    windowed percentiles bin a million latencies without building a
-    million dicts.  Sparse questions (the handful of fault/trigger
-    records a narrative needs) decode just those rows.
-
-Both implementations share filter semantics (``filtered``):
-``run.meta`` records are always kept; other records must fall inside
-``[since, until]`` and -- when ``kinds`` is given -- have a type that
-equals a requested kind or extends it as a dotted prefix
-(``fault`` matches ``fault.injected``).  Records with no type (flight
-dumps) survive time filters but never a kind filter.
-
-:func:`load_query` sniffs a path (JSONL or columnar, gz-transparent)
-and returns the right implementation, which is all a CLI entry point
-needs to become format-agnostic.
+Filter semantics (``filtered``): ``run.meta`` records are always kept;
+other records must fall inside ``[since, until]`` and -- when
+``kinds`` is given -- have a type that equals a requested kind or
+extends it as a dotted prefix (``fault`` matches ``fault.injected``).
+Records with no type (flight dumps) survive time filters but never a
+kind filter.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs.events import REQUEST_COMPLETE, RUN_META
 
-from .store import ColumnarTrace, ENV_OPAQUE, TAG_FLOAT, TAG_INT
+from .io import read_trace
+from .store import ColumnarTrace, ENV_OPAQUE
 
-#: Bins used by the report percentile charts (must match the JSONL
-#: path's histogram exactly -- see ``_binned_percentiles``).
+#: Bins used by the report percentile charts.
 DEFAULT_BINS = 60
 
 
 def exact_percentile(ordered: Sequence[float], q: float) -> float:
     """Exact order-statistic percentile of a pre-sorted sequence.
 
-    The rank is ``round(q * (n - 1))`` with Python's round-half-to-even
-    -- the same statistic on either representation, bit for bit.
+    The rank is ``round(q * (n - 1))`` with Python's round-half-to-even.
     """
     n = len(ordered)
     if not n:
@@ -69,29 +62,6 @@ def _kind_matches(etype: str, kinds: Sequence[str]) -> bool:
     )
 
 
-def _keep_record(
-    record: Dict[str, Any],
-    since: Optional[float],
-    until: Optional[float],
-    kinds: Optional[Sequence[str]],
-) -> bool:
-    """The shared filter predicate (see the module docstring)."""
-    if record.get("type") == RUN_META:
-        return True
-    ts = record.get("ts", 0.0)
-    if not isinstance(ts, (int, float)) or isinstance(ts, bool):
-        ts = 0.0
-    if since is not None and ts < since:
-        return False
-    if until is not None and ts > until:
-        return False
-    if kinds is not None:
-        etype = record.get("type")
-        if not isinstance(etype, str) or not _kind_matches(etype, kinds):
-            return False
-    return True
-
-
 def is_flight_dump(record: Dict[str, Any]) -> bool:
     """Flight-recorder dump line rather than a trace event?"""
     return (
@@ -99,162 +69,6 @@ def is_flight_dump(record: Dict[str, Any]) -> bool:
     )
 
 
-# ---------------------------------------------------------------------------
-# Records (dict list) implementation
-# ---------------------------------------------------------------------------
-class RecordsRunView:
-    """One run's records, answered by plain scans."""
-
-    __slots__ = ("run_id", "_records")
-
-    def __init__(self, run_id: Any, records: List[Dict[str, Any]]) -> None:
-        self.run_id = run_id
-        self._records = records
-
-    @property
-    def meta(self) -> Optional[Dict[str, Any]]:
-        return next(
-            (r for r in self._records if r.get("type") == RUN_META), None
-        )
-
-    @property
-    def n_records(self) -> int:
-        return len(self._records)
-
-    def counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for record in self._records:
-            etype = record.get("type")
-            if isinstance(etype, str):
-                counts[etype] = counts.get(etype, 0) + 1
-        return counts
-
-    def records(
-        self, types: Optional[Sequence[str]] = None
-    ) -> List[Dict[str, Any]]:
-        if types is None:
-            return list(self._records)
-        wanted = set(types)
-        return [r for r in self._records if r.get("type") in wanted]
-
-    def flight_dumps(self) -> List[Dict[str, Any]]:
-        return [r for r in self._records if is_flight_dump(r)]
-
-    def event_records(self) -> List[Dict[str, Any]]:
-        """Everything that is not a flight dump (the event narrative)."""
-        return [r for r in self._records if not is_flight_dump(r)]
-
-    def ts_of(self, etype: str) -> List[float]:
-        return [
-            r["ts"] for r in self._records if r.get("type") == etype
-        ]
-
-    def max_ts(self) -> float:
-        return max(
-            (r.get("ts", 0.0) for r in self._records), default=1.0
-        )
-
-    def completions(self) -> Tuple[List[float], List[float]]:
-        ts: List[float] = []
-        rt: List[float] = []
-        for record in self._records:
-            if record.get("type") != REQUEST_COMPLETE:
-                continue
-            data = record.get("data", {})
-            if "response_time" not in data:
-                continue
-            ts.append(record["ts"])
-            rt.append(data["response_time"])
-        return ts, rt
-
-    def binned_percentiles(
-        self, horizon: float, bins: int = DEFAULT_BINS
-    ) -> List[Tuple[float, float, float]]:
-        """``(bin_mid_ts, p50, p95)`` per non-empty time bin."""
-        ts, rt = self.completions()
-        if not ts or horizon <= 0.0:
-            return []
-        width = horizon / bins
-        buckets: List[List[float]] = [[] for _ in range(bins)]
-        for t, r in zip(ts, rt):
-            buckets[min(bins - 1, int(t / width))].append(r)
-        out = []
-        for index, values in enumerate(buckets):
-            if not values:
-                continue
-            values.sort()
-            out.append(
-                (
-                    (index + 0.5) * width,
-                    exact_percentile(values, 0.50),
-                    exact_percentile(values, 0.95),
-                )
-            )
-        return out
-
-
-class RecordsQuery:
-    """The record-list implementation (the JSONL compatibility path)."""
-
-    def __init__(self, records: Sequence[Dict[str, Any]]) -> None:
-        self._records = list(records)
-
-    @property
-    def n_records(self) -> int:
-        return len(self._records)
-
-    def records(self) -> List[Dict[str, Any]]:
-        return list(self._records)
-
-    def filtered(
-        self,
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-        kinds: Optional[Sequence[str]] = None,
-    ) -> "RecordsQuery":
-        if since is None and until is None and kinds is None:
-            return self
-        return RecordsQuery(
-            [
-                r
-                for r in self._records
-                if _keep_record(r, since, until, kinds)
-            ]
-        )
-
-    def run_views(self) -> List[RecordsRunView]:
-        by_run: Dict[Any, List[Dict[str, Any]]] = {}
-        for record in self._records:
-            by_run.setdefault(record.get("run", 0), []).append(record)
-        return [
-            RecordsRunView(run_id, by_run[run_id])
-            for run_id in sorted(
-                by_run, key=lambda r: (str(type(r)), r)
-            )
-        ]
-
-    def counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for record in self._records:
-            etype = record.get("type")
-            if isinstance(etype, str):
-                counts[etype] = counts.get(etype, 0) + 1
-        return counts
-
-    def response_times(self) -> List[float]:
-        out = []
-        for record in self._records:
-            if record.get("type") != REQUEST_COMPLETE:
-                continue
-            data = record.get("data", {})
-            if "response_time" in data:
-                out.append(data["response_time"])
-        return out
-
-
-# ---------------------------------------------------------------------------
-# Columnar implementation
-# ---------------------------------------------------------------------------
 class ColumnarRunView:
     """One run's rows in a columnar trace, answered vectorized."""
 
@@ -286,7 +100,7 @@ class ColumnarRunView:
     def counts(self) -> Dict[str, int]:
         counts = self._trace.counts_by_type(self._rows)
         # Rows with no type key (opaque flight dumps) are stored under
-        # the empty type; the record path never counts them.
+        # the empty type and are not events, so they are not counted.
         counts.pop("", None)
         return counts
 
@@ -332,13 +146,11 @@ class ColumnarRunView:
     def binned_percentiles(
         self, horizon: float, bins: int = DEFAULT_BINS
     ) -> List[Tuple[float, float, float]]:
-        """Same statistic as the records path, vectorized.
+        """``(bin_mid_ts, p50, p95)`` per non-empty time bin.
 
-        Bin assignment truncates ``ts / width`` exactly as ``int()``
-        does for non-negative floats, and per-bin ranks use
-        :func:`exact_percentile` over the same sorted values, so the
-        chart a columnar trace renders is bit-identical to the chart
-        its JSONL twin renders.
+        Bin assignment truncates ``ts / width`` as ``int()`` does for
+        non-negative floats; per-bin ranks use :func:`exact_percentile`
+        over the sorted values.
         """
         ts, rt = self.completions()
         if not ts.shape[0] or horizon <= 0.0:
@@ -369,7 +181,7 @@ class ColumnarRunView:
 
 
 class ColumnarQuery:
-    """The vectorized implementation over a :class:`ColumnarTrace`."""
+    """The trace query engine over a :class:`ColumnarTrace`."""
 
     def __init__(
         self,
@@ -446,26 +258,20 @@ class ColumnarQuery:
 # ---------------------------------------------------------------------------
 # Loading
 # ---------------------------------------------------------------------------
-def as_query(source: Any) -> Any:
-    """Whatever the caller holds, as a :class:`TraceQuery`.
+def as_query(source: Any) -> ColumnarQuery:
+    """Whatever the caller holds, as a :class:`ColumnarQuery`.
 
-    A list/tuple of record dicts becomes a :class:`RecordsQuery`; a
-    :class:`ColumnarTrace` becomes a :class:`ColumnarQuery`; an
-    existing query passes through.
+    An existing query passes through; a :class:`ColumnarTrace` is
+    wrapped; a list/tuple of record dicts is encoded with
+    :meth:`ColumnarTrace.from_records`.
     """
-    if isinstance(source, (RecordsQuery, ColumnarQuery)):
+    if isinstance(source, ColumnarQuery):
         return source
     if isinstance(source, ColumnarTrace):
         return ColumnarQuery(source)
-    return RecordsQuery(source)
+    return ColumnarQuery(ColumnarTrace.from_records(source))
 
 
-def load_query(path: str) -> Any:
+def load_query(path: str) -> ColumnarQuery:
     """Load a trace file (either format, gz-transparent) as a query."""
-    from repro.obs.exporters import read_jsonl
-
-    from .io import read_columnar, sniff_format
-
-    if sniff_format(path) == "columnar":
-        return ColumnarQuery(read_columnar(path))
-    return RecordsQuery(read_jsonl(path))
+    return ColumnarQuery(read_trace(path))

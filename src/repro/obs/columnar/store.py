@@ -23,24 +23,33 @@ shape dictionary
     reconstructs the original dict -- same keys, same order, same
     Python types -- exactly.
 
-Losslessness is the contract that keeps the JSONL path the
-compatibility baseline: ``records -> EventBatch -> records`` is
-identity (pinned by tests), so a JSONL trace converted to columnar and
-back is byte-for-byte the same file, and every consumer (``report``,
-``explain``, ``faults score``, ``serve``) produces identical output
-from either form.
+Losslessness is what lets JSONL be decoded at the file boundary:
+``records -> EventBatch -> records`` is identity (pinned by tests), so
+a JSONL trace converted to columnar and back is byte-for-byte the same
+file, and every consumer (``report``, ``explain``, ``faults score``,
+``watch``, ``serve``) queries this one representation.
 
 Records that do not match the two envelopes the trace writer produces
 (per-event lines and ``run.meta`` lines) -- e.g. flight-recorder dump
-lines -- are carried verbatim as *opaque* JSON fragments: they survive
-the round trip and stay addressable by run/ts, just without columnar
-acceleration.
+lines, another key order, an integer ``ts`` -- are carried verbatim as
+*opaque* JSON fragments: they survive the round trip and stay
+addressable by run/ts, and :meth:`ColumnarTrace.field_float` decodes
+them to read their payload fields, just without columnar acceleration.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -93,6 +102,10 @@ def _tag_of(value: Any) -> str:
     if isinstance(value, str):
         return TAG_STR
     return TAG_JSON
+
+
+#: Pool tags of the exact value types that need no range check.
+_EXACT_TAGS = {float: TAG_FLOAT, str: TAG_STR, bool: TAG_BOOL}
 
 
 class _Dict:
@@ -259,10 +272,6 @@ class _BatchBuilder:
         self.type_id: List[int] = []
         self.source_id: List[int] = []
         self.shape_id: List[int] = []
-        self.ints_off: List[int] = []
-        self.floats_off: List[int] = []
-        self.strs_off: List[int] = []
-        self.jsons_off: List[int] = []
         self.ints: List[int] = []
         self.floats: List[float] = []
         self.strs: List[int] = []
@@ -284,12 +293,12 @@ class _BatchBuilder:
             self.jsons,
         )
         for key, value in data.items():
-            tag = _tag_of(value)
+            tag = _EXACT_TAGS.get(type(value)) or _tag_of(value)
             fields.append((key, tag))
-            if tag == TAG_INT:
-                ints.append(value)
-            elif tag == TAG_FLOAT:
+            if tag == TAG_FLOAT:
                 floats.append(value)
+            elif tag == TAG_INT:
+                ints.append(value)
             elif tag == TAG_STR:
                 strs.append(self.strings.id_of(value))
             elif tag == TAG_BOOL:
@@ -303,10 +312,6 @@ class _BatchBuilder:
         self.ts.append(ts)
         self.type_id.append(self.types.id_of(etype))
         self.source_id.append(self.sources.id_of(source))
-        self.ints_off.append(len(self.ints))
-        self.floats_off.append(len(self.floats))
-        self.strs_off.append(len(self.strs))
-        self.jsons_off.append(len(self.jsons))
 
     def add_event(
         self, run: int, ts: float, etype: str, source: str, data: Dict
@@ -354,16 +359,28 @@ class _BatchBuilder:
 
     # ------------------------------------------------------------------
     def finish(self) -> EventBatch:
+        # Each event's pool offsets are the running totals of the values
+        # its predecessors' shapes consumed.
+        shape_id = np.asarray(self.shape_id, dtype=np.uint32)
+        per_shape = np.asarray(
+            [
+                [meta["ints"], meta["floats"], meta["strs"], meta["jsons"]]
+                for meta in map(self.shapes.meta, range(len(self.shapes)))
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 4)
+        per_event = per_shape[shape_id]
+        starts = np.cumsum(per_event, axis=0) - per_event
         return EventBatch(
             run=np.asarray(self.run, dtype=np.int64),
             ts=np.asarray(self.ts, dtype=np.float64),
             type_id=np.asarray(self.type_id, dtype=np.uint32),
             source_id=np.asarray(self.source_id, dtype=np.uint32),
-            shape_id=np.asarray(self.shape_id, dtype=np.uint32),
-            ints_off=np.asarray(self.ints_off, dtype=np.uint32),
-            floats_off=np.asarray(self.floats_off, dtype=np.uint32),
-            strs_off=np.asarray(self.strs_off, dtype=np.uint32),
-            jsons_off=np.asarray(self.jsons_off, dtype=np.uint32),
+            shape_id=shape_id,
+            ints_off=starts[:, 0].astype(np.uint32),
+            floats_off=starts[:, 1].astype(np.uint32),
+            strs_off=starts[:, 2].astype(np.uint32),
+            jsons_off=starts[:, 3].astype(np.uint32),
             ints=np.asarray(self.ints, dtype=np.int64),
             floats=np.asarray(self.floats, dtype=np.float64),
             strs=np.asarray(self.strs, dtype=np.uint32),
@@ -409,8 +426,8 @@ def _classify(record: Dict[str, Any]) -> str:
     return ENV_OPAQUE
 
 
-def encode_records(records: Sequence[Dict[str, Any]]) -> EventBatch:
-    """Encode parsed JSONL records (in order) into one batch."""
+def encode_records(records: Iterable[Dict[str, Any]]) -> EventBatch:
+    """Encode parsed JSONL records (in order, streamed) into one batch."""
     builder = _BatchBuilder()
     for record in records:
         kind = _classify(record)
@@ -638,7 +655,7 @@ class ColumnarTrace:
 
     @classmethod
     def from_records(
-        cls, records: Sequence[Dict[str, Any]]
+        cls, records: Iterable[Dict[str, Any]]
     ) -> "ColumnarTrace":
         """Encode already-parsed JSONL records into one-segment store."""
         return cls.from_batches([encode_records(records)])
@@ -745,8 +762,10 @@ class ColumnarTrace:
         """``(row_indices, values)`` of float payload field ``key``.
 
         Gathers over the selected ``rows`` (an index array) for every
-        shape that carries ``key`` as a float, preserving event order.
-        One fancy-indexing pass per shape -- no per-event Python.
+        shape that carries ``key`` as a float or int, preserving event
+        order: one fancy-indexing pass per shape.  Opaque rows (records
+        off the writer's exact envelope) are decoded one by one and
+        contribute a numeric ``data[key]``.
         """
         table = self.shape_table
         shape_ids = self.shape_id[rows]
@@ -754,11 +773,13 @@ class ColumnarTrace:
         out_vals: List[np.ndarray] = []
         for sid in np.unique(shape_ids):
             meta = table.meta(int(sid))
-            slot = meta["slots"].get(key)
-            if slot is None or slot[0] not in (TAG_FLOAT, TAG_INT):
-                continue
             sel = rows[shape_ids == sid]
-            if slot[0] == TAG_FLOAT:
+            slot = meta["slots"].get(key)
+            if meta["kind"] == ENV_OPAQUE:
+                sel, values = self._opaque_field_float(key, sel)
+            elif slot is None or slot[0] not in (TAG_FLOAT, TAG_INT):
+                continue
+            elif slot[0] == TAG_FLOAT:
                 values = self.floats[
                     self.floats_off[sel].astype(np.int64) + slot[1]
                 ]
@@ -777,6 +798,25 @@ class ColumnarTrace:
         vals_cat = np.concatenate(out_vals)
         order = np.argsort(rows_cat, kind="stable")
         return rows_cat[order], vals_cat[order]
+
+    def _opaque_field_float(
+        self, key: str, rows: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``field_float`` over opaque rows, by decoding each one."""
+        keep: List[int] = []
+        values: List[float] = []
+        for row in rows:
+            data = self.decode(int(row)).get("data")
+            value = data.get(key) if isinstance(data, dict) else None
+            if isinstance(value, (int, float)) and not isinstance(
+                value, bool
+            ):
+                keep.append(int(row))
+                values.append(float(value))
+        return (
+            np.asarray(keep, dtype=np.int64),
+            np.asarray(values, dtype=np.float64),
+        )
 
     def counts_by_type(
         self, rows: Optional[np.ndarray] = None

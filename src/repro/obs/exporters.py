@@ -68,11 +68,17 @@ def iter_jsonl(path: str) -> Iterable[Dict[str, Any]]:
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(
                     f"{path}:{line_no}: not valid JSONL ({exc})"
                 ) from None
+            if not isinstance(record, dict):
+                raise ValueError(
+                    f"{path}:{line_no}: expected a JSON object, got "
+                    f"{type(record).__name__}"
+                )
+            yield record
 
 
 def read_jsonl(path: str) -> List[Dict[str, Any]]:

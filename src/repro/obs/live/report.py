@@ -81,8 +81,7 @@ svg { display: block; max-width: 100%; height: auto; }
 
 
 # ---------------------------------------------------------------------------
-# Data extraction (routed through the shared trace-query layer; the
-# record-list path computes the identical statistics it always did)
+# Data extraction (routed through the trace query engine)
 # ---------------------------------------------------------------------------
 def _fault_intervals(
     records: Sequence[Dict[str, Any]], horizon: float
@@ -457,10 +456,8 @@ def render_report(
 ) -> str:
     """The full self-contained HTML document for a loaded trace.
 
-    ``records`` is a list of JSONL record dicts (the historical
-    interface) or any trace query
-    (:func:`repro.obs.columnar.query.as_query`); both representations
-    of the same trace render byte-identical documents.
+    ``records`` is anything :func:`repro.obs.columnar.query.as_query`
+    accepts: a list of JSONL record dicts, a columnar trace or a query.
     """
     from repro.obs.columnar.query import as_query
 

@@ -1,15 +1,13 @@
-"""RecordsQuery vs ColumnarQuery: one semantics, two engines.
+"""The trace query engine: ColumnarQuery and its run views.
 
 Every query-layer operation the consumers (report, explain, scoring,
-serve) rely on must return identical results whether the trace lives
-as a list of dicts or as a columnar structured array.
+serve) rely on, checked against the plain records it was built from.
 """
 
 import pytest
 
 from repro.obs.columnar.query import (
     ColumnarQuery,
-    RecordsQuery,
     as_query,
     exact_percentile,
     load_query,
@@ -78,18 +76,32 @@ RECORDS = [
 ]
 
 
-def _queries():
-    return [
-        RecordsQuery(RECORDS),
-        ColumnarQuery(ColumnarTrace.from_records(RECORDS)),
-    ]
-
-
 @pytest.fixture(params=["records", "columnar"])
-def query(request):
+def query(request, tmp_path):
+    """The one engine, entered from a record list or from a file."""
     if request.param == "records":
-        return RecordsQuery(RECORDS)
-    return ColumnarQuery(ColumnarTrace.from_records(RECORDS))
+        return as_query(RECORDS)
+    from repro.obs.columnar.io import write_columnar
+
+    path = str(tmp_path / "t.rcol")
+    write_columnar(ColumnarTrace.from_records(RECORDS), path)
+    return load_query(path)
+
+
+def _kept(record, since=None, until=None, kinds=None):
+    """The filter semantics, spelled out over one plain record."""
+    if record.get("type") == "run.meta":
+        return True
+    if since is not None and record["ts"] < since:
+        return False
+    if until is not None and record["ts"] > until:
+        return False
+    if kinds is not None:
+        etype = record.get("type")
+        return etype is not None and any(
+            etype == kind or etype.startswith(kind + ".") for kind in kinds
+        )
+    return True
 
 
 class TestBasics:
@@ -106,9 +118,46 @@ class TestBasics:
         assert counts["system.rejuvenation"] == 1
 
     def test_response_times(self, query):
-        # RecordsQuery yields a list, ColumnarQuery an ndarray; the
-        # values (and order) must agree.
         assert list(query.response_times()) == [0.2, 0.8, 0.4]
+
+
+class TestOffEnvelopeRecords:
+    """Records the encoder stores as opaque rows keep their payload."""
+
+    def complete(self, **overrides):
+        record = {
+            "ts": 7.0,
+            "type": "request.complete",
+            "source": "system",
+            "data": {"response_time": 0.3},
+            "run": 0,
+        }
+        record.update(overrides)
+        return record
+
+    def test_integer_ts_keeps_its_response_time(self):
+        query = as_query([self.complete(ts=7)])
+        assert list(query.response_times()) == [0.3]
+        times, values = query.run_views()[0].completions()
+        assert list(times) == [7.0] and list(values) == [0.3]
+
+    def test_other_key_order_keeps_its_response_time(self):
+        record = self.complete()
+        reordered = {key: record[key] for key in reversed(list(record))}
+        query = as_query([record, reordered])
+        assert list(query.response_times()) == [0.3, 0.3]
+
+    def test_non_numeric_values_are_skipped(self):
+        query = as_query(
+            [
+                self.complete(ts=1, data={"response_time": True}),
+                self.complete(ts=2, data={"response_time": "slow"}),
+                self.complete(ts=3, data={}),
+                self.complete(ts=4, data={"response_time": 2}),
+            ]
+        )
+        times, values = query.run_views()[0].completions()
+        assert list(times) == [4.0] and list(values) == [2.0]
 
 
 class TestRunViews:
@@ -187,11 +236,8 @@ class TestFiltered:
 
 
 class TestParity:
-    def test_engines_agree_everywhere(self):
-        rq, cq = _queries()
-        assert rq.records() == cq.records()
-        assert rq.counts() == cq.counts()
-        assert list(rq.response_times()) == list(cq.response_times())
+    def test_filters_match_the_plain_records(self):
+        query = as_query(RECORDS)
         for filters in (
             {},
             {"since": 12.0},
@@ -199,26 +245,41 @@ class TestParity:
             {"kinds": ["system", "fault.injected"]},
             {"since": 5.0, "until": 45.0, "kinds": ["request"]},
         ):
-            assert (
-                rq.filtered(**filters).records()
-                == cq.filtered(**filters).records()
-            ), filters
+            expected = [r for r in RECORDS if _kept(r, **filters)]
+            assert query.filtered(**filters).records() == expected, filters
 
     def test_binned_percentiles_agree(self):
-        rq, cq = _queries()
-        for rv, cv in zip(rq.run_views(), cq.run_views()):
-            assert rv.binned_percentiles(60.0, bins=6) == cv.binned_percentiles(
-                60.0, bins=6
-            )
+        for view in as_query(RECORDS).run_views():
+            width = 60.0 / 6
+            bins = {}
+            for r in RECORDS:
+                if r.get("run") == view.run_id and r.get("type") == (
+                    "request.complete"
+                ):
+                    index = min(5, int(r["ts"] / width))
+                    bins.setdefault(index, []).append(
+                        r["data"]["response_time"]
+                    )
+            expected = [
+                (
+                    (index + 0.5) * width,
+                    exact_percentile(sorted(values), 0.50),
+                    exact_percentile(sorted(values), 0.95),
+                )
+                for index, values in sorted(bins.items())
+            ]
+            assert view.binned_percentiles(60.0, bins=6) == expected
 
 
 class TestHelpers:
     def test_as_query_wraps_records(self):
-        assert isinstance(as_query(RECORDS), RecordsQuery)
+        query = as_query(RECORDS)
+        assert isinstance(query, ColumnarQuery)
+        assert query.records() == RECORDS
 
     def test_as_query_passes_queries_through(self):
-        rq = RecordsQuery(RECORDS)
-        assert as_query(rq) is rq
+        query = as_query(RECORDS)
+        assert as_query(query) is query
 
     def test_as_query_wraps_columnar_trace(self):
         trace = ColumnarTrace.from_records(RECORDS)
@@ -234,11 +295,10 @@ class TestHelpers:
         )
         rcol = tmp_path / "t.rcol"
         write_columnar(ColumnarTrace.from_records(RECORDS), str(rcol))
-        a = load_query(str(jsonl))
-        b = load_query(str(rcol))
-        assert isinstance(a, RecordsQuery)
-        assert isinstance(b, ColumnarQuery)
-        assert a.records() == b.records()
+        for path in (jsonl, rcol):
+            loaded = load_query(str(path))
+            assert isinstance(loaded, ColumnarQuery)
+            assert loaded.records() == RECORDS
 
     def test_exact_percentile_matches_sorted_rank(self):
         values = np.asarray([5.0, 1.0, 3.0, 2.0, 4.0])

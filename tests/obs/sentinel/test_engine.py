@@ -9,7 +9,7 @@ and the whole incident table is byte-identical across replays.
 
 import pytest
 
-from repro.obs.columnar.query import RecordsQuery
+from repro.obs.columnar.query import as_query
 from repro.obs.columnar.synth import synth_campaign_trace
 from repro.obs.sentinel import AlertEngine, AlertLedger, BurnRateRule
 from repro.obs.sentinel.engine import replay_trace
@@ -231,7 +231,7 @@ class TestReplayTrace:
         assert first == second
 
     def test_healthy_prefix_is_quiet(self, trace):
-        healthy = RecordsQuery(
+        healthy = as_query(
             [
                 record
                 for record in trace.iter_records()

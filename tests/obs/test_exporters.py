@@ -53,6 +53,18 @@ class TestJsonl:
         with pytest.raises(ValueError, match=r"bad\.jsonl:2"):
             read_jsonl(str(path))
 
+    @pytest.mark.parametrize(
+        "line, kind", [("[1,2]", "list"), ("5", "int"), ('"x"', "str")]
+    )
+    def test_non_object_line_is_rejected(self, tmp_path, line, kind):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"ok": 1}\n' + line + "\n")
+        with pytest.raises(
+            ValueError,
+            match=rf"bad\.jsonl:2: expected a JSON object, got {kind}",
+        ):
+            read_jsonl(str(path))
+
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "gaps.jsonl"
         path.write_text('{"a": 1}\n\n{"b": 2}\n')

@@ -176,6 +176,30 @@ class TestWriteReport:
         assert re.search(r"<title>.*t\.jsonl</title>", content)
 
 
+class TestFormatParity:
+    def test_records_jsonl_and_rcol_render_identically(self, tmp_path):
+        from repro.obs.columnar.convert import convert_trace
+        from repro.obs.columnar.query import as_query, load_query
+        from repro.obs.exporters import write_jsonl
+
+        records = trace_records()
+        jsonl = str(tmp_path / "t.jsonl")
+        rcol = str(tmp_path / "t.rcol")
+        write_jsonl(jsonl, records)
+        convert_trace(jsonl, rcol)
+        queries = [as_query(records), load_query(jsonl), load_query(rcol)]
+        for query in queries:
+            assert [
+                len(view.completions()[1]) for view in query.run_views()
+            ] == [40, 40]
+        documents = [render_report(records, title="t")] + [
+            render_report(query, title="t") for query in queries[1:]
+        ]
+        assert documents[0].count("<svg") == 4
+        assert documents[1] == documents[0]
+        assert documents[2] == documents[0]
+
+
 class TestDecisionCauses:
     def generic_trigger(self):
         return {

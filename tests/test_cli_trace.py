@@ -3,6 +3,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -115,3 +118,80 @@ class TestExplainCommand:
     def test_missing_file_exits(self):
         with pytest.raises(SystemExit):
             main(["explain", "/nonexistent/trace.jsonl"])
+
+
+class TestMalformedTraces:
+    """A bad trace ends every trace-reading command with one line."""
+
+    RECORD = {
+        "ts": 1.0,
+        "type": "request.complete",
+        "source": "system",
+        "data": {"response_time": 0.5},
+        "run": 0,
+    }
+
+    def make(self, tmp_path, kind):
+        from repro.obs.columnar.io import write_columnar
+        from repro.obs.columnar.store import ColumnarTrace
+
+        if kind == "truncated_rcol":
+            path = tmp_path / "trace.rcol"
+            write_columnar(ColumnarTrace.from_records([self.RECORD]), str(path))
+            path.write_bytes(path.read_bytes()[:-4])
+            return str(path), "bad trailer"
+        path = tmp_path / "trace.jsonl"
+        line = "not json" if kind == "bad_line" else "[1,2]"
+        path.write_text(json.dumps(self.RECORD) + "\n" + line + "\n")
+        expected = "not valid JSONL" if kind == "bad_line" else "JSON object"
+        return str(path), expected
+
+    @staticmethod
+    def argv(command, path, tmp_path):
+        return {
+            "report": ["report", path, "-o", str(tmp_path / "r.html")],
+            "explain": ["explain", path],
+            "faults score": ["faults", "score", path],
+            "trace convert": [
+                "trace", "convert", path, str(tmp_path / "out.jsonl"),
+            ],
+            "watch --tick": ["watch", "--tick", "--slo", "0.2",
+                             "--trace", path],
+        }[command]
+
+    @pytest.mark.parametrize(
+        "command",
+        ["report", "explain", "faults score", "trace convert",
+         "watch --tick"],
+    )
+    @pytest.mark.parametrize(
+        "kind", ["bad_line", "non_object_line", "truncated_rcol"]
+    )
+    def test_one_line_message(self, tmp_path, capsys, command, kind):
+        path, expected = self.make(tmp_path, kind)
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.argv(command, path, tmp_path))
+        message = exit_info.value.code
+        # A string code exits with status 1 and prints just the message.
+        assert isinstance(message, str)
+        assert "\n" not in message
+        assert message.startswith(path) and expected in message
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_process_exits_one_without_traceback(self, tmp_path):
+        import repro
+
+        path, _ = self.make(tmp_path, "non_object_line")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from repro.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             *self.argv("report", path, tmp_path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert f"{path}:2: expected a JSON object" in result.stderr
