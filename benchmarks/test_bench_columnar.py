@@ -1,18 +1,11 @@
-"""Columnar trace pipeline: query speedup and write-path overhead.
+"""Columnar trace pipeline: query speedup.
 
-Two acceptance pins from the columnar-store issue:
-
-* **Query speedup** -- ``repro report`` + offline re-scoring over a
-  >=1M-event trace must run at least 5x faster from the columnar file
-  than from the equivalent JSONL, with identical output.  The trace is
-  the deterministic synthetic campaign (scripted ground truth), so the
-  scores are also checked against their known values, not just against
-  each other.
-* **Tap overhead** -- collecting a full ``level="all"`` trace through
-  ``ColumnarTap`` (typed-array batches) must stay within 10% of the
-  same workload collected through the dict-based ``Tracer``.  Paired
-  rounds, best pair, small absolute slack -- the same methodology as
-  ``test_bench_serve_overhead``.
+``repro report`` + offline re-scoring over a >=1M-event trace must run
+at least 5x faster from the columnar file than from the equivalent
+JSONL, with identical output.  The trace is the deterministic synthetic
+campaign (scripted ground truth), so the scores are also checked
+against their known values, not just against each other.  The cost of
+collecting a trace is pinned by ``test_bench_trace_overhead``.
 """
 
 import os
@@ -20,29 +13,15 @@ import time
 
 from conftest import BENCH_SEED, assertions_enabled, bench_scale
 
-from repro.core.spec import PolicySpec
-from repro.ecommerce.config import PAPER_CONFIG
-from repro.ecommerce.runner import run_replications
-from repro.ecommerce.spec import ArrivalSpec
 from repro.faults.campaign import score_records
 from repro.obs.columnar.io import write_columnar
 from repro.obs.columnar.query import load_query
 from repro.obs.columnar.synth import synth_campaign_trace
 from repro.obs.ledger import record_bench_point
 from repro.obs.live.report import render_report
-from repro.obs.session import TraceSession, use_tracing
 
 #: Acceptance: columnar consume >= 5x faster than JSONL consume.
 SPEEDUP_FLOOR = 5.0
-
-#: Paired dict-tracer/columnar-tap rounds; the pin takes the quietest.
-ROUNDS = 7
-
-#: Acceptance: ColumnarTap within 10% of the dict Tracer.
-OVERHEAD_FACTOR = 1.10
-
-#: Absolute slack (s) against timer quantisation on small baselines.
-ABSOLUTE_SLACK_S = 0.015
 
 
 def _events_per_run() -> int:
@@ -135,63 +114,3 @@ def test_columnar_query_speedup(benchmark, tmp_path):
 
     # Keep pytest-benchmark's timing machinery fed with the fast path.
     benchmark.pedantic(_consume, args=(rcol,), rounds=1, iterations=1)
-
-
-def _workload(trace_session):
-    scale = bench_scale()
-    n = max(2_000, scale.transactions // 10)
-    with use_tracing(trace_session):
-        return run_replications(
-            PAPER_CONFIG,
-            arrival=ArrivalSpec.poisson(1.8),
-            policy=PolicySpec.sraa(2, 5, 3),
-            n_transactions=n,
-            replications=2,
-            seed=BENCH_SEED,
-        )
-
-
-def test_columnar_tap_overhead(benchmark):
-    # Warm-up both paths outside the timings.
-    _workload(TraceSession("all"))
-    _workload(TraceSession("all", trace_format="columnar"))
-
-    pairs = []
-    for _ in range(ROUNDS):
-        dict_s, dict_result = _timed(
-            lambda: _workload(TraceSession("all"))
-        )
-        columnar_s, columnar_result = _timed(
-            lambda: _workload(
-                TraceSession("all", trace_format="columnar")
-            )
-        )
-        pairs.append((dict_s, columnar_s))
-    dict_s, columnar_s = min(pairs, key=lambda pair: pair[1] / pair[0])
-
-    # The tap must not perturb the simulation.
-    assert [r.completed for r in columnar_result.runs] == [
-        r.completed for r in dict_result.runs
-    ]
-
-    overhead = columnar_s / dict_s if dict_s else float("nan")
-    benchmark.extra_info["dict_tracer_s"] = round(dict_s, 4)
-    benchmark.extra_info["columnar_tap_s"] = round(columnar_s, 4)
-    benchmark.extra_info["tap_overhead_factor"] = round(overhead, 4)
-    print(
-        f"\nbest pair of {ROUNDS}: dict tracer {dict_s:.3f}s, "
-        f"columnar tap {columnar_s:.3f}s ({overhead:.2%} of baseline)"
-    )
-
-    if assertions_enabled():
-        bound = dict_s * OVERHEAD_FACTOR + ABSOLUTE_SLACK_S
-        assert columnar_s <= bound, (
-            f"columnar tap costs {columnar_s:.3f}s vs dict tracer "
-            f"{dict_s:.3f}s on the quietest of {ROUNDS} paired rounds "
-            "-- beyond the 10% acceptance bound"
-        )
-
-    # Keep pytest-benchmark's timing machinery fed with the cheap path.
-    benchmark.pedantic(
-        _workload, args=(TraceSession("spans"),), rounds=1, iterations=1
-    )

@@ -53,8 +53,8 @@ def main() -> None:
     for name, factory in policy_zoo():
         result = run_replications(
             PAPER_CONFIG,
-            arrival_factory=lambda: PoissonArrivals(arrival_rate),
-            policy_factory=factory,
+            arrival=lambda: PoissonArrivals(arrival_rate),
+            policy=factory,
             n_transactions=TRANSACTIONS,
             replications=REPLICATIONS,
             seed=42,

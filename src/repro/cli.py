@@ -55,7 +55,8 @@ Subcommands
     the ``BENCH_*.json`` benchmark trajectories.
 
 ``repro run`` and ``repro simulate`` both accept ``--trace PATH``
-(``--trace-format jsonl|columnar`` picks the encoding),
+(a ``.rcol`` or ``.columnar`` suffix, optionally ``.gz``, writes the
+columnar container, anything else JSONL),
 ``--trace-level spans|decisions|all``, ``--trace-chrome PATH``
 (Chrome/Perfetto ``trace_event`` JSON) and ``--metrics PATH``
 (Prometheus textfile snapshot).  ``repro simulate``, ``repro top`` and
@@ -261,8 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     trace_convert.add_argument(
         "output",
-        help="destination path (a '.gz' suffix gzips; '.jsonl'/'.rcol' "
-        "name the format, otherwise the opposite of the input is "
+        help="destination path (a '.gz' suffix gzips; '.jsonl'/'.json' "
+        "and '.rcol'/'.columnar' name the format, otherwise the opposite of the input is "
         "written)",
     )
     trace_convert.add_argument(
@@ -975,7 +976,9 @@ def _add_trace_options(parser: argparse.ArgumentParser) -> None:
         "--trace",
         metavar="PATH",
         default=None,
-        help="write a trace of every replication "
+        help="write a trace of every replication: the columnar "
+        "container for a .rcol/.columnar path (optionally .gz), "
+        "JSONL otherwise "
         "(inspect with 'repro explain PATH')",
     )
     parser.add_argument(
@@ -984,14 +987,6 @@ def _add_trace_options(parser: argparse.ArgumentParser) -> None:
         default="all",
         help="what to record: request spans, policy decisions, or "
         "everything including engine events (default: all)",
-    )
-    parser.add_argument(
-        "--trace-format",
-        choices=("jsonl", "columnar"),
-        default="jsonl",
-        help="trace representation: one JSON record per line, or the "
-        "columnar container (smaller, loads vectorized; convert "
-        "either way with 'repro trace convert'; default: jsonl)",
     )
     parser.add_argument(
         "--trace-chrome",
@@ -1021,11 +1016,15 @@ def _make_trace_session(args: argparse.Namespace):
     """A TraceSession when any trace/metrics output was requested."""
     if not (args.trace or args.trace_chrome or args.metrics):
         return None
+    from repro.obs.columnar.convert import infer_output_format
     from repro.obs.session import TraceSession
 
+    # The --trace suffix names the file format with the rules of
+    # 'trace convert'; passing "columnar" as the input format makes
+    # unknown suffixes (and no --trace at all) mean JSONL.
     return TraceSession(
         level=args.trace_level,
-        trace_format=getattr(args, "trace_format", "jsonl"),
+        trace_format=infer_output_format(args.trace or "", "columnar"),
     )
 
 

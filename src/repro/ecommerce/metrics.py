@@ -16,8 +16,8 @@ class RunResult:
     after the warm-up cut; ``loss_fraction`` is lost transactions over all
     measured transactions -- the paper's rejuvenation cost metric.
 
-    ``trace`` carries the run's buffered
-    :class:`~repro.obs.events.TraceEvent` records when tracing was on and
+    ``trace`` carries the run's events, encoded as one
+    :class:`~repro.obs.columnar.store.ColumnarRun`, when tracing was on and
     ``telemetry`` the fixed-interval
     :class:`~repro.ecommerce.telemetry.TelemetrySample` probes when a
     telemetry probe was installed; both stay ``None`` otherwise.  They
@@ -48,7 +48,7 @@ class RunResult:
     rejuvenations: int
     sim_duration_s: float
     response_times: Optional[Tuple[float, ...]] = None
-    trace: Optional[Tuple[object, ...]] = None
+    trace: Optional[object] = None
     telemetry: Optional[Tuple[object, ...]] = None
     rejuvenation_times: Optional[Tuple[float, ...]] = None
     live: Optional[object] = None

@@ -31,15 +31,9 @@ from repro.exec.jobs import (
 )
 from repro.exec.progress import ProgressHook
 from repro.obs.session import (
-    active_trace_format,
     active_trace_level,
     current_session,
 )
-
-# Backward-compatible aliases: the pre-exec-layer factory protocol.
-PolicyFactory = PolicySource
-ArrivalFactory = ArrivalSource
-
 
 def run_once(
     config: SystemConfig,
@@ -94,7 +88,6 @@ def replication_jobs(
         raise ValueError("need at least one transaction")
     if trace_level is None:
         trace_level = active_trace_level()
-    trace_format = active_trace_format()
     spec = None
     if system is not None:
         from repro.systems import resolve_system
@@ -111,7 +104,6 @@ def replication_jobs(
             warmup=warmup,
             tag=("replication", i),
             trace_level=trace_level,
-            trace_format=trace_format,
             telemetry_interval_s=telemetry_interval_s,
             live=live,
             profile=profile,
@@ -123,7 +115,7 @@ def replication_jobs(
 
 def run_replications(
     config: SystemConfig,
-    arrival: Optional[ArrivalSource] = None,
+    arrival: ArrivalSource,
     policy: PolicySource = None,
     n_transactions: int = 0,
     replications: int = 0,
@@ -135,8 +127,6 @@ def run_replications(
     live: Optional[Any] = None,
     profile: bool = False,
     system: Optional[Any] = None,
-    arrival_factory: Optional[ArrivalSource] = None,
-    policy_factory: Optional[PolicySource] = None,
 ) -> ReplicatedResult:
     """Independent replications of one scenario.
 
@@ -182,25 +172,11 @@ def run_replications(
         kind name, or a :class:`repro.systems.SystemSpec`); every
         replication runs against it, with ``n_transactions`` scaled by
         the substrate's convention (see ``SystemSpec.job_transactions``).
-    arrival_factory, policy_factory:
-        Deprecated aliases for ``arrival`` / ``policy`` (the pre-spec
-        factory protocol); still accepted so existing callers keep
-        working.
 
     When a :class:`~repro.obs.session.TraceSession` is installed
     (:func:`repro.obs.use_tracing`), the jobs are stamped with its
     trace level and the results ingested into it, in submission order.
     """
-    if arrival_factory is not None:
-        if arrival is not None:
-            raise TypeError("pass either arrival or arrival_factory, not both")
-        arrival = arrival_factory
-    if policy_factory is not None:
-        if policy is not None:
-            raise TypeError("pass either policy or policy_factory, not both")
-        policy = policy_factory
-    if arrival is None:
-        raise TypeError("an arrival source is required")
     jobs = replication_jobs(
         config,
         arrival,

@@ -69,7 +69,7 @@ class ECommerceSystem:
         rejuvenation events; with ``decisions`` on, a
         :class:`~repro.obs.listener.TracingDecisionListener` driven by
         the simulation clock is installed on the policy.  The buffered
-        events are returned on ``RunResult.trace``.  ``None`` (the
+        events are returned, encoded, on ``RunResult.trace``.  ``None`` (the
         default) is the near-free fast path.
     faults:
         Optional fault scenario: either an object with an ``injections``

@@ -44,9 +44,9 @@ class ReplicationJob:
 
     ``trace_level`` (one of :data:`repro.obs.tracer.TRACE_LEVELS`, or
     ``None`` for the near-free untraced path) makes the worker build a
-    :class:`~repro.obs.tracer.Tracer` whose events ride back on
-    ``RunResult.trace``; ``telemetry_interval_s`` likewise installs a
-    fixed-interval probe whose samples ride back on
+    :class:`~repro.obs.tracer.Tracer` whose events ride back, encoded as
+    one column batch, on ``RunResult.trace``; ``telemetry_interval_s``
+    likewise installs a fixed-interval probe whose samples ride back on
     ``RunResult.telemetry``.  Both stay plain data, so the job remains
     picklable.
 
@@ -70,11 +70,9 @@ class ReplicationJob:
     collect_response_times: bool = False
     tag: Tuple[Any, ...] = ()
     trace_level: Optional[str] = None
-    #: How the worker buffers and returns the trace: ``None``/"jsonl"
-    #: for the tuple-of-TraceEvent payload, "columnar" for an encoded
-    #: :class:`~repro.obs.columnar.store.EventBatch`.  Pure
-    #: representation -- excluded from the manifest like all
-    #: observability fields.
+    #: Unread: every traced run returns one encoded column batch.  The
+    #: field stays only because the repository benchmark's sink probe
+    #: still sets it; it goes with the next benchmark change.
     trace_format: Optional[str] = None
     telemetry_interval_s: Optional[float] = None
     #: Optional fault scenario (e.g. repro.faults FaultScenario) or a
@@ -172,7 +170,6 @@ def execute_job(job: ReplicationJob) -> "RunResult":
         seed=job.seed,
         obs=ObsSpec(
             trace_level=job.trace_level,
-            trace_format=job.trace_format,
             telemetry_interval_s=job.telemetry_interval_s,
             live=job.live,
             profile=job.profile,

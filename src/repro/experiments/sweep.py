@@ -28,7 +28,6 @@ from repro.exec.progress import ProgressHook
 from repro.experiments.scale import Scale
 from repro.experiments.tables import Series, Table
 from repro.obs.session import (
-    active_trace_format,
     active_trace_level,
     current_session,
 )
@@ -112,7 +111,6 @@ def sweep_jobs(
     job is stamped with its trace level so the whole grid is traced.
     """
     trace_level = active_trace_level()
-    trace_format = active_trace_format()
     jobs: List[ReplicationJob] = []
     for config in configs:
         for load_index, load in enumerate(scale.loads):
@@ -128,7 +126,6 @@ def sweep_jobs(
                         warmup=warmup,
                         tag=(config.label, load, i),
                         trace_level=trace_level,
-                        trace_format=trace_format,
                     )
                 )
     return jobs

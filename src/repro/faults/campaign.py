@@ -26,7 +26,6 @@ from repro.faults.scenario import FaultScenario
 from repro.faults.score import PolicyScore, format_scores, score_policy
 from repro.faults.zoo import builtin_scenarios, get_scenario
 from repro.obs.session import (
-    active_trace_format,
     active_trace_level,
     current_session,
 )
@@ -162,7 +161,6 @@ def campaign_jobs(
         raise ValueError("need at least one policy")
     if trace_level is None:
         trace_level = active_trace_level()
-    trace_format = active_trace_format()
     spec = None
     if system is not None:
         from repro.systems import resolve_system
@@ -184,7 +182,6 @@ def campaign_jobs(
                         seed=seed + 1000 * s_index + i,
                         tag=("faults", scenario.name, label, i),
                         trace_level=trace_level,
-                        trace_format=trace_format,
                         faults=scenario,
                         live=live,
                         profile=profile,

@@ -2,8 +2,8 @@
 
 Structured-array storage for trace events (:mod:`.store`), an
 mmap/gzip-friendly on-disk container with a footer segment index
-(:mod:`.io`), a tracer-protocol tap that ships encoded batches across
-process pools (:mod:`.tap`), the one query engine shared by
+(:mod:`.io`), the :class:`ColumnarRun` payload every traced run ships
+across process pools (:mod:`.store`), the one query engine shared by
 ``report``/``explain``/re-scoring/``watch``/``serve``
 (:mod:`.query`), lossless format conversion (:mod:`.convert`), and a
 synthetic trace generator for scale testing (:mod:`.synth`).
@@ -28,13 +28,11 @@ from .query import (
     as_query,
     load_query,
 )
-from .store import ColumnarTrace, EventBatch, encode_records
-from .tap import ColumnarRun, ColumnarTap
+from .store import ColumnarRun, ColumnarTrace, EventBatch, encode_records
 
 __all__ = [
     "ColumnarQuery",
     "ColumnarRun",
-    "ColumnarTap",
     "ColumnarTrace",
     "EventBatch",
     "as_query",

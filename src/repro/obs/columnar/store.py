@@ -53,6 +53,8 @@ from typing import (
 
 import numpy as np
 
+from repro.obs.events import TraceEvent, compact_json
+
 #: Payload value tags (part of a shape's identity).
 TAG_NULL = "n"
 TAG_BOOL = "b"
@@ -79,13 +81,8 @@ _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 #: and ``__seed``; the opaque shape holds one ``__raw`` fragment.
 Shape = Tuple[str, Tuple[Tuple[str, str], ...]]
 
-#: Compact JSON (the trace writer's separators).
-_dumps = json.dumps
-
-
-def compact_json(value: Any) -> str:
-    """``value`` as the compact JSON the trace writer emits."""
-    return _dumps(value, separators=(",", ":"))
+#: Rows per decode chunk (see :meth:`ColumnarTrace.iter_records`).
+_DECODE_CHUNK = 4096
 
 
 def _tag_of(value: Any) -> str:
@@ -157,58 +154,49 @@ class ShapeTable:
         """Per-shape pool consumption counts and key positions.
 
         ``counts`` maps tag -> values consumed; ``slots`` maps key ->
-        ``(tag, position-within-that-tag's-pool-run)`` -- what the
-        vectorized field gather in :mod:`repro.obs.columnar.query`
-        uses to find, say, ``response_time`` for every event of a
-        shape in one fancy-indexing step.
+        ``(tag, position-within-that-tag's-pool-run)`` (bools share the
+        int pool) -- what the vectorized field gather in
+        :meth:`ColumnarTrace.field_float` uses to find, say,
+        ``response_time`` for every event of a shape in one
+        fancy-indexing step.
         """
         cached = self._meta[shape_id]
         if cached is not None:
             return cached
         kind, fields = self.shapes[shape_id]
-        counts = {
-            TAG_INT: 0,
-            TAG_FLOAT: 0,
-            TAG_STR: 0,
-            TAG_JSON: 0,
-            TAG_BOOL: 0,
-        }
-        slots: Dict[str, Tuple[str, int]] = {}
-        for key, tag in fields:
+        counts = {TAG_INT: 0, TAG_FLOAT: 0, TAG_STR: 0, TAG_JSON: 0}
+        columns: List[Tuple[str, int]] = []
+        for _key, tag in fields:
             if tag == TAG_NULL:
-                slots[key] = (TAG_NULL, 0)
+                columns.append((TAG_NULL, 0))
                 continue
             pool = TAG_INT if tag == TAG_BOOL else tag
-            slots[key] = (tag, counts[pool])
+            columns.append((tag, counts[pool]))
             counts[pool] += 1
         meta = {
             "kind": kind,
             "fields": fields,
-            "ints": counts[TAG_INT] + counts[TAG_BOOL],
+            "ints": counts[TAG_INT],
             "floats": counts[TAG_FLOAT],
             "strs": counts[TAG_STR],
             "jsons": counts[TAG_JSON],
-            "slots": slots,
+            "slots": {
+                key: column for (key, _tag), column in zip(fields, columns)
+            },
         }
-        # Recompute int/bool interleaving: bools share the int pool, so
-        # positions must be assigned over the merged pool in order.
-        merged = 0
-        floats = strs = jsons = 0
-        for key, tag in fields:
-            if tag in (TAG_INT, TAG_BOOL):
-                slots[key] = (tag, merged)
-                merged += 1
-            elif tag == TAG_FLOAT:
-                slots[key] = (tag, floats)
-                floats += 1
-            elif tag == TAG_STR:
-                slots[key] = (tag, strs)
-                strs += 1
-            elif tag == TAG_JSON:
-                slots[key] = (tag, jsons)
-                jsons += 1
         self._meta[shape_id] = meta
         return meta
+
+    def pool_counts(self) -> np.ndarray:
+        """``(n_shapes, 4)`` values each shape consumes from the
+        ints/floats/strs/jsons pools."""
+        return np.asarray(
+            [
+                [meta["ints"], meta["floats"], meta["strs"], meta["jsons"]]
+                for meta in map(self.meta, range(len(self.shapes)))
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 4)
 
     def __len__(self) -> int:
         return len(self.shapes)
@@ -362,14 +350,7 @@ class _BatchBuilder:
         # Each event's pool offsets are the running totals of the values
         # its predecessors' shapes consumed.
         shape_id = np.asarray(self.shape_id, dtype=np.uint32)
-        per_shape = np.asarray(
-            [
-                [meta["ints"], meta["floats"], meta["strs"], meta["jsons"]]
-                for meta in map(self.shapes.meta, range(len(self.shapes)))
-            ],
-            dtype=np.int64,
-        ).reshape(-1, 4)
-        per_event = per_shape[shape_id]
+        per_event = self.shapes.pool_counts()[shape_id]
         starts = np.cumsum(per_event, axis=0) - per_event
         return EventBatch(
             run=np.asarray(self.run, dtype=np.int64),
@@ -450,7 +431,8 @@ def encode_events(
     events: Sequence[Tuple[float, str, str, Dict[str, Any]]],
     run: int = 0,
 ) -> EventBatch:
-    """Encode raw emit tuples (the :class:`ColumnarTap` buffer)."""
+    """Encode raw emit tuples (the :class:`~repro.obs.tracer.Tracer`
+    buffer)."""
     builder = _BatchBuilder()
     for ts, etype, source, data in events:
         builder.add_event(run, ts, etype, source, data)
@@ -665,72 +647,105 @@ class ColumnarTrace:
     # ------------------------------------------------------------------
     def decode(self, index: int) -> Dict[str, Any]:
         """Record ``index`` as the exact dict the JSONL line parses to."""
-        shape_id = int(self.shape_id[index])
-        kind, fields = self.shape_table.shapes[shape_id]
-        i = int(self.ints_off[index])
-        f = int(self.floats_off[index])
-        s = int(self.strs_off[index])
-        j = int(self.jsons_off[index])
-        if kind == ENV_OPAQUE:
-            return json.loads(self.fragments[int(self.jsons[j])])
-
-        values: List[Any] = []
-        for _key, tag in fields:
-            if tag == TAG_NULL:
-                values.append(None)
-            elif tag == TAG_INT:
-                values.append(int(self.ints[i]))
-                i += 1
-            elif tag == TAG_BOOL:
-                values.append(bool(self.ints[i]))
-                i += 1
-            elif tag == TAG_FLOAT:
-                values.append(float(self.floats[f]))
-                f += 1
-            elif tag == TAG_STR:
-                values.append(self.strings[int(self.strs[s])])
-                s += 1
-            else:  # TAG_JSON
-                values.append(
-                    json.loads(self.fragments[int(self.jsons[j])])
-                )
-                j += 1
-
-        if kind == ENV_EVENT:
-            data = {
-                key: value
-                for (key, _tag), value in zip(fields, values)
-            }
-            return {
-                "ts": float(self.ts[index]),
-                "type": self.types[int(self.type_id[index])],
-                "source": self.sources[int(self.source_id[index])],
-                "data": data,
-                "run": int(self.run[index]),
-            }
-        # ENV_META: fields start with __tag, __seed.
-        data = {
-            key: value
-            for (key, _tag), value in zip(fields[2:], values[2:])
-        }
-        return {
-            "run": int(self.run[index]),
-            "tag": values[0],
-            "seed": values[1],
-            "ts": float(self.ts[index]),
-            "type": self.types[int(self.type_id[index])],
-            "source": self.sources[int(self.source_id[index])],
-            "data": data,
-        }
+        return next(self.iter_records([index]))
 
     def iter_records(
         self, indices: Optional[Sequence[int]] = None
     ) -> Iterator[Dict[str, Any]]:
-        """Decode records (all, or the given indices) in order."""
+        """Decode records (all, or the given indices) in order.
+
+        Rows are decoded in chunks of :data:`_DECODE_CHUNK`: each chunk
+        converts its column slices and the pool values its rows consume
+        to Python lists in a handful of numpy calls, so no record pays
+        for numpy scalar indexing and no column is ever listed whole.
+        """
         if indices is None:
-            indices = range(len(self))
-        for index in indices:
-            yield self.decode(int(index))
+            n = len(self)
+            for start in range(0, n, _DECODE_CHUNK):
+                yield from self._decode_rows(
+                    slice(start, min(start + _DECODE_CHUNK, n))
+                )
+            return
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        for start in range(0, len(indices), _DECODE_CHUNK):
+            yield from self._decode_rows(
+                indices[start : start + _DECODE_CHUNK]
+            )
+
+    def _decode_rows(self, rows: Any) -> Iterator[Dict[str, Any]]:
+        """Decode the rows a slice or index array selects."""
+        table = self.shape_table
+        shape_ids = self.shape_id[rows]
+        per_row = table.pool_counts()[shape_ids]
+        pulls = []
+        for column, (pool, offsets) in enumerate(
+            (
+                (self.ints, self.ints_off),
+                (self.floats, self.floats_off),
+                (self.strs, self.strs_off),
+                (self.jsons, self.jsons_off),
+            )
+        ):
+            counts = per_row[:, column]
+            # Each row's values sit at offset, offset+1, ...: gather
+            # them for the whole chunk, in row order.
+            starts = offsets[rows].astype(np.int64) - (
+                np.cumsum(counts) - counts
+            )
+            gather = np.repeat(starts, counts) + np.arange(int(counts.sum()))
+            pulls.append(pool[gather].tolist())
+        strings, fragments = self.strings, self.fragments
+        take_int = iter(pulls[0]).__next__
+        take = {
+            TAG_INT: take_int,
+            TAG_FLOAT: iter(pulls[1]).__next__,
+            TAG_STR: iter([strings[i] for i in pulls[2]]).__next__,
+            TAG_JSON: iter(
+                [json.loads(fragments[i]) for i in pulls[3]]
+            ).__next__,
+            TAG_BOOL: lambda: bool(take_int()),
+            TAG_NULL: lambda: None,
+        }
+        # Per shape: its kind, keys, and one value getter per field.
+        plans: Dict[int, Tuple[str, Tuple[str, ...], List[Any]]] = {}
+        types, sources = self.types, self.sources
+        for sid, ts, type_id, source_id, run in zip(
+            shape_ids.tolist(),
+            self.ts[rows].tolist(),
+            self.type_id[rows].tolist(),
+            self.source_id[rows].tolist(),
+            self.run[rows].tolist(),
+        ):
+            plan = plans.get(sid)
+            if plan is None:
+                kind, fields = table.shapes[sid]
+                plan = plans[sid] = (
+                    kind,
+                    tuple(key for key, _tag in fields),
+                    [take[tag] for _key, tag in fields],
+                )
+            kind, keys, getters = plan
+            if kind == ENV_EVENT:
+                yield {
+                    "ts": ts,
+                    "type": types[type_id],
+                    "source": sources[source_id],
+                    "data": dict(zip(keys, [get() for get in getters])),
+                    "run": run,
+                }
+            elif kind == ENV_META:  # fields start with __tag, __seed
+                values = [get() for get in getters]
+                yield {
+                    "run": run,
+                    "tag": values[0],
+                    "seed": values[1],
+                    "ts": ts,
+                    "type": types[type_id],
+                    "source": sources[source_id],
+                    "data": dict(zip(keys[2:], values[2:])),
+                }
+            else:  # ENV_OPAQUE: the record is its one __raw fragment
+                yield take[TAG_JSON]()
 
     def records(self) -> List[Dict[str, Any]]:
         """All records, decoded (the JSONL-equivalent row view)."""
@@ -805,13 +820,13 @@ class ColumnarTrace:
         """``field_float`` over opaque rows, by decoding each one."""
         keep: List[int] = []
         values: List[float] = []
-        for row in rows:
-            data = self.decode(int(row)).get("data")
+        for row, record in zip(rows.tolist(), self.iter_records(rows)):
+            data = record.get("data")
             value = data.get(key) if isinstance(data, dict) else None
             if isinstance(value, (int, float)) and not isinstance(
                 value, bool
             ):
-                keep.append(int(row))
+                keep.append(row)
                 values.append(float(value))
         return (
             np.asarray(keep, dtype=np.int64),
@@ -836,6 +851,55 @@ class ColumnarTrace:
             yield compact_json(record)
 
 
+class ColumnarRun:
+    """One run's trace payload: a picklable column batch.
+
+    :meth:`repro.obs.tracer.Tracer.payload` returns one, and it rides
+    back on ``RunResult.trace``.  Pickling arrays is a buffer copy, so
+    a million-event replication returns from a pool worker without a
+    million object serializations, and the parent merges runs by
+    array concatenation (:meth:`ColumnarTrace.from_batches`).
+    Iterating yields :class:`~repro.obs.events.TraceEvent` (decoded on
+    demand); exporters read :attr:`trace` and stay columnar.
+    """
+
+    __slots__ = ("batch", "_trace")
+
+    def __init__(self, batch: EventBatch) -> None:
+        self.batch = batch
+        self._trace: Optional[ColumnarTrace] = None
+
+    def __getstate__(self) -> EventBatch:
+        return self.batch
+
+    def __setstate__(self, batch: EventBatch) -> None:
+        self.batch = batch
+        self._trace = None
+
+    def __len__(self) -> int:
+        return len(self.batch)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ColumnarRun):
+            return NotImplemented
+        return self.trace.records() == other.trace.records()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    @property
+    def trace(self) -> ColumnarTrace:
+        """The batch consolidated into a queryable single-segment trace."""
+        if self._trace is None:
+            self._trace = ColumnarTrace.from_batches([self.batch])
+        return self._trace
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        for record in self.trace.iter_records():
+            yield TraceEvent(
+                record["ts"], record["type"], record["source"], record["data"]
+            )
+
+
 def merge_batches_sorted(
     batches: Sequence[EventBatch],
 ) -> EventBatch:
@@ -843,8 +907,7 @@ def merge_batches_sorted(
 
     The fleet substrate's per-shard tracers each buffer their own
     events; the merged single-run trace interleaves them by simulated
-    time with ties broken by shard order -- the same discipline as the
-    dict-path ``sort(key=lambda e: e.ts)`` merge, vectorized.
+    time with ties broken by shard order (a stable sort on ``ts``).
     """
     trace = ColumnarTrace.from_batches(batches)
     order = np.argsort(trace.ts, kind="stable")

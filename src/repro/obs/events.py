@@ -65,8 +65,15 @@ Run bookkeeping (written by the session, not by tracers):
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Tuple
+
+#: ``value`` as compact JSON (the trace writer's separators).  Built
+#: once: ``json.dumps`` with non-default options builds an encoder per
+#: call, and ``json.dump`` encodes in pure Python.
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
 
 # ---------------------------------------------------------------------------
 # Event type constants

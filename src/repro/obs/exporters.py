@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import gzip
 import json
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable, Iterator, List
 
-from repro.obs.events import REQUEST_COMPLETE, RUN_META
+from repro.obs.events import REQUEST_COMPLETE, RUN_META, compact_json
 from repro.obs.metrics import MetricsRegistry
 
 #: Microseconds per simulated second (trace_event timestamps are in us).
 _US = 1_000_000.0
-
 
 def _open_text(path: str, mode: str):
     """Text-mode open that is gzip-transparent on a ``.gz`` suffix.
@@ -54,7 +53,7 @@ def write_jsonl(path: str, records: Iterable[Dict[str, Any]]) -> int:
     count = 0
     with _open_text(path, "w") as handle:
         for record in records:
-            handle.write(json.dumps(record, separators=(",", ":")))
+            handle.write(compact_json(record))
             handle.write("\n")
             count += 1
     return count
@@ -93,7 +92,12 @@ def chrome_trace_records(
     records: Iterable[Dict[str, Any]],
 ) -> List[Dict[str, Any]]:
     """Convert flat JSONL records to Chrome ``trace_event`` dicts."""
-    out: List[Dict[str, Any]] = []
+    return list(_iter_chrome_records(records))
+
+
+def _iter_chrome_records(
+    records: Iterable[Dict[str, Any]],
+) -> Iterator[Dict[str, Any]]:
     tids: Dict[str, int] = {}
     named_pids: set = set()
 
@@ -111,55 +115,59 @@ def chrome_trace_records(
                 named_pids.add(pid)
                 tag = record.get("tag")
                 label = f"replication {pid}" + (f" {tag}" if tag else "")
-                out.append(
-                    {
-                        "name": "process_name",
-                        "ph": "M",
-                        "ts": 0,
-                        "pid": pid,
-                        "tid": 0,
-                        "args": {"name": label},
-                    }
-                )
+                yield {
+                    "name": "process_name",
+                    "ph": "M",
+                    "ts": 0,
+                    "pid": pid,
+                    "tid": 0,
+                    "args": {"name": label},
+                }
             continue
         ts_us = float(record.get("ts", 0.0)) * _US
         source = str(record.get("source", ""))
         if etype == REQUEST_COMPLETE and "response_time" in data:
             duration_us = float(data["response_time"]) * _US
-            out.append(
-                {
-                    "name": "request",
-                    "ph": "X",
-                    "ts": ts_us - duration_us,
-                    "dur": duration_us,
-                    "pid": pid,
-                    "tid": tid_for(source),
-                    "args": dict(data),
-                }
-            )
-            continue
-        out.append(
-            {
-                "name": etype,
-                "ph": "i",
-                "s": "t",
-                "ts": ts_us,
+            yield {
+                "name": "request",
+                "ph": "X",
+                "ts": ts_us - duration_us,
+                "dur": duration_us,
                 "pid": pid,
                 "tid": tid_for(source),
                 "args": dict(data),
             }
-        )
-    return out
+            continue
+        yield {
+            "name": etype,
+            "ph": "i",
+            "s": "t",
+            "ts": ts_us,
+            "pid": pid,
+            "tid": tid_for(source),
+            "args": dict(data),
+        }
 
 
 def write_chrome_trace(
     path: str, records: Iterable[Dict[str, Any]]
 ) -> int:
-    """Write the Chrome/Perfetto JSON array; return the record count."""
-    converted = chrome_trace_records(records)
+    """Write the Chrome/Perfetto JSON array; return the record count.
+
+    Streams one compact element at a time: the bytes of
+    ``json.dump(chrome_trace_records(records))``, without holding the
+    converted list.
+    """
+    count = 0
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(converted, handle, separators=(",", ":"))
-    return len(converted)
+        handle.write("[")
+        for event in _iter_chrome_records(records):
+            if count:
+                handle.write(",")
+            handle.write(compact_json(event))
+            count += 1
+        handle.write("]")
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from repro.obs.events import (
     REQUEST_LOSS,
     SYSTEM_GC,
     SYSTEM_REJUVENATION,
-    TraceEvent,
     category_of,
 )
 from repro.obs.live.recorder import FlightRecorder, RecorderSpec
@@ -48,6 +47,7 @@ from repro.obs.live.sketches import (
     GKSketch,
     RollingWindow,
 )
+from repro.obs.tracer import Tracer
 from repro.stats.running import OnlineMoments
 
 #: Default dashboard quantiles.
@@ -316,14 +316,8 @@ class LiveTap:
         if self.display is not None:
             self.display.tick(self)
 
-    # Tracer-protocol compatibility -------------------------------------
-    @property
-    def events(self) -> Tuple[TraceEvent, ...]:
+    def payload(self) -> Tuple[()]:
         """The tap buffers nothing; the aggregates ARE the record."""
-        return ()
-
-    def payload(self) -> Tuple[TraceEvent, ...]:
-        """The tap buffers nothing; its trace payload is empty."""
         return ()
 
     def clear(self) -> None:
@@ -384,24 +378,12 @@ class TeeTracer:
             ):
                 sink.emit(ts, etype, source, **data)
 
-    @property
-    def events(self) -> Tuple[TraceEvent, ...]:
-        """The buffered events of the first buffering sink."""
-        for sink in self.sinks:
-            events = sink.events
-            if events:
-                return tuple(events)
-        return ()
-
     def payload(self) -> Any:
-        """The first buffering sink's trace payload (see
-        :meth:`repro.obs.tracer.Tracer.payload`)."""
+        """The buffering :class:`~repro.obs.tracer.Tracer` sink's
+        payload (empty when no sink buffers)."""
         for sink in self.sinks:
-            sink_payload = getattr(sink, "payload", None)
-            if sink_payload is not None:
-                result = sink_payload()
-                if len(result):
-                    return result
+            if isinstance(sink, Tracer):
+                return sink.payload()
         return ()
 
     def clear(self) -> None:

@@ -21,7 +21,12 @@ export and the metrics snapshot.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+if TYPE_CHECKING:
+    from repro.obs.columnar.store import ColumnarRun
 
 from repro.obs.events import (
     POLICY_BATCH,
@@ -30,7 +35,6 @@ from repro.obs.events import (
     REQUEST_LOSS,
     SYSTEM_GC,
     SYSTEM_REJUVENATION,
-    TraceEvent,
 )
 
 #: Telemetry columns mirrored as counters (``repro_<column>_total``).
@@ -274,35 +278,62 @@ class MetricsRegistry:
                 )
             mine.merge(metric)
 
-    def add_events(self, events: Iterable[TraceEvent]) -> None:
-        """Fold one replication's trace events into the registry."""
-        for event in events:
-            self.counter("repro_trace_events_total", type=event.etype).inc()
-            if event.etype == REQUEST_COMPLETE:
-                self.histogram("repro_response_time_seconds").observe(
-                    event.data["response_time"]
+    def add_events(self, events: ColumnarRun) -> None:
+        """Fold one replication's trace into the registry.
+
+        ``events`` is the run's
+        :class:`~repro.obs.columnar.store.ColumnarRun`, read by column:
+        per-type counts from the ``type_id`` column, the per-request
+        and per-batch float fields by gather, and only the sparse
+        loss/GC/rejuvenation/trigger rows decoded.  Metrics are
+        registered in the order a walk over the events first touches
+        them, and every value folds in event order, so the snapshot is
+        exactly the per-event walk's.
+
+        Raises :class:`ValueError` if a ``request.complete`` or
+        ``policy.batch`` event lacks a numeric histogram field.
+        """
+        trace = events.trace
+        if not len(trace):
+            return
+        type_id = trace.type_id
+        counts = np.bincount(type_id)
+        firsts, first_rows = np.unique(type_id, return_index=True)
+        # (row, step within that row, getter, name, labels, values)
+        steps: List[Tuple[int, int, Any, str, Dict[str, Any], Any]] = []
+        for tid, row in zip(firsts.tolist(), first_rows.tolist()):
+            etype = trace.types[tid]
+            steps.append(
+                (
+                    row,
+                    0,
+                    self.counter,
+                    "repro_trace_events_total",
+                    {"type": etype},
+                    (int(counts[tid]),),
                 )
-            elif event.etype == REQUEST_LOSS:
-                self.counter(
-                    "repro_request_losses_total",
-                    reason=event.data.get("reason", "unknown"),
-                ).inc()
-            elif event.etype == SYSTEM_GC:
-                self.counter("repro_gc_pause_seconds_total").inc(
-                    event.data.get("pause_s", 0.0)
-                )
-            elif event.etype == SYSTEM_REJUVENATION:
-                self.counter("repro_rejuvenation_lost_jobs_total").inc(
-                    event.data.get("lost", 0)
-                )
-            elif event.etype == POLICY_TRIGGER:
-                self.counter(
-                    "repro_policy_triggers_total", policy=event.source
-                ).inc()
-            elif event.etype == POLICY_BATCH:
-                self.histogram("repro_batch_mean_seconds").observe(
-                    event.data["batch_mean"]
-                )
+            )
+            if etype in _EVENT_HISTOGRAMS:
+                name, key = _EVENT_HISTOGRAMS[etype]
+                rows = np.flatnonzero(type_id == tid)
+                kept, values = trace.field_float(key, rows)
+                if len(kept) != len(rows):
+                    raise ValueError(
+                        f"{etype} event without a numeric {key!r} field"
+                    )
+                values = values.tolist()
+                steps.append((row, 1, self.histogram, name, {}, values))
+        sparse = np.flatnonzero(trace.mask_of_types(_SPARSE_EVENT_TYPES))
+        for row, record in zip(sparse.tolist(), trace.iter_records(sparse)):
+            steps.append((row, 1, self.counter) + _sparse_counter(record))
+        steps.sort(key=lambda step: step[:2])
+        for _row, _step, get, name, labels, values in steps:
+            metric = get(name, **labels)
+            fold = (
+                metric.observe if isinstance(metric, Histogram) else metric.inc
+            )
+            for value in values:
+                fold(value)
 
     def add_run(self, run: Any) -> None:
         """Fold one :class:`~repro.ecommerce.metrics.RunResult` in.
@@ -373,16 +404,50 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n"
 
 
+#: Event type -> (histogram, float payload field) it feeds.
+_EVENT_HISTOGRAMS: Dict[str, Tuple[str, str]] = {
+    REQUEST_COMPLETE: ("repro_response_time_seconds", "response_time"),
+    POLICY_BATCH: ("repro_batch_mean_seconds", "batch_mean"),
+}
+
+#: Event types that feed a counter from their decoded record.
+_SPARSE_EVENT_TYPES = (
+    REQUEST_LOSS,
+    SYSTEM_GC,
+    SYSTEM_REJUVENATION,
+    POLICY_TRIGGER,
+)
+
+
+def _sparse_counter(
+    record: Dict[str, Any],
+) -> Tuple[str, Dict[str, Any], Tuple[Any]]:
+    """``(name, labels, (amount,))`` one sparse event adds to."""
+    etype, data = record["type"], record["data"]
+    if etype == REQUEST_LOSS:
+        return (
+            "repro_request_losses_total",
+            {"reason": data.get("reason", "unknown")},
+            (1,),
+        )
+    if etype == SYSTEM_GC:
+        return "repro_gc_pause_seconds_total", {}, (data.get("pause_s", 0.0),)
+    if etype == SYSTEM_REJUVENATION:
+        return "repro_rejuvenation_lost_jobs_total", {}, (data.get("lost", 0),)
+    return "repro_policy_triggers_total", {"policy": record["source"]}, (1,)
+
+
 def registry_for_runs(
     runs: Sequence[Any],
-    events_per_run: Optional[Sequence[Iterable[TraceEvent]]] = None,
+    events_per_run: Optional[Sequence[ColumnarRun]] = None,
 ) -> MetricsRegistry:
     """One registry over replications, merged in submission order.
 
     ``runs`` are :class:`~repro.ecommerce.metrics.RunResult` objects in
     job submission order (which both backends guarantee); optional
-    ``events_per_run`` adds the per-event metrics (latency histograms,
-    per-type counts) when the runs were traced.
+    ``events_per_run`` (each run's ``RunResult.trace`` payload) adds the
+    per-event metrics (latency histograms, per-type counts) when the
+    runs were traced.
     """
     registry = MetricsRegistry()
     for index, run in enumerate(runs):

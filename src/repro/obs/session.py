@@ -11,9 +11,10 @@ the parent.  The contract is therefore:
    :func:`current_session` and stamp the session's trace level onto
    each :class:`~repro.exec.jobs.ReplicationJob` -- a picklable string.
 3. :func:`~repro.exec.jobs.execute_job` builds a worker-local
-   :class:`~repro.obs.tracer.Tracer` and returns the events *inside*
-   the :class:`~repro.ecommerce.metrics.RunResult`, which already
-   crosses the process boundary.
+   :class:`~repro.obs.tracer.Tracer` and returns its events, encoded as
+   one column batch, *inside* the
+   :class:`~repro.ecommerce.metrics.RunResult`, which already crosses
+   the process boundary.
 4. Back in the parent, the harness calls :meth:`TraceSession.ingest`
    with the jobs and results **in submission order** -- the same order
    for every backend, so trace files and metrics snapshots are
@@ -26,7 +27,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.obs.events import RUN_META, TraceEvent
+from repro.obs.columnar.store import (
+    ColumnarRun,
+    ColumnarTrace,
+    encode_events,
+    encode_records,
+)
+from repro.obs.events import RUN_META
 from repro.obs.exporters import (
     write_chrome_trace,
     write_jsonl,
@@ -36,7 +43,8 @@ from repro.obs.metrics import MetricsRegistry, registry_for_runs
 from repro.obs.tracer import validate_level
 
 
-#: Accepted trace buffer representations.
+#: Accepted trace file formats (what :meth:`TraceSession.write_trace`
+#: writes).
 TRACE_FORMATS: Tuple[str, ...] = ("jsonl", "columnar")
 
 
@@ -54,16 +62,15 @@ def validate_format(trace_format: str) -> str:
 class TracedRun:
     """One replication's bookkeeping plus its trace events.
 
-    ``events`` is either a tuple of :class:`TraceEvent` (the JSONL
-    path) or a :class:`~repro.obs.columnar.tap.ColumnarRun` (an encoded
-    column batch, iterable as events on demand).
+    ``events`` is the run's :class:`~repro.obs.columnar.store.ColumnarRun`
+    (an encoded column batch, iterable as events on demand).
     """
 
     index: int
     tag: Tuple[Any, ...]
     seed: Optional[int]
     summary: Dict[str, Any]
-    events: Any
+    events: ColumnarRun
 
 
 def _run_summary(run: Any) -> Dict[str, Any]:
@@ -88,6 +95,9 @@ class TraceSession:
     level:
         Trace level stamped onto jobs built while this session is
         installed (``spans`` / ``decisions`` / ``all``).
+    trace_format:
+        The file :meth:`write_trace` writes: ``jsonl`` or the
+        ``columnar`` container.  Collection is the same either way.
     """
 
     def __init__(
@@ -110,20 +120,17 @@ class TraceSession:
         order; each run's trace (if any) was carried back on
         ``RunResult.trace``.
         """
-        from repro.obs.columnar.tap import ColumnarRun
-
         if len(jobs) != len(runs):
             raise ValueError("jobs and runs must be parallel sequences")
         for job, run in zip(jobs, runs):
-            events = getattr(run, "trace", None) or ()
-            if isinstance(events, ColumnarRun):
-                # Worker batches are encoded with run index 0; stamp
-                # the submission-order index the parent assigns.
-                events = ColumnarRun(
-                    events.batch.with_run(len(self.runs))
-                )
-            else:
-                events = tuple(events)
+            trace = getattr(run, "trace", None)
+            # Worker batches are encoded with run index 0; stamp the
+            # submission-order index the parent assigns.
+            events = ColumnarRun(
+                trace.batch.with_run(len(self.runs))
+                if trace is not None
+                else encode_events(())
+            )
             self.runs.append(
                 TracedRun(
                     index=len(self.runs),
@@ -159,53 +166,24 @@ class TraceSession:
 
     def records(self) -> Iterator[Dict[str, Any]]:
         """Flat JSONL records: one ``run.meta`` per run, then its events."""
-        from repro.obs.columnar.tap import ColumnarRun
-
         for run in self.runs:
             yield self._meta_record(run)
-            events = run.events
-            if isinstance(events, ColumnarRun):
-                # Decoded on demand; run indices were stamped at ingest.
-                yield from events.trace.iter_records()
-                continue
-            for event in events:
-                record = event.to_dict()
-                record["run"] = run.index
-                yield record
+            # Decoded on demand; run indices were stamped at ingest.
+            yield from run.events.trace.iter_records()
 
-    def columnar_trace(self) -> "Any":
+    def columnar_trace(self) -> ColumnarTrace:
         """The whole session as one consolidated columnar trace.
 
-        Runs traced columnar contribute their worker-encoded batches
-        as-is (no re-parse); dict-path runs are encoded here.  Each
-        run becomes two segments -- its ``run.meta`` record, then its
-        events -- in submission order, so the segment index maps
-        directly onto runs.
+        Runs contribute their worker-encoded batches as-is (no
+        re-parse).  Each run becomes two segments -- its ``run.meta``
+        record, then its events -- in submission order, so the segment
+        index maps directly onto runs.
         """
-        from repro.obs.columnar.store import (
-            ColumnarTrace,
-            encode_events,
-            encode_records,
-        )
-        from repro.obs.columnar.tap import ColumnarRun
-
         batches = []
         for run in self.runs:
             batches.append(encode_records([self._meta_record(run)]))
-            events = run.events
-            if isinstance(events, ColumnarRun):
-                if len(events):
-                    batches.append(events.batch)
-            elif events:
-                batches.append(
-                    encode_events(
-                        [
-                            (event.ts, event.etype, event.source, event.data)
-                            for event in events
-                        ],
-                        run=run.index,
-                    )
-                )
+            if len(run.events):
+                batches.append(run.events.batch)
         return ColumnarTrace.from_batches(batches)
 
     def registry(self) -> MetricsRegistry:
@@ -284,17 +262,10 @@ def active_trace_level() -> Optional[str]:
     return session.level if session is not None else None
 
 
-def active_trace_format() -> Optional[str]:
-    """The trace format jobs should be stamped with, or ``None``."""
-    session = current_session()
-    return session.trace_format if session is not None else None
-
-
 __all__ = [
     "TRACE_FORMATS",
     "TraceSession",
     "TracedRun",
-    "active_trace_format",
     "active_trace_level",
     "current_session",
     "registry_for_runs",

@@ -1,9 +1,10 @@
 """The event tracer and its near-free disabled path.
 
-A :class:`Tracer` buffers :class:`~repro.obs.events.TraceEvent` records
-in memory for the duration of one replication; the session layer
-(:mod:`repro.obs.session`) collects the buffers and hands them to the
-exporters.  Tracing is structured in *levels*:
+A :class:`Tracer` buffers the raw ``(ts, type, source, data)`` emit
+tuples of one replication and hands them back as one encoded column
+batch (:class:`~repro.obs.columnar.store.ColumnarRun`); the session
+layer (:mod:`repro.obs.session`) collects the batches and hands them
+to the exporters.  Tracing is structured in *levels*:
 
 ``spans``
     request lifecycle + system (GC/rejuvenation) events only.
@@ -34,9 +35,9 @@ construction they imply -- entirely.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.events import TraceEvent
+from repro.obs.columnar.store import ColumnarRun, encode_events
 
 #: Accepted trace levels, in increasing verbosity.
 TRACE_LEVELS: Tuple[str, ...] = ("spans", "decisions", "all")
@@ -54,6 +55,10 @@ def validate_level(level: str) -> str:
 class Tracer:
     """An in-memory buffer of trace events for one replication.
 
+    ``emit`` appends one plain tuple -- no event object is built on the
+    hot path; encoding into typed columns happens once, in
+    :meth:`payload`.
+
     Parameters
     ----------
     level:
@@ -66,11 +71,18 @@ class Tracer:
     >>> (tracer.spans, tracer.decisions, tracer.engine)
     (False, True, False)
     >>> tracer.emit(1.5, "policy.trigger", "policy:sraa", level=4)
-    >>> tracer.events[0].data["level"]
-    4
+    >>> [event.data["level"] for event in tracer.payload()]
+    [4]
     """
 
-    __slots__ = ("level", "spans", "decisions", "engine", "lifecycle", "events")
+    __slots__ = (
+        "level",
+        "spans",
+        "decisions",
+        "engine",
+        "lifecycle",
+        "_buffer",
+    )
 
     def __init__(self, level: str = "all") -> None:
         self.level = validate_level(level)
@@ -79,29 +91,24 @@ class Tracer:
         self.engine = level == "all"
         #: A buffering tracer always wants the per-request microscope.
         self.lifecycle = True
-        self.events: List[TraceEvent] = []
+        self._buffer: List[Tuple[float, str, str, Dict[str, Any]]] = []
 
     def emit(self, ts: float, etype: str, source: str, **data: Any) -> None:
         """Record one event (caller has already checked the level flag)."""
-        self.events.append(TraceEvent(ts, etype, source, data))
+        self._buffer.append((ts, etype, source, data))
 
     def clear(self) -> None:
         """Drop all buffered events (a fresh run starts clean)."""
-        self.events.clear()
+        self._buffer.clear()
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._buffer)
 
-    def payload(self) -> Tuple[TraceEvent, ...]:
-        """What this run attaches to ``RunResult.trace``.
-
-        The buffering tracer returns its events as a tuple;
-        :class:`repro.obs.columnar.tap.ColumnarTap` overrides this to
-        return an encoded column batch instead.  Substrates call
-        ``payload()`` rather than reading ``.events``, so the trace
-        representation is the tracer's choice, not theirs.
-        """
-        return tuple(self.events)
+    def payload(self) -> ColumnarRun:
+        """What this run attaches to ``RunResult.trace``: the buffer
+        encoded into one column batch (run index 0 -- the session
+        assigns the real index at ingest)."""
+        return ColumnarRun(encode_events(self._buffer))
 
 
 def make_tracer(level: Optional[str]) -> Optional[Tracer]:

@@ -99,7 +99,6 @@ class _ShardTask:
     faults: Any
     collect: bool
     trace_level: Optional[str]
-    trace_format: Optional[str]
     live: Any
     profile: bool
 
@@ -126,7 +125,6 @@ def _run_shard(task: _ShardTask) -> ShardOutcome:
 
     sinks = ObsSpec(
         trace_level=task.trace_level,
-        trace_format=task.trace_format,
         live=task.live,
         profile=task.profile,
     ).build()
@@ -348,7 +346,6 @@ class FleetSystem:
                     faults=self.faults,
                     collect=collect,
                     trace_level=self.obs.trace_level,
-                    trace_format=self.obs.trace_format,
                     live=self.obs.live,
                     profile=self.obs.profile,
                 )
@@ -401,24 +398,17 @@ class FleetSystem:
 
         trace = None
         if self.obs.trace_level is not None:
-            if self.obs.trace_format == "columnar":
-                # Shard taps return encoded batches; merge them without
-                # decoding -- concatenate columns (shard submission
-                # order) and stably re-sort by simulated time, the same
-                # interleaving discipline as the dict path below.
-                from repro.obs.columnar.store import merge_batches_sorted
-                from repro.obs.columnar.tap import ColumnarRun
+            # Shard tracers return encoded batches; merge them without
+            # decoding -- concatenate columns (shard submission order)
+            # and stably re-sort by simulated time.
+            from repro.obs.columnar.store import (
+                ColumnarRun,
+                merge_batches_sorted,
+            )
 
-                batches = [
-                    r.trace.batch for r in results if r.trace is not None
-                ]
-                trace = ColumnarRun(merge_batches_sorted(batches))
-            else:
-                merged_events = [
-                    event for r in results for event in (r.trace or ())
-                ]
-                merged_events.sort(key=lambda event: event.ts)
-                trace = tuple(merged_events)
+            trace = ColumnarRun(
+                merge_batches_sorted([r.trace.batch for r in results])
+            )
         response_times = None
         if any(r.response_times is not None for r in results):
             response_times = tuple(

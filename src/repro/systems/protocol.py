@@ -69,10 +69,6 @@ class ObsSpec:
     """
 
     trace_level: Optional[str] = None
-    #: ``None``/"jsonl" buffers TraceEvent objects; "columnar" buffers
-    #: raw tuples and returns an encoded column batch (see
-    #: :mod:`repro.obs.columnar`).
-    trace_format: Optional[str] = None
     telemetry_interval_s: Optional[float] = None
     live: Any = None
     profile: bool = False
@@ -81,14 +77,9 @@ class ObsSpec:
         """Construct the per-process sinks this spec asks for."""
         tracer = None
         if self.trace_level is not None:
-            if self.trace_format == "columnar":
-                from repro.obs.columnar.tap import ColumnarTap
+            from repro.obs.tracer import Tracer
 
-                tracer = ColumnarTap(self.trace_level)
-            else:
-                from repro.obs.tracer import Tracer
-
-                tracer = Tracer(self.trace_level)
+            tracer = Tracer(self.trace_level)
         tap = None
         if self.live is not None:
             tap = self.live.build()

@@ -28,8 +28,8 @@ class TestRunReplications:
     def test_replication_count(self):
         replicated = run_replications(
             PAPER_CONFIG,
-            arrival_factory=lambda: PoissonArrivals(1.0),
-            policy_factory=lambda: None,
+            arrival=lambda: PoissonArrivals(1.0),
+            policy=lambda: None,
             n_transactions=800,
             replications=3,
             seed=1,
@@ -39,8 +39,8 @@ class TestRunReplications:
     def test_replications_are_independent(self):
         replicated = run_replications(
             PAPER_CONFIG,
-            arrival_factory=lambda: PoissonArrivals(1.6),
-            policy_factory=lambda: None,
+            arrival=lambda: PoissonArrivals(1.6),
+            policy=lambda: None,
             n_transactions=2_000,
             replications=3,
             seed=2,
@@ -58,8 +58,8 @@ class TestRunReplications:
 
         run_replications(
             PAPER_CONFIG,
-            arrival_factory=lambda: PoissonArrivals(1.8),
-            policy_factory=factory,
+            arrival=lambda: PoissonArrivals(1.8),
+            policy=factory,
             n_transactions=500,
             replications=2,
             seed=3,
@@ -71,8 +71,8 @@ class TestRunReplications:
         def run(seed):
             return run_replications(
                 PAPER_CONFIG,
-                arrival_factory=lambda: PoissonArrivals(1.6),
-                policy_factory=lambda: None,
+                arrival=lambda: PoissonArrivals(1.6),
+                policy=lambda: None,
                 n_transactions=1_000,
                 replications=2,
                 seed=seed,
@@ -85,8 +85,8 @@ class TestRunReplications:
         with pytest.raises(ValueError):
             run_replications(
                 PAPER_CONFIG,
-                arrival_factory=lambda: PoissonArrivals(1.0),
-                policy_factory=lambda: None,
+                arrival=lambda: PoissonArrivals(1.0),
+                policy=lambda: None,
                 n_transactions=100,
                 replications=0,
             )

@@ -13,7 +13,8 @@ from repro.obs.columnar.io import (
     sniff_format,
     write_columnar,
 )
-from repro.obs.columnar.store import ColumnarTrace, compact_json
+from repro.obs.columnar.store import ColumnarTrace
+from repro.obs.events import compact_json
 
 RECORDS = [
     {

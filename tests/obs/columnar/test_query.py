@@ -12,7 +12,8 @@ from repro.obs.columnar.query import (
     exact_percentile,
     load_query,
 )
-from repro.obs.columnar.store import ColumnarTrace, compact_json
+from repro.obs.columnar.store import ColumnarTrace
+from repro.obs.events import compact_json
 
 import numpy as np
 

@@ -13,11 +13,11 @@ import pytest
 
 from repro.obs.columnar.store import (
     ColumnarTrace,
-    compact_json,
     encode_events,
     encode_records,
     merge_batches_sorted,
 )
+from repro.obs.events import compact_json
 
 
 def _line(record):

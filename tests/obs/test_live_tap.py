@@ -34,7 +34,7 @@ class TestLiveTap:
     def test_tracer_protocol_flags(self):
         tap = make_tap()
         assert tap.spans and tap.decisions and not tap.engine
-        assert tap.events == ()  # the tap buffers nothing
+        assert len(tap.payload()) == 0  # the tap buffers nothing
 
     def test_response_times_feed_every_aggregator(self):
         tap = make_tap()
@@ -103,7 +103,9 @@ class TestTeeTracer:
         tee = TeeTracer([spans_only, tap])
         tee.emit(1.0, "request.complete", "system", response_time=2.0)
         tee.emit(2.0, "policy.trigger", "policy:sraa", level=1)
-        assert [e.etype for e in spans_only.events] == ["request.complete"]
+        assert [e.etype for e in spans_only.payload()] == [
+            "request.complete"
+        ]
         snapshot = tap.aggregator.snapshot()
         assert snapshot["completed"] == 1 and snapshot["triggers"] == 1
 
@@ -112,7 +114,7 @@ class TestTeeTracer:
         tap = make_tap()
         tee = TeeTracer([tap, tracer])  # tap first: buffers nothing
         tee.emit(1.0, "request.complete", "system", response_time=2.0)
-        assert [e.etype for e in tee.events] == ["request.complete"]
+        assert [e.etype for e in tee.payload()] == ["request.complete"]
 
     def test_compose_tracers(self):
         tap = make_tap()

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.obs.events import TraceEvent
 from repro.obs.metrics import (
     LATENCY_BOUNDS_S,
     Counter,
@@ -11,6 +10,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     registry_for_runs,
 )
+from repro.obs.tracer import Tracer
 
 
 class TestCounter:
@@ -135,22 +135,77 @@ class TestRegistry:
         assert "repro_rt_seconds_count 1" in text
 
     def test_add_events(self):
+        tracer = Tracer("all")
+        tracer.emit(1.0, "request.complete", "system", index=0,
+                    response_time=4.0)
+        tracer.emit(2.0, "request.loss", "system", index=1,
+                    reason="downtime")
+        tracer.emit(3.0, "policy.trigger", "policy:SRAA", batch_mean=20.0)
         registry = MetricsRegistry()
-        registry.add_events(
-            [
-                TraceEvent(1.0, "request.complete", "system",
-                           {"index": 0, "response_time": 4.0}),
-                TraceEvent(2.0, "request.loss", "system",
-                           {"index": 1, "reason": "downtime"}),
-                TraceEvent(3.0, "policy.trigger", "policy:SRAA",
-                           {"batch_mean": 20.0}),
-            ]
-        )
+        registry.add_events(tracer.payload())
         snapshot = registry.snapshot()
         assert snapshot['repro_trace_events_total{type="request.complete"}'] == 1
         assert snapshot['repro_request_losses_total{reason="downtime"}'] == 1
         assert snapshot['repro_policy_triggers_total{policy="policy:SRAA"}'] == 1
         assert snapshot["repro_response_time_seconds"]["count"] == 1
+
+    def test_add_events_matches_a_walk_over_the_events(self):
+        # Metrics register in the order a per-event walk first touches
+        # them, and float fields fold in event order.
+        tracer = Tracer("all")
+        tracer.emit(1.0, "system.gc", "node0", pause_s=0.1)
+        tracer.emit(2.0, "request.complete", "system", response_time=1.0)
+        tracer.emit(3.0, "request.loss", "system", reason="a")
+        tracer.emit(4.0, "system.gc", "node0", pause_s=0.2)
+        tracer.emit(5.0, "policy.trigger", "policy:x", level=1)
+        tracer.emit(6.0, "request.loss", "system")
+        tracer.emit(7.0, "policy.batch", "policy:x", batch_mean=2.0)
+        tracer.emit(8.0, "system.rejuvenation", "node0", lost=3)
+        tracer.emit(9.0, "request.complete", "system", response_time=0.3)
+        registry = MetricsRegistry()
+        registry.add_events(tracer.payload())
+        snapshot = registry.snapshot()
+        events = 'repro_trace_events_total{type="%s"}'
+        assert list(snapshot) == [
+            events % "system.gc",
+            "repro_gc_pause_seconds_total",
+            events % "request.complete",
+            "repro_response_time_seconds",
+            events % "request.loss",
+            'repro_request_losses_total{reason="a"}',
+            events % "policy.trigger",
+            'repro_policy_triggers_total{policy="policy:x"}',
+            'repro_request_losses_total{reason="unknown"}',
+            events % "policy.batch",
+            "repro_batch_mean_seconds",
+            events % "system.rejuvenation",
+            "repro_rejuvenation_lost_jobs_total",
+        ]
+        assert snapshot[events % "system.gc"] == 2
+        assert snapshot["repro_gc_pause_seconds_total"] == 0.1 + 0.2
+        assert snapshot["repro_rejuvenation_lost_jobs_total"] == 3
+        latency = snapshot["repro_response_time_seconds"]
+        assert (latency["count"], latency["sum"]) == (2, 1.0 + 0.3)
+        assert snapshot["repro_batch_mean_seconds"]["count"] == 1
+
+    @pytest.mark.parametrize(
+        "etype, data",
+        [
+            ("request.complete", {"index": 0}),
+            ("request.complete", {"response_time": "slow"}),
+            ("policy.batch", {"batch_mean": None}),
+        ],
+    )
+    def test_add_events_rejects_a_missing_histogram_field(self, etype, data):
+        tracer = Tracer("all")
+        tracer.emit(1.0, etype, "system", **data)
+        with pytest.raises(ValueError, match="without a numeric"):
+            MetricsRegistry().add_events(tracer.payload())
+
+    def test_add_events_of_an_empty_run_adds_nothing(self):
+        registry = MetricsRegistry()
+        registry.add_events(Tracer("all").payload())
+        assert len(registry) == 0
 
 
 class TestPrometheusConformance:

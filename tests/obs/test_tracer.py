@@ -67,7 +67,8 @@ class TestTracerBuffer:
     def test_emit_appends_typed_events(self):
         tracer = Tracer("all")
         tracer.emit(1.0, REQUEST_COMPLETE, "system", index=7, response_time=2.5)
-        (event,) = tracer.events
+        assert len(tracer) == 1
+        (event,) = tracer.payload()
         assert event.ts == 1.0
         assert event.etype == REQUEST_COMPLETE
         assert event.data == {"index": 7, "response_time": 2.5}
@@ -76,11 +77,20 @@ class TestTracerBuffer:
         tracer = Tracer("all")
         tracer.emit(0.0, REQUEST_COMPLETE, "system")
         tracer.clear()
-        assert tracer.events == []
+        assert len(tracer) == 0
+        assert len(tracer.payload()) == 0
 
     def test_events_are_picklable(self):
         import pickle
 
         tracer = Tracer("spans")
         tracer.emit(3.0, REQUEST_COMPLETE, "system", index=1)
-        assert pickle.loads(pickle.dumps(tracer.events)) == tracer.events
+        tracer.emit(4.0, POLICY_TRIGGER, "policy:sraa", level=2, ok=True)
+        payload = tracer.payload()
+        restored = pickle.loads(pickle.dumps(payload))
+        assert list(restored) == list(payload) == [
+            TraceEvent(3.0, REQUEST_COMPLETE, "system", {"index": 1}),
+            TraceEvent(
+                4.0, POLICY_TRIGGER, "policy:sraa", {"level": 2, "ok": True}
+            ),
+        ]

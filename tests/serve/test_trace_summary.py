@@ -22,11 +22,9 @@ CAMPAIGN = [
 ]
 
 
-def seed_traced_run(tmp_path, name="trace.rcol", fmt="columnar"):
+def seed_traced_run(tmp_path, name="trace.rcol"):
     path = str(tmp_path / name)
-    assert (
-        main(CAMPAIGN + ["--trace", path, "--trace-format", fmt]) == 0
-    )
+    assert main(CAMPAIGN + ["--trace", path]) == 0
     return path
 
 
@@ -79,9 +77,9 @@ class TestTraceSummary:
         assert first["latency_quantiles"] == full["latency_quantiles"]
 
     def test_jsonl_trace_served_identically(self, served, tmp_path):
-        seed_traced_run(tmp_path, name="a.rcol", fmt="columnar")
+        seed_traced_run(tmp_path, name="a.rcol")
         _status, columnar = served.get("/api/runs/latest/trace/summary")
-        seed_traced_run(tmp_path, name="b.jsonl", fmt="jsonl")
+        seed_traced_run(tmp_path, name="b.jsonl")
         _status, jsonl = served.get("/api/runs/latest/trace/summary")
         assert jsonl["format"] == "jsonl"
         # Identical modulo the fields naming the artifact itself.

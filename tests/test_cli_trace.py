@@ -68,6 +68,26 @@ class TestSimulateTrace:
         assert "# TYPE repro_completed_total counter" in content
         assert "repro_response_time_seconds_bucket" in content
 
+    @pytest.mark.parametrize(
+        "name, fmt",
+        [
+            ("out.rcol", "columnar"),
+            ("out.rcol.gz", "columnar"),
+            ("out.columnar", "columnar"),
+            ("out.columnar.gz", "columnar"),
+            ("out.jsonl", "jsonl"),
+            ("out.jsonl.gz", "jsonl"),
+            ("out.json", "jsonl"),
+            ("out.trace", "jsonl"),
+        ],
+    )
+    def test_trace_file_format_follows_the_suffix(self, tmp_path, name, fmt):
+        from repro.obs.columnar.io import sniff_format
+
+        trace = str(tmp_path / name)
+        assert main(SIMULATE + ["--trace", trace]) == 0
+        assert sniff_format(trace) == fmt
+
     def test_telemetry_csv_schema(self, tmp_path):
         from repro.ecommerce.telemetry import TELEMETRY_COLUMNS
 
