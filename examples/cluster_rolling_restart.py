@@ -1,8 +1,9 @@
 """Rejuvenation in a cluster: balancing, coordination, rolling restarts.
 
 The companion paper ([2]) extends the single-server algorithms to
-clusters of hosts.  This example runs a 4-node cluster of the Section-3
-system at a high per-node load and shows three operational questions:
+clusters of hosts.  This example runs the Section-3 system with four
+nodes behind a balancer at a high per-node load and asks three
+operational questions:
 
 1. Does the dispatching policy matter? (round-robin vs join-shortest-queue)
 2. What does per-node SRAA monitoring buy over no rejuvenation?
@@ -14,14 +15,9 @@ Run:  python examples/cluster_rolling_restart.py
 
 import dataclasses
 
-from repro.cluster import (
-    ClusterSystem,
-    JoinShortestQueue,
-    RollingCoordinator,
-    RoundRobin,
-)
+from repro.cluster import JoinShortestQueue, RollingCoordinator, RoundRobin
 from repro.core import SRAA, PAPER_SLO
-from repro.ecommerce import PAPER_CONFIG, PoissonArrivals
+from repro.ecommerce import ECommerceSystem, PAPER_CONFIG, PoissonArrivals
 
 N_NODES = 4
 RATE_PER_NODE = 1.8  # offered load 9 CPUs per node
@@ -30,16 +26,14 @@ TRANSACTIONS = 20_000
 
 def run(label, config=PAPER_CONFIG, policy=True, balancer=None,
         coordinator=None, seed=7):
-    cluster = ClusterSystem(
+    cluster = ECommerceSystem(
         config,
-        N_NODES,
         PoissonArrivals(N_NODES * RATE_PER_NODE),
-        policy_factory=(
-            (lambda: SRAA(PAPER_SLO, 2, 5, 3)) if policy else (lambda: None)
-        ),
+        policy=(lambda: SRAA(PAPER_SLO, 2, 5, 3)) if policy else None,
+        seed=seed,
+        n_nodes=N_NODES,
         balancer=balancer,
         coordinator=coordinator,
-        seed=seed,
     )
     result = cluster.run(TRANSACTIONS)
     denied = cluster.coordinator.denied

@@ -24,7 +24,6 @@ Quick start::
 """
 
 from repro.cluster import (
-    ClusterSystem,
     JoinShortestQueue,
     RollingCoordinator,
     RoundRobin,
@@ -104,7 +103,6 @@ __all__ = [
     "BucketChain",
     "CLTA",
     "CUSUMPolicy",
-    "ClusterSystem",
     "DegradableSystem",
     "DeterministicThreshold",
     "ECommerceSystem",

@@ -2,17 +2,18 @@
 
 The companion paper ([2], Avritzer, Bondi & Weyuker, *Journal of Systems
 and Software* 2006) extends the single-server algorithms "to clusters of
-hosts".  This package provides that deployment on top of the shared
-:class:`~repro.ecommerce.node.ProcessingNode` mechanics:
+hosts".  The cluster itself is
+:class:`~repro.ecommerce.system.ECommerceSystem` with ``n_nodes > 1``;
+this package holds the parts that only a cluster needs:
 
 * :mod:`~repro.cluster.balancer` -- dispatching policies (round-robin,
   random, join-shortest-queue, weighted round-robin);
-* :class:`~repro.cluster.system.ClusterSystem` -- N nodes behind a
-  balancer, each with its own rejuvenation policy watching its own
-  response times;
 * :class:`~repro.cluster.coordinator.RollingCoordinator` -- cluster-wide
   constraints so rejuvenations roll through the cluster instead of
-  taking several nodes out simultaneously.
+  taking several nodes out simultaneously;
+* :class:`~repro.cluster.metrics.NodeStats` -- the per-node outcome on
+  ``RunResult.nodes``, and :func:`~repro.cluster.metrics.imbalance`
+  over it.
 """
 
 from repro.cluster.balancer import (
@@ -23,12 +24,9 @@ from repro.cluster.balancer import (
     WeightedRoundRobin,
 )
 from repro.cluster.coordinator import RollingCoordinator
-from repro.cluster.metrics import ClusterResult, NodeStats
-from repro.cluster.system import ClusterSystem
+from repro.cluster.metrics import NodeStats, imbalance
 
 __all__ = [
-    "ClusterResult",
-    "ClusterSystem",
     "JoinShortestQueue",
     "LoadBalancer",
     "NodeStats",
@@ -36,4 +34,5 @@ __all__ = [
     "RollingCoordinator",
     "RoundRobin",
     "WeightedRoundRobin",
+    "imbalance",
 ]

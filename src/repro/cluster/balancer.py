@@ -10,11 +10,12 @@ even while some nodes are out.
 from __future__ import annotations
 
 import abc
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.ecommerce.node import ProcessingNode
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.ecommerce.node import ProcessingNode
 
 
 class LoadBalancer(abc.ABC):
@@ -49,9 +50,15 @@ class RoundRobin(LoadBalancer):
         eligible: Sequence[int],
         rng: np.random.Generator,
     ) -> int:
+        n_nodes = len(nodes)
+        if len(eligible) == n_nodes:
+            # Every node eligible: the next one in turn.
+            candidate = self._cursor % n_nodes
+            self._cursor += 1
+            return candidate
         eligible_set = set(eligible)
-        for _ in range(len(nodes)):
-            candidate = self._cursor % len(nodes)
+        for _ in range(n_nodes):
+            candidate = self._cursor % n_nodes
             self._cursor += 1
             if candidate in eligible_set:
                 return candidate

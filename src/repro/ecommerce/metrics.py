@@ -54,13 +54,13 @@ class RunResult:
     live: Optional[object] = None
     flight: Optional[Tuple[object, ...]] = None
     profile: Optional[object] = None
-    #: Arrivals refused because every node was in downtime -- always 0
-    #: on the single-node system (refusals are counted as losses with
-    #: reason ``downtime``); cluster/fleet substrates report them here
-    #: as well as in ``lost``.
+    #: Arrivals refused because every node was in downtime (a restart
+    #: window after a rejuvenation or a crash).  Refusals also count in
+    #: ``lost``, with reason ``downtime`` in the trace.
     refused: int = 0
-    #: Per-node stats (``repro.cluster.metrics.NodeStats``) on cluster
-    #: and fleet substrates; ``None`` on the single-node system.
+    #: Per-node stats (``repro.cluster.metrics.NodeStats``), one per
+    #: node in node order -- a 1-tuple on the single node.  ``None``
+    #: only on results built by hand.
     nodes: Optional[Tuple[object, ...]] = None
 
     @property

@@ -4,10 +4,9 @@
 host: FCFS queueing for a CPU pool, exponential service with the kernel
 overhead rule, per-transaction heap allocation with full-GC stalls, and
 capacity restoration.  It is deliberately ignorant of *arrivals* and of
-*decision making*: the single-server :class:`~repro.ecommerce.system.ECommerceSystem`
-and the cluster :class:`~repro.cluster.system.ClusterSystem` both drive
-it through :meth:`submit` and the completion/loss callbacks, so the two
-deployments share one implementation of the mechanics.
+*decision making*: :class:`~repro.ecommerce.system.ECommerceSystem`
+drives one or more nodes through :meth:`submit` and the completion/loss
+callbacks.
 """
 
 from __future__ import annotations
@@ -24,13 +23,17 @@ from repro.ecommerce.service_times import make_service_sampler
 
 
 class Job:
-    """One transaction travelling through a node."""
+    """One transaction travelling through a node.
 
-    __slots__ = ("arrival_time", "index", "completion_event")
+    ``node`` is the owner's index of the node the job was routed to.
+    """
 
-    def __init__(self, arrival_time: float, index: int) -> None:
+    __slots__ = ("arrival_time", "index", "node", "completion_event")
+
+    def __init__(self, arrival_time: float, index: int, node: int = 0) -> None:
         self.arrival_time = arrival_time
         self.index = index
+        self.node = node
         self.completion_event: Optional[Event] = None
 
 
@@ -118,6 +121,11 @@ class ProcessingNode:
         self.gc_count = 0
         self.rejuvenations = 0
         self.crashes = 0
+        #: Traffic counters: jobs submitted and killed here, and the
+        #: sum of the completed jobs' response times.
+        self.dispatched = 0
+        self.lost = 0
+        self.rt_sum = 0.0
         #: Multiplier applied to every service draw (fault injection:
         #: a sustained slowdown models genuine software aging).
         self.service_scale = 1.0
@@ -132,6 +140,11 @@ class ProcessingNode:
         return self.config.heap_mb - self.live_mb - self.garbage_mb
 
     @property
+    def completed(self) -> int:
+        """Transactions that finished on this node."""
+        return self.dispatched - self.lost - self.in_system
+
+    @property
     def queue_length(self) -> int:
         """Transactions waiting for a CPU."""
         return len(self.queue)
@@ -141,6 +154,7 @@ class ProcessingNode:
     # ------------------------------------------------------------------
     def submit(self, job: Job) -> None:
         """Accept one transaction (step 2: queue for a CPU)."""
+        self.dispatched += 1
         self.in_system += 1
         self.queue.append(job)
         tracer = self._life_tracer
@@ -269,6 +283,7 @@ class ProcessingNode:
             self.live_mb -= cfg.alloc_mb
             self.garbage_mb += cfg.alloc_mb
         response_time = self.sim.now - job.arrival_time
+        self.rt_sum += response_time
         # Step 7-8: hand the measurement to the owner, which may decide
         # to rejuvenate this node from inside the callback.
         self.on_complete(job, response_time)
@@ -300,6 +315,7 @@ class ProcessingNode:
                 lost += 1
             self.in_system -= len(self.queue)
             self.queue.clear()
+        self.lost += lost
         self.free_cpus = self.config.cpus
         self.live_mb = 0.0
         self.garbage_mb = 0.0
@@ -377,6 +393,7 @@ class ProcessingNode:
             lost += 1
         self.in_system -= len(self.queue)
         self.queue.clear()
+        self.lost += lost
         self.free_cpus = self.config.cpus
         self.live_mb = 0.0
         self.garbage_mb = 0.0

@@ -19,18 +19,34 @@ Implements the eight numbered steps of the paper's model on top of the
    the paper's rejuvenation cost) and all CPU and memory resources are
    released.
 
-Steps 2-7 live in :class:`~repro.ecommerce.node.ProcessingNode` (shared
-with the cluster deployment of :mod:`repro.cluster`); this class adds
-the arrival process, the decision layer (metric policy, optional
-resource policy), accounting, optional telemetry, and the run loop.
+Steps 2-7 live in :class:`~repro.ecommerce.node.ProcessingNode`; this
+class adds the arrival process, the decision layer (metric policy,
+optional resource policy), accounting, optional telemetry, and the run
+loop.
+
+The same class is the companion deployment of [2]: ``n_nodes`` such
+nodes behind a front-end balancer (:mod:`repro.cluster.balancer`), each
+with its own policy watching its own response times, and a coordinator
+(:mod:`repro.cluster.coordinator`) arbitrating triggers so restarts
+roll through the cluster.  The paper's node is the one-node cluster.
+A system of exactly one node in total (``total_nodes == 1``) keeps the
+Section-3 shape: its node draws service times from stream
+``"service"`` and its ``request.*`` trace events carry source
+``system``.  Larger systems -- fleet shards included -- give node ``i``
+stream ``"service.i"`` and label request events ``cluster``, with the
+node's global index on ``request.complete``.
+
 Modelling decisions the paper leaves implicit are documented in
 DESIGN.md section 5 and quantified by the ablation experiment.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
+from repro.cluster.balancer import LoadBalancer, RoundRobin
+from repro.cluster.coordinator import RollingCoordinator, UnrestrictedCoordinator
+from repro.cluster.metrics import NodeStats
 from repro.core.base import RejuvenationPolicy
 from repro.core.proactive import ResourceExhaustionPolicy
 from repro.des.engine import Simulator
@@ -43,42 +59,55 @@ from repro.ecommerce.workload import ArrivalProcess
 from repro.stats.running import OnlineMoments
 
 
+def _is_policy(policy: object) -> bool:
+    """True for a policy instance, False for a factory building one."""
+    return hasattr(policy, "observe") and not isinstance(policy, type)
+
+
 class ECommerceSystem:
-    """The simulated e-commerce system (single host).
+    """The simulated e-commerce system: one node, or N behind a balancer.
 
     Parameters
     ----------
     config:
         System parameters; defaults to the paper's
-        :data:`~repro.ecommerce.config.PAPER_CONFIG` values.
+        :data:`~repro.ecommerce.config.PAPER_CONFIG` values.  One
+        ``SystemConfig`` applies to every node; a sequence of
+        ``n_nodes`` configs builds a heterogeneous cluster (e.g. one
+        node with a smaller heap that ages faster, paired with a
+        :class:`~repro.cluster.balancer.WeightedRoundRobin`).
     arrivals:
-        The arrival process (step 1).
+        The aggregate arrival process hitting the front end (step 1).
     policy:
         The rejuvenation decision rule fed with every completed response
-        time (step 8), or ``None`` to disable rejuvenation.
+        time (step 8), or ``None`` to disable rejuvenation.  Either one
+        policy instance (one node only) or a zero-argument factory,
+        called once per node, returning a fresh policy (or ``None``).
     seed:
-        Master seed for the arrival and service random streams.
+        Master seed for the arrival, balancer and service random streams.
     resource_policy:
         Optional proactive policy fed with ``(time, free heap)`` after
-        every allocation -- the Castelli-style baseline.
+        every allocation -- the Castelli-style baseline.  One-node only.
     telemetry:
-        Optional fixed-interval state probe.
+        Optional fixed-interval state probe.  One-node only.
     tracer:
         Optional :class:`repro.obs.tracer.Tracer`.  With ``spans`` on,
-        the system and its node emit request-lifecycle and GC/
+        the system and its nodes emit request-lifecycle and GC/
         rejuvenation events; with ``decisions`` on, a
         :class:`~repro.obs.listener.TracingDecisionListener` driven by
-        the simulation clock is installed on the policy.  The buffered
-        events are returned, encoded, on ``RunResult.trace``.  ``None`` (the
-        default) is the near-free fast path.
+        the simulation clock is installed on every node's policy.  The
+        buffered events are returned, encoded, on ``RunResult.trace``.
+        ``None`` (the default) is the near-free fast path.
     faults:
         Optional fault scenario: either an object with an ``injections``
         attribute (e.g. :class:`repro.faults.scenario.FaultScenario`) or
         a plain sequence of injections.  Each injection's
         ``arm(system)`` is called at the start of every :meth:`run`,
         after the model has been reset, so injections schedule their
-        simulator events against a clean clock.  The model never imports
-        :mod:`repro.faults` -- the coupling is duck-typed.
+        simulator events against a clean clock and reach every node --
+        or one node, via their ``node`` target -- through the fault
+        surface.  The model never imports :mod:`repro.faults` -- the
+        coupling is duck-typed.
     profiler:
         Optional :class:`repro.obs.live.DESProfiler`.  Installed on the
         simulator, it attributes every fired event's wall-clock to its
@@ -86,6 +115,31 @@ class ECommerceSystem:
         calls under the ``policy.observe`` kind (a slice *within* the
         completion events' time, accounted separately so decision cost
         is visible).  ``None`` (the default) costs one check per event.
+    n_nodes:
+        Number of nodes behind the front end.
+    balancer:
+        Dispatching strategy; defaults to round-robin.
+    coordinator:
+        Trigger arbitration; defaults to unrestricted (independent
+        nodes).  Any object speaking ``reset()`` / ``request(node,
+        now, downtime_s)`` works -- including the fleet schedulers of
+        :mod:`repro.systems.schedulers`.
+    arrival_scale:
+        Every inter-arrival draw is divided by this factor.  The
+        declarative specs use it to keep scenario arrival processes in
+        *per-node* units: a cluster spec scales the baseline process
+        (and any process a fault injector swaps in later) by its node
+        count, so per-node offered load matches the single-node
+        scenario.  Exact for Poisson processes (superposition).
+    first_node_index:
+        Global index of this system's first node.  Nodes are named
+        ``node{first_node_index + i}`` and fault targeting uses global
+        indices -- a fleet shard covering nodes 250..499 passes 250.
+    total_nodes:
+        Global fleet size (defaults to ``first_node_index + n_nodes``).
+        A global node index outside this range is a targeting error;
+        one outside *this* system's slice is simply not local
+        (``fault_nodes`` returns nothing).
 
     Examples
     --------
@@ -101,25 +155,84 @@ class ECommerceSystem:
     >>> result = system.run(n_transactions=2000)
     >>> result.completed + result.lost
     2000
+    >>> cluster = ECommerceSystem(
+    ...     PAPER_CONFIG,
+    ...     PoissonArrivals(rate=4 * 1.6),
+    ...     policy=lambda: SRAA(PAPER_SLO, 2, 5, 3),
+    ...     seed=1,
+    ...     n_nodes=4,
+    ... )
+    >>> result = cluster.run(4_000)
+    >>> result.completed + result.lost, len(result.nodes)
+    (4000, 4)
     """
 
     def __init__(
         self,
-        config: SystemConfig,
+        config: "SystemConfig | Sequence[SystemConfig]",
         arrivals: ArrivalProcess,
-        policy: Optional[RejuvenationPolicy] = None,
+        policy: Optional[object] = None,
         seed: Optional[int] = None,
         resource_policy: Optional[ResourceExhaustionPolicy] = None,
         telemetry: Optional[Telemetry] = None,
         tracer: Optional[object] = None,
         faults: Optional[object] = None,
         profiler: Optional[object] = None,
+        n_nodes: int = 1,
+        balancer: Optional[LoadBalancer] = None,
+        coordinator: Optional[RollingCoordinator] = None,
+        arrival_scale: float = 1.0,
+        first_node_index: int = 0,
+        total_nodes: Optional[int] = None,
     ) -> None:
+        if n_nodes < 1:
+            raise ValueError("a cluster needs at least one node")
+        if arrival_scale <= 0:
+            raise ValueError("arrival scale must be positive")
+        if first_node_index < 0:
+            raise ValueError("first node index must be non-negative")
+        if isinstance(config, SystemConfig):
+            node_configs = [config] * n_nodes
+        else:
+            node_configs = list(config)
+            if len(node_configs) != n_nodes:
+                raise ValueError(
+                    f"got {len(node_configs)} configs for {n_nodes} nodes"
+                )
+        self._total_nodes = (
+            int(total_nodes)
+            if total_nodes is not None
+            else first_node_index + n_nodes
+        )
+        single = self._total_nodes == 1
+        if not single and (
+            resource_policy is not None or telemetry is not None
+        ):
+            raise ValueError(
+                "resource policies and telemetry probes are single-node "
+                f"instrumentation; a {self._total_nodes}-node system does "
+                "not support them"
+            )
+        if policy is None or _is_policy(policy):
+            if n_nodes > 1 and policy is not None:
+                raise ValueError(
+                    "one policy instance cannot watch several nodes; "
+                    "pass a zero-argument factory"
+                )
+            policies = [policy] * n_nodes
+        else:
+            policies = [policy() for _ in range(n_nodes)]
         self.config = config
         self.arrivals = arrivals
         self._base_arrivals = arrivals
+        self.arrival_scale = float(arrival_scale)
+        self.first_node_index = int(first_node_index)
+        self.balancer = balancer if balancer is not None else RoundRobin()
+        self.coordinator = (
+            coordinator if coordinator is not None else UnrestrictedCoordinator()
+        )
         self.faults = faults
-        self.policy = policy
+        self.policies: List[Optional[RejuvenationPolicy]] = policies
         self.resource_policy = resource_policy
         self.telemetry = telemetry
         self.tracer = tracer
@@ -137,37 +250,53 @@ class ECommerceSystem:
             and getattr(tracer, "lifecycle", True)
             else None
         )
+        self._source = "system" if single else "cluster"
         self.streams = RandomStreams(seed)
+        self._arrival_rng = self.streams["arrivals"]
+        self._balancer_rng = self.streams["lb"] if n_nodes > 1 else None
         self.sim = Simulator(tracer=tracer, profiler=profiler)
-        self.node = ProcessingNode(
-            config,
-            self.sim,
-            self.streams["service"],
-            on_complete=self._on_complete,
-            on_loss=self._on_loss,
-            on_allocation=(
-                self._on_allocation if resource_policy is not None else None
-            ),
-            tracer=tracer,
-        )
-        if tracer is not None and tracer.decisions and policy is not None:
+        self.nodes: List[ProcessingNode] = [
+            ProcessingNode(
+                node_configs[i],
+                self.sim,
+                self.streams["service" if single else f"service.{i}"],
+                on_complete=self._on_complete,
+                on_loss=self._on_loss,
+                on_allocation=(
+                    self._on_allocation if resource_policy is not None else None
+                ),
+                name=f"node{self.first_node_index + i}",
+                tracer=tracer,
+            )
+            for i in range(n_nodes)
+        ]
+        if tracer is not None and tracer.decisions:
             # Deferred import: repro.obs is optional machinery on top of
             # the simulator, not a dependency of the model itself.
             from repro.obs.listener import TracingDecisionListener
 
-            policy.set_listener(
-                TracingDecisionListener(tracer, clock=lambda: self.sim.now)
-            )
+            for node_policy in policies:
+                if node_policy is not None:
+                    node_policy.set_listener(
+                        TracingDecisionListener(
+                            tracer, clock=lambda: self.sim.now
+                        )
+                    )
+        self._all_nodes = list(range(n_nodes))
         self._reset_accounting()
 
     # ------------------------------------------------------------------
     # State
     # ------------------------------------------------------------------
     def _reset_accounting(self) -> None:
-        self._down_until = 0.0
+        self._down_until = [0.0] * len(self.nodes)
+        #: Latest down_until over all nodes: while the clock is past
+        #: it, no node is down and every node is eligible.
+        self._latest_down_until = 0.0
         self._arrivals_generated = 0
         self._completed = 0
         self._lost = 0
+        self._refused = 0
         self.rejuvenation_times: List[float] = []
         self._warmup = 0
         self._measured_lost = 0
@@ -176,29 +305,44 @@ class ECommerceSystem:
         self._n_target = 0
 
     @property
-    def free_heap_mb(self) -> float:
-        """Heap not held live and not yet reclaimed garbage."""
-        return self.node.free_heap_mb
+    def n_nodes(self) -> int:
+        return len(self.nodes)
 
     @property
-    def active_threads(self) -> int:
-        """Threads in the JVM: queued plus executing."""
-        return self.node.in_system
+    def node(self) -> ProcessingNode:
+        """The first node -- *the* node of a one-node system."""
+        return self.nodes[0]
 
     @property
     def gc_count(self) -> int:
-        """Full garbage collections so far."""
-        return self.node.gc_count
+        """Full garbage collections so far, over all nodes."""
+        return sum(node.gc_count for node in self.nodes)
 
     @property
     def rejuvenations(self) -> int:
-        """Rejuvenations carried out so far."""
-        return self.node.rejuvenations
+        """Rejuvenations carried out so far, over all nodes."""
+        return sum(node.rejuvenations for node in self.nodes)
 
     @property
     def crashes(self) -> int:
-        """Injected node crashes so far."""
-        return self.node.crashes
+        """Injected node crashes so far, over all nodes."""
+        return sum(node.crashes for node in self.nodes)
+
+    @property
+    def measured_moments(self) -> OnlineMoments:
+        """Running moments of measured response times (for merging)."""
+        return self._measured_moments
+
+    @property
+    def measured_lost(self) -> int:
+        """Lost transactions after the warm-up cut (for merging)."""
+        return self._measured_lost
+
+    def _mark_down(self, node_index: int, until: float) -> None:
+        if until > self._down_until[node_index]:
+            self._down_until[node_index] = until
+        if until > self._latest_down_until:
+            self._latest_down_until = until
 
     # ------------------------------------------------------------------
     # Event handlers
@@ -206,7 +350,9 @@ class ECommerceSystem:
     def _schedule_next_arrival(self) -> None:
         if self._arrivals_generated >= self._n_target:
             return
-        gap = self.arrivals.interarrival(self.streams["arrivals"])
+        gap = self.arrivals.interarrival(self._arrival_rng)
+        if self.arrival_scale != 1.0:
+            gap /= self.arrival_scale
         self.sim.schedule(gap, self._on_arrival, kind="arrival")
 
     def _on_arrival(self) -> None:
@@ -216,12 +362,25 @@ class ECommerceSystem:
         self._schedule_next_arrival()
         tracer = self._life_tracer
         if tracer is not None:
-            tracer.emit(now, "request.arrival", "system", index=index)
-        if now < self._down_until:
-            # Rejuvenation downtime: the request is refused outright.
-            self._count_loss(index, reason="downtime")
+            tracer.emit(now, "request.arrival", self._source, index=index)
+        nodes = self.nodes
+        if now < self._latest_down_until:
+            eligible = [
+                i for i, until in enumerate(self._down_until) if until <= now
+            ]
+            if not eligible:
+                # Every node in downtime: the request is refused.
+                self._refused += 1
+                self._count_loss(index, reason="downtime")
+                return
+        elif len(nodes) == 1:
+            nodes[0].submit(Job(now, index))
             return
-        self.node.submit(Job(now, index))
+        else:
+            # Nobody down: every node is eligible, no list to build.
+            eligible = self._all_nodes
+        target = self.balancer.select(nodes, eligible, self._balancer_rng)
+        nodes[target].submit(Job(now, index, target))
 
     def _on_complete(self, job: Job, response_time: float) -> None:
         self._completed += 1
@@ -231,15 +390,25 @@ class ECommerceSystem:
                 self._collected.append(response_time)
         tracer = self._span_tracer
         if tracer is not None:
-            tracer.emit(
-                self.sim.now,
-                "request.complete",
-                "system",
-                index=job.index,
-                response_time=response_time,
-            )
-        # Step 8: let the policy decide.
-        policy = self.policy
+            if self._source == "system":
+                tracer.emit(
+                    self.sim.now,
+                    "request.complete",
+                    "system",
+                    index=job.index,
+                    response_time=response_time,
+                )
+            else:
+                tracer.emit(
+                    self.sim.now,
+                    "request.complete",
+                    "cluster",
+                    index=job.index,
+                    node=self.first_node_index + job.node,
+                    response_time=response_time,
+                )
+        # Step 8: let the node's policy decide.
+        policy = self.policies[job.node]
         if policy is None:
             return
         profiler = self.profiler
@@ -253,7 +422,7 @@ class ECommerceSystem:
             finally:
                 profiler.account("policy.observe", clock() - started)
         if triggered:
-            self._rejuvenate()
+            self._request_rejuvenation(job.node)
 
     def _on_loss(self, job: Job) -> None:
         self._count_loss(job.index, reason="rejuvenation")
@@ -261,28 +430,36 @@ class ECommerceSystem:
     def _on_allocation(self, time_s: float, free_heap_mb: float) -> None:
         assert self.resource_policy is not None
         if self.resource_policy.observe_resource(time_s, free_heap_mb):
-            self._rejuvenate()
+            self._request_rejuvenation(0)
 
-    def _rejuvenate(self) -> None:
-        """Capacity restoration: drop executing work, release resources."""
+    def _request_rejuvenation(self, node_index: int) -> None:
+        """Capacity restoration, if the coordinator grants it."""
         now = self.sim.now
+        node = self.nodes[node_index]
+        downtime = node.config.rejuvenation_downtime_s
+        if not self.coordinator.request(node_index, now, downtime):
+            return
         self.rejuvenation_times.append(now)
-        self.node.rejuvenate()
-        if self.config.rejuvenation_downtime_s > 0.0:
-            self._down_until = now + self.config.rejuvenation_downtime_s
+        node.rejuvenate()
+        if downtime > 0.0:
+            self._mark_down(node_index, now + downtime)
 
-    def _count_loss(self, index: int, reason: str = "rejuvenation") -> None:
+    def _count_loss(self, index: int, reason: str) -> None:
         self._lost += 1
         if index >= self._warmup:
             self._measured_lost += 1
         tracer = self._span_tracer
         if tracer is not None:
             tracer.emit(
-                self.sim.now, "request.loss", "system", index=index, reason=reason
+                self.sim.now,
+                "request.loss",
+                self._source,
+                index=index,
+                reason=reason,
             )
 
     # ------------------------------------------------------------------
-    # Fault-injection surface (used by repro.faults injections)
+    # Fault-injection surface (see repro.systems protocol)
     # ------------------------------------------------------------------
     def set_arrivals(self, process: ArrivalProcess) -> ArrivalProcess:
         """Swap the arrival process mid-run; returns the previous one.
@@ -290,52 +467,67 @@ class ECommerceSystem:
         The swap affects the *next* inter-arrival draw; the arrival
         already scheduled keeps its time.  Workload-shift and
         traffic-surge injectors use this to step/scale the rate without
-        disturbing the arrival random stream's draw order.
+        disturbing the arrival random stream's draw order.  The
+        incoming process is in per-node units -- ``arrival_scale``
+        keeps applying, so an injector written for the single-node
+        scenarios shifts every node's offered load alike.
         """
         previous = self.arrivals
         self.arrivals = process
         return previous
 
-    def fault_nodes(self, node: "Optional[int]" = None) -> list:
+    def _local_indices(self, node: Optional[int]) -> List[int]:
+        """Local indices targeted by a global node index (or all)."""
+        if node is None:
+            return self._all_nodes
+        if not 0 <= node < self._total_nodes:
+            raise ValueError(
+                f"node index {node} out of range for a "
+                f"{self._total_nodes}-node system"
+            )
+        local = node - self.first_node_index
+        if 0 <= local < len(self.nodes):
+            return [local]
+        return []
+
+    def fault_nodes(self, node: Optional[int] = None) -> List[ProcessingNode]:
         """The processing nodes a fault should touch.
 
-        The single-node system only answers for global node index 0
-        (or ``None``, meaning "every node"); anything else is a
-        targeting error -- the fault was written for a larger
-        substrate.
+        ``None`` targets every node; a global index targets one node
+        -- possibly none, when that index lives in another shard of a
+        fleet.  Out-of-range indices raise.
         """
-        if node is None or node == 0:
-            return [self.node]
-        raise ValueError(
-            f"node index {node} out of range for a single-node system"
-        )
+        return [self.nodes[i] for i in self._local_indices(node)]
 
     def inject_crash(
-        self, restart_s: float = 0.0, node: "Optional[int]" = None
+        self, restart_s: float = 0.0, node: Optional[int] = None
     ) -> int:
-        """Crash the node: all in-flight work dies, then restart.
+        """Crash every targeted node; returns transactions lost.
 
-        Requests arriving during the ``restart_s`` restart window are
+        All in-flight work on a crashed node dies.  Requests arriving
+        during its ``restart_s`` restart window go to other nodes (the
+        balancer skips down nodes); with *every* node down they are
         refused (counted lost, reason ``downtime``), reusing the
         rejuvenation-downtime gate.  The crash also wipes whatever
-        response-time history the policy had accumulated -- after a
-        process restart a monitor starts from scratch -- so the policy
-        (and any resource policy) is reset.  Crashes are *not* counted
-        as rejuvenations and never appear in ``rejuvenation_times``.
-        Returns the number of transactions lost in the crash itself.
+        response-time history the node's policy had accumulated --
+        after a process restart a monitor starts from scratch -- so the
+        policy (and any resource policy) is reset.  Crashes are *not*
+        counted as rejuvenations and never appear in
+        ``rejuvenation_times``.
         """
         if restart_s < 0:
             raise ValueError("restart time must be non-negative")
-        self.fault_nodes(node)  # validate the target
-        lost = self.node.crash()
-        if restart_s > 0.0:
-            self._down_until = max(
-                self._down_until, self.sim.now + restart_s
-            )
-        if self.policy is not None:
-            self.policy.reset()
-        if self.resource_policy is not None:
-            self.resource_policy.reset()
+        now = self.sim.now
+        lost = 0
+        for i in self._local_indices(node):
+            lost += self.nodes[i].crash()
+            if restart_s > 0.0:
+                self._mark_down(i, now + restart_s)
+            policy = self.policies[i]
+            if policy is not None:
+                policy.reset()
+            if self.resource_policy is not None:
+                self.resource_policy.reset()
         return lost
 
     def emit_fault(self, kind: str, cleared: bool = False, **data) -> None:
@@ -411,15 +603,18 @@ class ECommerceSystem:
         # previous run; every run starts from the constructor's process.
         self.arrivals = self._base_arrivals
         self.arrivals.reset()
+        self.balancer.reset()
+        self.coordinator.reset()
         if self.tracer is not None:
             self.tracer.clear()
         if self.profiler is not None:
             self.profiler.clear()
-        if self.policy is not None:
-            self.policy.reset()
+        for node, policy in zip(self.nodes, self.policies):
+            node.reset()
+            if policy is not None:
+                policy.reset()
         if self.resource_policy is not None:
             self.resource_policy.reset()
-        self.node.reset()
         self._reset_accounting()
         self._warmup = warmup
         self._n_target = n_transactions
@@ -440,7 +635,6 @@ class ECommerceSystem:
                 f"simulation ended with {resolved} of {n_transactions} "
                 "transactions resolved"
             )
-        measured_total = n_transactions - warmup
         moments = self._measured_moments
         return RunResult(
             arrivals=self._arrivals_generated,
@@ -449,9 +643,9 @@ class ECommerceSystem:
             avg_response_time=moments.mean if moments.count else 0.0,
             rt_std=moments.std,
             max_response_time=(moments.maximum if moments.count else 0.0),
-            loss_fraction=self._measured_lost / measured_total,
-            gc_count=self.node.gc_count,
-            rejuvenations=self.node.rejuvenations,
+            loss_fraction=self._measured_lost / (n_transactions - warmup),
+            gc_count=self.gc_count,
+            rejuvenations=self.rejuvenations,
             sim_duration_s=self.sim.now,
             response_times=(
                 tuple(self._collected) if self._collected is not None else None
@@ -465,4 +659,6 @@ class ECommerceSystem:
                 else None
             ),
             rejuvenation_times=tuple(self.rejuvenation_times),
+            refused=self._refused,
+            nodes=tuple(NodeStats.of(node) for node in self.nodes),
         )

@@ -15,10 +15,10 @@ from typing import Callable, Optional
 
 from repro.cluster.balancer import JoinShortestQueue, LoadBalancer, RoundRobin
 from repro.cluster.coordinator import RollingCoordinator
-from repro.cluster.system import ClusterSystem
 from repro.core.sla import PAPER_SLO
 from repro.core.sraa import SRAA
 from repro.ecommerce.config import PAPER_CONFIG, SystemConfig
+from repro.ecommerce.system import ECommerceSystem
 from repro.ecommerce.workload import PoissonArrivals
 from repro.experiments.scale import Scale
 from repro.experiments.tables import ExperimentResult, Series, Table
@@ -48,14 +48,14 @@ def _run_scenario(
     loss_series = Series(label=label)
     for load in CLUSTER_LOADS:
         rate = N_NODES * config.arrival_rate_for_load(load)
-        cluster = ClusterSystem(
+        cluster = ECommerceSystem(
             config,
-            N_NODES,
             PoissonArrivals(rate),
-            policy_factory,
+            policy=policy_factory,
+            seed=seed,
+            n_nodes=N_NODES,
             balancer=balancer_factory(),
             coordinator=coordinator_factory(),
-            seed=seed,
         )
         result = cluster.run(scale.transactions)
         rt_series.add(load, result.avg_response_time)

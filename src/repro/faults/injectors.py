@@ -69,26 +69,6 @@ def _check_time(name: str, value: float) -> None:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
 
 
-def _target_nodes(system: Any, node: Optional[int]) -> list:
-    """The processing nodes a targeted injection should touch.
-
-    Resolved through the system's ``fault_nodes`` surface (see
-    :mod:`repro.systems`): ``None`` means every node; a global node
-    index means that one node -- which may be *no* node on a fleet
-    shard that does not own the index, in which case the injection
-    silently does nothing there (the owning shard fires it).  Systems
-    predating the protocol fall back to their single ``node``.
-    """
-    fault_nodes = getattr(system, "fault_nodes", None)
-    if fault_nodes is not None:
-        return fault_nodes(node)
-    if node is not None and node != 0:
-        raise ValueError(
-            f"node index {node} out of range for a single-node system"
-        )
-    return [system.node]
-
-
 @dataclass(frozen=True)
 class WorkloadShift(FaultInjection):
     """Step change of the arrival process at ``at_s``.
@@ -245,7 +225,7 @@ class ServiceSlowdown(FaultInjection):
 
     def arm(self, system: Any) -> None:
         def start() -> None:
-            targets = _target_nodes(system, self.node)
+            targets = system.fault_nodes(self.node)
             if not targets:
                 return
             for target in targets:
@@ -293,7 +273,7 @@ class HeavyTailContamination(FaultInjection):
 
     def arm(self, system: Any) -> None:
         def start() -> None:
-            targets = _target_nodes(system, self.node)
+            targets = system.fault_nodes(self.node)
             if not targets:
                 return
             for target in targets:
@@ -340,7 +320,7 @@ class NodeCrash(FaultInjection):
 
     def arm(self, system: Any) -> None:
         def fire() -> None:
-            if not _target_nodes(system, self.node):
+            if not system.fault_nodes(self.node):
                 return
             lost = system.inject_crash(self.restart_s, node=self.node)
             system.emit_fault(
@@ -378,7 +358,7 @@ class NodeHang(FaultInjection):
 
     def arm(self, system: Any) -> None:
         def fire() -> None:
-            targets = _target_nodes(system, self.node)
+            targets = system.fault_nodes(self.node)
             if not targets:
                 return
             stalled = sum(
@@ -427,13 +407,13 @@ class AgingAcceleration(FaultInjection):
             if self.end_s is not None and system.sim.now >= self.end_s:
                 system.emit_fault("aging", cleared=True)
                 return
-            for target in _target_nodes(system, self.node):
+            for target in system.fault_nodes(self.node):
                 target.inject_garbage(self.rate_mb_s * self.interval_s)
             if system.sim.queue:
                 system.sim.schedule(self.interval_s, tick, kind="fault")
 
         def start() -> None:
-            if not _target_nodes(system, self.node):
+            if not system.fault_nodes(self.node):
                 return
             system.emit_fault(
                 "aging", rate_mb_s=self.rate_mb_s, interval_s=self.interval_s

@@ -14,10 +14,10 @@ cluster scale:
   the node count, preserving the simulated *time* horizon -- a
   scenario's degraded interval hits the same wall-clock window.
 
-The cluster's native :class:`~repro.cluster.metrics.ClusterResult` is
-converted to the protocol's mergeable
-:class:`~repro.ecommerce.metrics.RunResult` (per-node stats ride on
-``nodes``, front-end refusals on ``refused``).
+The cluster is :class:`~repro.ecommerce.system.ECommerceSystem` with
+``n_nodes`` nodes, so it returns the protocol's
+:class:`~repro.ecommerce.metrics.RunResult` directly.  A one-node
+cluster is the default single node, result and trace alike.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.systems.ecommerce import build_system
 from repro.systems.protocol import (
     ObsSpec,
     SystemRun,
@@ -32,20 +33,6 @@ from repro.systems.protocol import (
     register_system,
 )
 from repro.systems.schedulers import SchedulerSpec
-
-
-class _PolicyFactory:
-    """Picklable per-node policy factory over a job's policy source."""
-
-    __slots__ = ("source",)
-
-    def __init__(self, source: Any) -> None:
-        self.source = source
-
-    def __call__(self):
-        from repro.exec.jobs import build_policy
-
-        return build_policy(self.source)
 
 
 @register_system
@@ -93,75 +80,22 @@ class ClusterSpec(SystemSpec):
         seed: Optional[int] = None,
         obs: Optional[ObsSpec] = None,
         faults: Any = None,
-        first_node_index: int = 0,
-        total_nodes: Optional[int] = None,
-    ) -> "_ClusterRun":
+    ) -> SystemRun:
         from repro.cluster.balancer import make_balancer
-        from repro.cluster.system import ClusterSystem
-        from repro.exec.jobs import build_arrival
 
-        obs = obs if obs is not None else ObsSpec()
-        if obs.telemetry_interval_s is not None:
-            raise ValueError(
-                "telemetry probes are single-node instrumentation; "
-                "the cluster substrate does not support them"
-            )
-        sinks = obs.build()
-        coordinator = None
-        if self.scheduler is not None:
-            coordinator = self.scheduler.build(
-                self.n_nodes, first_node=first_node_index
-            )
-        system = ClusterSystem(
+        return build_system(
             config,
-            self.n_nodes,
-            build_arrival(arrival),
-            policy_factory=_PolicyFactory(policy),
+            arrival,
+            policy,
+            seed,
+            obs,
+            faults,
+            n_nodes=self.n_nodes,
             balancer=make_balancer(self.balancer),
-            coordinator=coordinator,
-            seed=seed,
-            tracer=sinks.sink,
-            faults=faults,
-            profiler=sinks.profiler,
-            arrival_scale=float(self.n_nodes) if self.scale_arrivals else 1.0,
-            first_node_index=first_node_index,
-            total_nodes=total_nodes,
-        )
-        return _ClusterRun(system, sinks)
-
-
-class _ClusterRun(SystemRun):
-    """Runs a ``ClusterSystem`` and converts its result."""
-
-    def _run(self, n_transactions: int, warmup: int, collect: bool):
-        from repro.ecommerce.metrics import RunResult
-
-        cluster = self.system
-        cres = cluster.run(
-            n_transactions,
-            warmup=warmup,
-            collect_response_times=collect,
-        )
-        moments = cluster.measured_moments
-        collected = cluster.collected_response_times
-        sink = self.sinks.sink
-        return RunResult(
-            arrivals=cres.arrivals,
-            completed=cres.completed,
-            lost=cres.lost,
-            avg_response_time=cres.avg_response_time,
-            rt_std=cres.rt_std,
-            max_response_time=(moments.maximum if moments.count else 0.0),
-            loss_fraction=cres.loss_fraction,
-            gc_count=cres.gc_count,
-            rejuvenations=cres.rejuvenations,
-            sim_duration_s=cres.sim_duration_s,
-            response_times=(
-                tuple(collected) if collected is not None else None
+            coordinator=(
+                self.scheduler.build(self.n_nodes)
+                if self.scheduler is not None
+                else None
             ),
-            trace=(sink.payload() if sink is not None else None),
-            telemetry=None,
-            rejuvenation_times=tuple(cluster.rejuvenation_times),
-            refused=cres.refused,
-            nodes=cres.nodes,
+            arrival_scale=float(self.n_nodes) if self.scale_arrivals else 1.0,
         )

@@ -2,9 +2,9 @@
 
 A :class:`FleetSpec` describes a fleet of ``n_nodes`` Section-3 nodes
 split into ``shards`` balanced clusters.  Each shard is an independent
-:class:`~repro.cluster.system.ClusterSystem` slice of the global node
-range with its own simulator, random streams, and scheduler domain, so
-shards are embarrassingly parallel: the fleet maps a picklable
+:class:`~repro.ecommerce.system.ECommerceSystem` slice of the global
+node range with its own simulator, random streams, and scheduler
+domain, so shards are embarrassingly parallel: the fleet maps a picklable
 :class:`_ShardTask` over the ambient :mod:`repro.exec` backend and
 merges shard results **in submission order** -- the same discipline
 that makes replication sweeps bit-identical across backends makes the
@@ -119,40 +119,37 @@ class ShardOutcome:
 def _run_shard(task: _ShardTask) -> ShardOutcome:
     """Run one shard to completion (module-level: pool-picklable)."""
     from repro.cluster.balancer import make_balancer
-    from repro.cluster.system import ClusterSystem
-    from repro.exec.jobs import build_arrival
-    from repro.systems.cluster import _ClusterRun, _PolicyFactory
+    from repro.systems.ecommerce import build_system
 
-    sinks = ObsSpec(
-        trace_level=task.trace_level,
-        live=task.live,
-        profile=task.profile,
-    ).build()
     coordinator = None
     if task.scheduler is not None:
         coordinator = task.scheduler.build(
             task.n_nodes, first_node=task.first_node
         )
-    system = ClusterSystem(
+    run = build_system(
         task.config,
-        task.n_nodes,
-        build_arrival(task.arrival),
-        policy_factory=_PolicyFactory(task.policy),
+        task.arrival,
+        task.policy,
+        task.seed,
+        ObsSpec(
+            trace_level=task.trace_level,
+            live=task.live,
+            profile=task.profile,
+        ),
+        task.faults,
+        n_nodes=task.n_nodes,
         balancer=make_balancer(task.balancer),
         coordinator=coordinator,
-        seed=task.seed,
-        tracer=sinks.sink,
-        faults=task.faults,
-        profiler=sinks.profiler,
         arrival_scale=task.arrival_scale,
         first_node_index=task.first_node,
         total_nodes=task.total_nodes,
     )
-    result = _ClusterRun(system, sinks).run(
+    result = run.run(
         task.n_transactions,
         warmup=task.warmup,
         collect_response_times=task.collect,
     )
+    system = run.system
     moments = system.measured_moments
     return ShardOutcome(
         result=result,
@@ -451,7 +448,5 @@ class FleetSystem:
             flight=flight,
             profile=profile,
             refused=sum(r.refused for r in results),
-            nodes=tuple(
-                stats for r in results for stats in (r.nodes or ())
-            ),
+            nodes=tuple(stats for r in results for stats in r.nodes),
         )

@@ -261,8 +261,6 @@ class SystemRun:
     Delegates attribute access to the wrapped system (so the fault
     surface, ``sim``, and telemetry remain reachable), and runs it
     under the sinks' context with the standard result decoration.
-    Substrates whose native result is not a ``RunResult`` override
-    :meth:`_run` to convert.
     """
 
     def __init__(self, system: Any, sinks: ObsSinks) -> None:
@@ -279,16 +277,9 @@ class SystemRun:
         collect_response_times: bool = False,
     ) -> "RunResult":
         with self.sinks.run_context():
-            result = self._run(
-                n_transactions, warmup, collect_response_times
+            result = self.system.run(
+                n_transactions,
+                warmup=warmup,
+                collect_response_times=collect_response_times,
             )
         return self.sinks.decorate(result)
-
-    def _run(
-        self, n_transactions: int, warmup: int, collect: bool
-    ) -> "RunResult":
-        return self.system.run(
-            n_transactions,
-            warmup=warmup,
-            collect_response_times=collect,
-        )

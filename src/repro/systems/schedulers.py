@@ -233,7 +233,8 @@ class FleetCoordinator:
 
     Speaks the same ``reset()`` / ``request(node, now, downtime_s)``
     protocol as :class:`~repro.cluster.coordinator.RollingCoordinator`
-    (so it plugs straight into :class:`~repro.cluster.system.ClusterSystem`)
+    (so it plugs straight into a multi-node
+    :class:`~repro.ecommerce.system.ECommerceSystem`)
     but tracks *which* node is down rather than only how many, which is
     what pod-level blast-radius limits and the auditable grant log
     need.

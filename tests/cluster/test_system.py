@@ -6,10 +6,11 @@ import pytest
 
 from repro.cluster.balancer import JoinShortestQueue, RoundRobin
 from repro.cluster.coordinator import RollingCoordinator
-from repro.cluster.system import ClusterSystem
+from repro.cluster.metrics import imbalance
 from repro.core.sla import PAPER_SLO
 from repro.core.sraa import SRAA
 from repro.ecommerce.config import PAPER_CONFIG
+from repro.ecommerce.system import ECommerceSystem
 from repro.ecommerce.workload import PoissonArrivals
 
 
@@ -21,12 +22,12 @@ def make_cluster(
     seed=0,
     **kwargs,
 ):
-    return ClusterSystem(
+    return ECommerceSystem(
         config,
-        n_nodes,
         PoissonArrivals(n_nodes * rate_per_node),
-        policy_factory,
+        policy=policy_factory,
         seed=seed,
+        n_nodes=n_nodes,
         **kwargs,
     )
 
@@ -61,13 +62,13 @@ class TestConservation:
 class TestDispatching:
     def test_round_robin_balances_perfectly(self):
         result = make_cluster(balancer=RoundRobin()).run(4_000)
-        assert result.imbalance() == pytest.approx(1.0, abs=0.01)
+        assert imbalance(result.nodes) == pytest.approx(1.0, abs=0.01)
 
     def test_single_node_cluster_behaves_like_single_server(self):
         # A 1-node cluster is the Section-3 system; at a low load with
         # a policy it stays near the healthy 5 s baseline.
         result = make_cluster(n_nodes=1, rate_per_node=0.5).run(6_000)
-        assert result.n_nodes == 1
+        assert len(result.nodes) == 1
         assert result.avg_response_time < 10.0
         assert result.gc_count > 0  # the aging mechanism is active
 
@@ -188,9 +189,7 @@ class TestWholeClusterDowntime:
         cluster, result = self.run_all_down()
         # With every node down the eligibility fast path must report
         # an empty set, not fall back to "all nodes".
-        assert any(
-            acc.down_until > 0 for acc in cluster._accounting
-        )
+        assert any(until > 0 for until in cluster._down_until)
         assert result.rejuvenations >= cluster.n_nodes
 
 
@@ -198,6 +197,16 @@ class TestValidationAndMetrics:
     def test_needs_a_node(self):
         with pytest.raises(ValueError):
             make_cluster(n_nodes=0)
+
+    def test_one_policy_instance_watches_one_node(self):
+        with pytest.raises(ValueError, match="factory"):
+            make_cluster(policy_factory=SRAA(PAPER_SLO, 2, 5, 3))
+
+    def test_single_node_instrumentation_rejected(self):
+        from repro.ecommerce.telemetry import Telemetry
+
+        with pytest.raises(ValueError, match="single-node"):
+            make_cluster(n_nodes=2, telemetry=Telemetry(10.0))
 
     def test_run_validation(self):
         cluster = make_cluster()
@@ -212,28 +221,22 @@ class TestValidationAndMetrics:
             assert 0.0 <= node.loss_fraction <= 1.0
 
     def test_imbalance_of_idle_cluster(self):
-        from repro.cluster.metrics import ClusterResult, NodeStats
+        from repro.cluster.metrics import NodeStats
 
         nodes = tuple(
             NodeStats(f"n{i}", 0, 0, 0, 0.0, 0, 0) for i in range(2)
         )
-        result = ClusterResult(
-            arrivals=0, completed=0, lost=0, refused=0,
-            avg_response_time=0.0, rt_std=0.0, loss_fraction=0.0,
-            rejuvenations=0, gc_count=0, sim_duration_s=0.0, nodes=nodes,
-        )
-        assert result.imbalance() == 1.0
+        assert imbalance(nodes) == 1.0
 
 
 class TestHeterogeneousClusters:
     def test_per_node_configs_accepted(self):
         small_heap = dataclasses.replace(PAPER_CONFIG, heap_mb=500.0)
-        cluster = ClusterSystem(
+        cluster = ECommerceSystem(
             [PAPER_CONFIG, small_heap],
-            n_nodes=2,
-            arrivals=PoissonArrivals(2 * 1.6),
-            policy_factory=lambda: None,
+            PoissonArrivals(2 * 1.6),
             seed=31,
+            n_nodes=2,
         )
         result = cluster.run(6_000)
         # The small-heap node collects garbage ~6x more often.
@@ -242,11 +245,8 @@ class TestHeterogeneousClusters:
 
     def test_config_count_must_match(self):
         with pytest.raises(ValueError):
-            ClusterSystem(
-                [PAPER_CONFIG],
-                n_nodes=2,
-                arrivals=PoissonArrivals(1.0),
-                policy_factory=lambda: None,
+            ECommerceSystem(
+                [PAPER_CONFIG], PoissonArrivals(1.0), n_nodes=2
             )
 
     def test_weighted_dispatch_matches_capacity(self):
@@ -254,13 +254,12 @@ class TestHeterogeneousClusters:
 
         # A node with half the CPUs gets half the traffic.
         half = dataclasses.replace(PAPER_CONFIG, cpus=8)
-        cluster = ClusterSystem(
+        cluster = ECommerceSystem(
             [PAPER_CONFIG, half],
-            n_nodes=2,
-            arrivals=PoissonArrivals(1.5),
-            policy_factory=lambda: None,
-            balancer=WeightedRoundRobin([2.0, 1.0]),
+            PoissonArrivals(1.5),
             seed=32,
+            n_nodes=2,
+            balancer=WeightedRoundRobin([2.0, 1.0]),
         )
         result = cluster.run(3_000)
         big, small = result.nodes
@@ -272,12 +271,12 @@ class TestHeterogeneousClusters:
         down_config = dataclasses.replace(
             PAPER_CONFIG, rejuvenation_downtime_s=200.0
         )
-        cluster = ClusterSystem(
+        cluster = ECommerceSystem(
             [down_config, PAPER_CONFIG],
-            n_nodes=2,
-            arrivals=PoissonArrivals(2 * 1.6),
-            policy_factory=lambda: PeriodicRejuvenation(period=200),
+            PoissonArrivals(2 * 1.6),
+            policy=lambda: PeriodicRejuvenation(period=200),
             seed=33,
+            n_nodes=2,
         )
         result = cluster.run(4_000)
         # Node 0 spends time down, so node 1 receives more traffic.

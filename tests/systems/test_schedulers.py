@@ -109,24 +109,23 @@ class TestFleetCoordinator:
             assert coordinator.request(node, now=float(node), downtime_s=0.0)
 
     def test_cluster_protocol_compatible(self):
-        """Drop-in for RollingCoordinator inside a ClusterSystem."""
+        """Drop-in for RollingCoordinator inside a multi-node system."""
         import dataclasses
 
-        from repro.cluster.system import ClusterSystem
         from repro.ecommerce.config import PAPER_CONFIG
+        from repro.ecommerce.system import ECommerceSystem
         from repro.ecommerce.workload import PoissonArrivals
 
         config = dataclasses.replace(
             PAPER_CONFIG, rejuvenation_downtime_s=120.0
         )
         coordinator = FleetCoordinator(max_nodes_down=1)
-        cluster = ClusterSystem(
+        cluster = ECommerceSystem(
             config,
-            3,
             PoissonArrivals(3 * 1.8),
-            lambda: None,
-            coordinator=coordinator,
             seed=1,
+            n_nodes=3,
+            coordinator=coordinator,
         )
         cluster.run(2_000)
         assert coordinator.granted == 0  # no policy, no requests

@@ -141,15 +141,14 @@ class TestNodeTargetedFaults:
         assert system.fault_nodes() == [system.node]
 
     def test_cluster_global_index_resolves_locally(self):
-        from repro.cluster.system import ClusterSystem
+        from repro.ecommerce.system import ECommerceSystem
         from repro.ecommerce.workload import PoissonArrivals
 
-        shard = ClusterSystem(
+        shard = ECommerceSystem(
             PAPER_CONFIG,
-            3,
             PoissonArrivals(3 * 1.6),
-            lambda: None,
             seed=0,
+            n_nodes=3,
             first_node_index=3,
             total_nodes=9,
         )
@@ -162,19 +161,18 @@ class TestNodeTargetedFaults:
     def test_off_shard_target_is_a_noop(self):
         # A hang aimed at node 5 of a 3-node cluster slice (nodes 0-2
         # of 6) must not fire -- that node lives elsewhere.
-        from repro.cluster.system import ClusterSystem
+        from repro.ecommerce.system import ECommerceSystem
         from repro.ecommerce.workload import PoissonArrivals
 
         def run_shard(faults):
-            shard = ClusterSystem(
+            shard = ECommerceSystem(
                 PAPER_CONFIG,
-                3,
                 PoissonArrivals(3 * 1.6),
-                lambda: None,
                 seed=5,
+                faults=faults,
+                n_nodes=3,
                 first_node_index=0,
                 total_nodes=6,
-                faults=faults,
             )
             return shard.run(2700)
 
