@@ -6,7 +6,9 @@ The workflow this example shows instead:
 1. "Record" two response-time traces -- one from a healthy period, one
    spanning a degradation episode (here both come from the simulator,
    standing in for production monitoring).
-2. Replay every candidate policy over both traces offline:
+2. Replay every candidate policy over both traces offline
+   (``policy.reset()`` then ``policy.observe_many(trace)``, which
+   returns the trigger indices):
    * triggers on the healthy trace  = false alarms (pure cost);
    * first trigger on the degraded trace = detection delay.
 3. Read the trade-off table and pick.
@@ -25,7 +27,6 @@ from repro import (
     TrendPolicy,
     simulate_mmc_response_times,
 )
-from repro.ecommerce.trace import replay_policy
 
 
 def record_traces():
@@ -54,6 +55,12 @@ def candidates():
     ]
 
 
+def replay(policy, trace):
+    """Trigger indices of a fresh ``policy`` over a recorded trace."""
+    policy.reset()
+    return policy.observe_many(trace)
+
+
 def main() -> None:
     healthy, degraded, onset = record_traces()
     print(
@@ -67,17 +74,17 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for name, policy in candidates():
-        healthy_report = replay_policy(policy, healthy)
-        degraded_report = replay_policy(policy, degraded)
-        after_onset = [
-            i for i in degraded_report.trigger_indices if i >= onset
-        ]
+        false_alarms = replay(policy, healthy)
+        after_onset = [i for i in replay(policy, degraded) if i >= onset]
         delay = after_onset[0] - onset if after_onset else None
-        gap = healthy_report.mean_observations_between_triggers
-        gap_text = f"{gap:.0f}" if gap != float("inf") else "-"
+        gap_text = (
+            f"{np.diff(false_alarms).mean():.0f}"
+            if len(false_alarms) >= 2
+            else "-"
+        )
         delay_text = f"{delay} obs" if delay is not None else "missed"
         print(
-            f"{name:<18} {healthy_report.triggers:>13} {gap_text:>12} "
+            f"{name:<18} {len(false_alarms):>13} {gap_text:>12} "
             f"{delay_text:>16}"
         )
     print(

@@ -3,9 +3,10 @@
 The lineage behind the paper: Avritzer & Weyuker's 1997 study of
 telecommunication systems whose capacity degrades smoothly (leaked
 resources claim worker capacity one unit at a time) under predictably
-periodic traffic.  This example runs that model and asks which detector
-family suits *slow drift*, as opposed to the e-commerce model's abrupt
-GC stalls:
+periodic traffic.  This example runs that model -- the Section-3 node
+reduced to an M/M/c queue, with a ``CapacityErosion`` fault taking its
+CPUs one at a time -- and asks which detector family suits *slow
+drift*, as opposed to the e-commerce model's abrupt GC stalls:
 
 * the bucket algorithms (SRAA) -- built for shift-by-K-sigma evidence;
 * trend detection (Mann-Kendall) -- needs no SLO at all;
@@ -14,15 +15,21 @@ GC stalls:
 Run:  python examples/telecom_degradation.py
 """
 
-from repro import SRAA, CUSUMPolicy, ServiceLevelObjective, TrendPolicy
-from repro.degradation import DegradableSystem
+from repro import (
+    SRAA,
+    CUSUMPolicy,
+    ECommerceSystem,
+    ServiceLevelObjective,
+    SystemConfig,
+    TrendPolicy,
+)
 from repro.ecommerce.workload import PeriodicArrivals
+from repro.faults import CapacityErosion
 
 # An 8-worker exchange, mean service 2 s, daily-cycle traffic around
 # 2 calls/s, capacity eroding roughly every 3 minutes of operation.
-C_MAX = 8
-SERVICE_RATE = 0.5
-DEGRADATION_RATE = 1 / 180.0
+CONFIG = SystemConfig(cpus=8, service_rate=0.5).without_degradation()
+EROSION = CapacityErosion(rate_per_s=1 / 180.0, floor=2)
 SLO = ServiceLevelObjective(mean=2.0, std=2.0)
 TRANSACTIONS = 12_000
 
@@ -32,32 +39,22 @@ def arrivals() -> PeriodicArrivals:
 
 
 def run(label, policy):
-    system = DegradableSystem(
-        c_max=C_MAX,
-        service_rate=SERVICE_RATE,
-        degradation_rate=DEGRADATION_RATE,
-        min_capacity=2,
-        arrivals=arrivals(),
-        policy=policy,
-        seed=17,
+    system = ECommerceSystem(
+        CONFIG, arrivals(), policy=policy, seed=17, faults=(EROSION,)
     )
     result = system.run(TRANSACTIONS)
     print(
         f"{label:<26} {result.avg_response_time:>7.2f} "
-        f"{result.loss_fraction:>8.4f} {result.rejuvenations:>6d} "
-        f"{result.degradation_events:>8d}"
+        f"{result.loss_fraction:>8.4f} {result.rejuvenations:>6d}"
     )
 
 
 def main() -> None:
     print(
-        f"Degradable exchange: {C_MAX} workers, erosion every "
-        f"{1 / DEGRADATION_RATE:.0f} s, sinusoidal traffic\n"
+        f"Degradable exchange: {CONFIG.cpus} workers, erosion every "
+        f"{1 / EROSION.rate_per_s:.0f} s, sinusoidal traffic\n"
     )
-    header = (
-        f"{'policy':<26} {'avg RT':>7} {'loss':>8} {'rejuv':>6} "
-        f"{'erosions':>8}"
-    )
+    header = f"{'policy':<26} {'avg RT':>7} {'loss':>8} {'rejuv':>6}"
     print(header)
     print("-" * len(header))
     run("no rejuvenation", None)

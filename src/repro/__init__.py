@@ -52,7 +52,6 @@ from repro.core import (
     make_policy,
 )
 from repro.ctmc import SampleMeanChain, clt_false_alarm_probability
-from repro.degradation import DegradableSystem
 from repro.ecommerce import (
     ArrivalSpec,
     ECommerceSystem,
@@ -103,7 +102,6 @@ __all__ = [
     "BucketChain",
     "CLTA",
     "CUSUMPolicy",
-    "DegradableSystem",
     "DeterministicThreshold",
     "ECommerceSystem",
     "EWMAPolicy",

@@ -960,10 +960,20 @@ def _write_live_outputs(result_runs, merged_live, args) -> None:
     )
 
 
+def _horizon(text: str) -> float:
+    """argparse type for ``--horizon``: the zoo's horizon check."""
+    from repro.faults.zoo import check_horizon
+
+    try:
+        return check_horizon(float(text))
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
 def _add_horizon_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--horizon",
-        type=float,
+        type=_horizon,
         default=900.0,
         metavar="SECONDS",
         help="scenario timeline horizon in simulated seconds "

@@ -25,9 +25,7 @@ from repro.ecommerce.telemetry import (
 )
 from repro.ecommerce.trace import (
     RecordingArrivals,
-    ReplayReport,
     load_trace,
-    replay_policy,
     save_trace,
 )
 from repro.ecommerce.workload import (
@@ -48,7 +46,6 @@ __all__ = [
     "PeriodicArrivals",
     "PoissonArrivals",
     "RecordingArrivals",
-    "ReplayReport",
     "ReplicatedResult",
     "RunResult",
     "SystemConfig",
@@ -57,7 +54,6 @@ __all__ = [
     "TelemetrySample",
     "TraceArrivals",
     "load_trace",
-    "replay_policy",
     "replication_jobs",
     "run_once",
     "run_replications",

@@ -369,6 +369,18 @@ class ProcessingNode:
         ):
             self._run_gc()
 
+    def erode(self, floor: int) -> None:
+        """Disable one CPU unless capacity is already at ``floor``.
+
+        The capacity erosion of ref. [3]: leaked resources claim worker
+        capacity one unit at a time.  Capacity is ``free_cpus`` plus the
+        executing threads; with every CPU busy ``free_cpus`` goes
+        negative, so the CPU is taken as it frees up and no work is
+        killed.  :meth:`rejuvenate` restores full capacity.
+        """
+        if self.free_cpus + len(self.in_service) > floor:
+            self.free_cpus -= 1
+
     def crash(self) -> int:
         """Abrupt node failure: every transaction in the node dies.
 

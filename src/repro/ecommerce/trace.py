@@ -10,23 +10,23 @@ workflow:
   frozen into a deterministic, replayable trace
   (:class:`~repro.ecommerce.workload.TraceArrivals`);
 * :func:`save_trace` / :func:`load_trace` persist traces (one float per
-  line -- trivially interoperable);
-* :func:`replay_policy` evaluates any policy *offline* against a
-  recorded response-time stream: triggers found, inter-trigger gaps.
-  Offline replay cannot capture the feedback loop (a real rejuvenation
-  would change subsequent response times), so it answers "when would
-  this policy have fired on what we saw?" -- exactly the question an
-  operator asks before turning a detector on.
+  line -- trivially interoperable).
+
+A recorded response-time stream is replayed through a policy offline
+with ``policy.reset()`` followed by
+:meth:`~repro.core.base.RejuvenationPolicy.observe_many`, which returns
+the trigger indices.  Offline replay cannot capture the feedback loop
+(a real rejuvenation would change subsequent response times), so it
+answers "when would this policy have fired on what we saw?" -- exactly
+the question an operator asks before turning a detector on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.base import RejuvenationPolicy
 from repro.ecommerce.workload import ArrivalProcess, TraceArrivals
 
 
@@ -83,38 +83,3 @@ def load_trace(path: str) -> List[float]:
     if not values:
         raise ValueError(f"{path} contains no values")
     return values
-
-
-@dataclass(frozen=True)
-class ReplayReport:
-    """Outcome of replaying a policy over a recorded metric stream."""
-
-    observations: int
-    trigger_indices: tuple
-
-    @property
-    def triggers(self) -> int:
-        return len(self.trigger_indices)
-
-    @property
-    def mean_observations_between_triggers(self) -> float:
-        """Average gap between triggers (inf when fewer than 2)."""
-        if len(self.trigger_indices) < 2:
-            return float("inf")
-        gaps = np.diff(np.asarray(self.trigger_indices))
-        return float(gaps.mean())
-
-
-def replay_policy(
-    policy: RejuvenationPolicy, response_times: Sequence[float]
-) -> ReplayReport:
-    """Run a policy over a recorded response-time stream, offline.
-
-    The policy is reset first, so the report reflects the trace alone.
-    """
-    policy.reset()
-    triggers = policy.observe_many(list(response_times))
-    return ReplayReport(
-        observations=len(response_times),
-        trigger_indices=tuple(triggers),
-    )

@@ -1,31 +1,33 @@
-"""Slow-drift study on the eroding-capacity substrate (beyond the paper).
+"""Slow-drift study on the eroding-capacity model (beyond the paper).
 
-Runs the ref.-[3] degradable system (capacity erodes stochastically,
-rejuvenation restores it) under Poisson traffic at several erosion
-speeds, for the three detector families suited to slow drift: bucket
-(SRAA), trend (Mann-Kendall), and CUSUM.  Complements the e-commerce
-experiments, whose degradation is abrupt (GC stalls): a detector that
-shines there may lag here and vice versa.
+Runs the ref.-[3] degrading system -- the Section-3 node reduced to an
+M/M/c queue, with a :class:`~repro.faults.injectors.CapacityErosion`
+fault taking its CPUs one at a time until rejuvenation restores them
+-- under Poisson traffic at several erosion speeds, for the three
+detector families suited to slow drift: bucket (SRAA), trend
+(Mann-Kendall), and CUSUM.  Complements the e-commerce experiments,
+whose degradation is abrupt (GC stalls): a detector that shines there
+may lag here and vice versa.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import List, Tuple
 
-from repro.core.base import RejuvenationPolicy
-from repro.core.control_charts import CUSUMPolicy
 from repro.core.sla import ServiceLevelObjective
-from repro.core.sraa import SRAA
-from repro.core.trend import TrendPolicy
-from repro.degradation.system import DegradableSystem
-from repro.ecommerce.workload import PoissonArrivals
+from repro.core.spec import PolicySpec
+from repro.ecommerce.config import SystemConfig
+from repro.ecommerce.spec import ArrivalSpec
+from repro.exec.backends import current_backend
+from repro.exec.jobs import ReplicationJob, execute_job
 from repro.experiments.scale import Scale
 from repro.experiments.tables import ExperimentResult, Series, Table
+from repro.faults.injectors import CapacityErosion
+from repro.obs.session import active_trace_level, current_session
 
-#: The degradable exchange: 8 workers, mean service 2 s, load 4 Erlangs.
-C_MAX = 8
-SERVICE_RATE = 0.5
-ARRIVAL_RATE = 2.0
+#: The degrading exchange: 8 workers, mean service 2 s, load 4 Erlangs.
+CONFIG = SystemConfig(cpus=8, service_rate=0.5).without_degradation()
+ARRIVAL = ArrivalSpec.poisson(2.0)
 MIN_CAPACITY = 2
 SLO = ServiceLevelObjective(mean=2.0, std=2.0)
 
@@ -33,18 +35,39 @@ SLO = ServiceLevelObjective(mean=2.0, std=2.0)
 EROSION_PERIODS_S: Tuple[float, ...] = (60.0, 180.0, 600.0)
 
 
-def detector_families():
-    """(label, fresh-policy factory) for the slow-drift contenders."""
+def detector_families() -> List[Tuple[str, PolicySpec]]:
+    """(label, policy spec) for the slow-drift contenders."""
     return [
-        ("none", lambda: None),
-        ("SRAA(2,3,3)", lambda: SRAA(SLO, 2, 3, 3)),
-        ("trend(10,10)", lambda: TrendPolicy(sample_size=10, window=10)),
-        ("CUSUM(.5,5)", lambda: CUSUMPolicy(SLO)),
+        ("none", PolicySpec.none()),
+        ("SRAA(2,3,3)", PolicySpec.sraa(2, 3, 3, slo=SLO)),
+        ("trend(10,10)", PolicySpec("trend", {"n": 10, "window": 10})),
+        ("CUSUM(.5,5)", PolicySpec("cusum", slo=SLO)),
     ]
 
 
 def run_degradation(scale: Scale, seed: int = 0) -> ExperimentResult:
     """Sweep erosion speed x detector family."""
+    families = detector_families()
+    trace_level = active_trace_level()
+    jobs = [
+        ReplicationJob(
+            config=CONFIG,
+            arrival=ARRIVAL,
+            policy=policy,
+            n_transactions=scale.transactions,
+            seed=seed + replication,
+            tag=(label, period, replication),
+            trace_level=trace_level,
+            faults=(CapacityErosion(1.0 / period, MIN_CAPACITY),),
+        )
+        for label, policy in families
+        for period in EROSION_PERIODS_S
+        for replication in range(scale.replications)
+    ]
+    runs = current_backend().map(execute_job, jobs)
+    session = current_session()
+    if session is not None:
+        session.ingest(jobs, runs)
     rt_table = Table(
         title="Degradable system: average response time vs erosion period",
         x_label="erosion_period_s",
@@ -55,27 +78,17 @@ def run_degradation(scale: Scale, seed: int = 0) -> ExperimentResult:
         x_label="erosion_period_s",
         y_label="loss_fraction",
     )
-    for label, factory in detector_families():
+    cursor = 0
+    for label, _ in families:
         rt_series = Series(label=label)
         loss_series = Series(label=label)
         for period in EROSION_PERIODS_S:
-            totals_rt = 0.0
-            totals_loss = 0.0
-            for replication in range(scale.replications):
-                system = DegradableSystem(
-                    c_max=C_MAX,
-                    service_rate=SERVICE_RATE,
-                    degradation_rate=1.0 / period,
-                    min_capacity=MIN_CAPACITY,
-                    arrivals=PoissonArrivals(ARRIVAL_RATE),
-                    policy=factory(),
-                    seed=seed + replication,
-                )
-                result = system.run(scale.transactions)
-                totals_rt += result.avg_response_time
-                totals_loss += result.loss_fraction
-            rt_series.add(period, totals_rt / scale.replications)
-            loss_series.add(period, totals_loss / scale.replications)
+            cell = runs[cursor : cursor + scale.replications]
+            cursor += scale.replications
+            rt = sum(result.avg_response_time for result in cell)
+            loss = sum(result.loss_fraction for result in cell)
+            rt_series.add(period, rt / scale.replications)
+            loss_series.add(period, loss / scale.replications)
         rt_table.add_series(rt_series)
         loss_table.add_series(loss_series)
     return ExperimentResult(

@@ -4,8 +4,8 @@ The paper evaluates its detectors under a single aging mode -- the GC
 stalls of the Section-3 model.  This package scripts every *other*
 regime a deployed detector faces (workload shifts, flash crowds,
 heavy-tailed contamination, crashes, false-aging blips, scripted GC
-thrash) and scores every policy against machine-checkable ground
-truth:
+thrash, the capacity erosion of ref. [3]) and scores every policy
+against machine-checkable ground truth:
 
 * :mod:`repro.faults.injectors` -- composable, picklable fault
   injections armed on the DES clock.
@@ -32,6 +32,7 @@ from repro.faults.campaign import (
 from repro.faults.injectors import (
     INJECTION_TYPES,
     AgingAcceleration,
+    CapacityErosion,
     FaultInjection,
     HeavyTailContamination,
     NodeCrash,
@@ -64,6 +65,7 @@ from repro.faults.zoo import (
 __all__ = [
     "AgingAcceleration",
     "CampaignResult",
+    "CapacityErosion",
     "DEFAULT_POLICIES",
     "FaultInjection",
     "FaultScenario",

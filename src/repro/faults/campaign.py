@@ -265,7 +265,12 @@ def run_campaign(
 #: Fault kinds that *are* software aging: an injection of one of these
 #: opens a ground-truth degraded interval (workload shifts, surges,
 #: crashes and hangs are confounders, not degradation).
-AGING_FAULT_KINDS: Tuple[str, ...] = ("aging", "contamination", "slowdown")
+AGING_FAULT_KINDS: Tuple[str, ...] = (
+    "aging",
+    "contamination",
+    "erosion",
+    "slowdown",
+)
 
 
 def degraded_intervals_from_records(

@@ -23,8 +23,8 @@ WorkloadShift          a step change of the arrival process (rate step or
                        MMPP regime flip) -- *not* aging
 WorkloadRamp           a gradual drift of the arrival rate
 TrafficSurge           a transient arrival-rate burst (flash crowd)
-ServiceSlowdown        capacity erosion: every service time scaled by a
-                       factor -- the campaign's canonical aging signal
+ServiceSlowdown        every service time scaled by a factor -- the
+                       campaign's canonical aging signal
 HeavyTailContamination occasional very long services (Pareto tail)
 NodeCrash              abrupt failure: all in-flight work lost, restart
                        downtime refuses arrivals
@@ -32,6 +32,8 @@ NodeHang               a transient full stall ("false aging" blip) that a
                        robust detector must NOT fire on
 AgingAcceleration      correlated garbage growth at a fixed MB/s, driving
                        GC pressure independent of per-transaction leaks
+CapacityErosion        ref. [3]'s smooth degradation: CPUs lost one at a
+                       time, down to a floor, until rejuvenation
 =====================  ====================================================
 """
 
@@ -196,7 +198,7 @@ class TrafficSurge(FaultInjection):
 
 @dataclass(frozen=True)
 class ServiceSlowdown(FaultInjection):
-    """Capacity erosion: every service draw scaled by ``factor``.
+    """Sustained slowdown: every service draw scaled by ``factor``.
 
     The canonical aging signal of the scenario zoo: a factor large
     enough to push the offered load past capacity makes response times
@@ -423,6 +425,49 @@ class AgingAcceleration(FaultInjection):
         system.sim.schedule_at(self.start_s, start, kind="fault")
 
 
+@dataclass(frozen=True)
+class CapacityErosion(FaultInjection):
+    """The smoothly degrading system of ref. [3]: capacity erodes.
+
+    Avritzer & Weyuker's telecom systems leak resources that claim
+    worker capacity one unit at a time.  Ticks arrive as a Poisson
+    process of rate ``rate_per_s`` from the start of the run; each one
+    disables one CPU on every node still above ``floor`` CPUs
+    (:meth:`~repro.ecommerce.node.ProcessingNode.erode`), and a
+    rejuvenation restores full capacity.  Gaps are drawn from the
+    system's ``degradation`` stream, and the tick re-arms only while
+    other events are pending, so it never keeps a finished run alive.
+    """
+
+    rate_per_s: float
+    floor: int = 1
+
+    def __post_init__(self) -> None:
+        if not self.rate_per_s > 0:
+            raise ValueError("erosion rate must be positive")
+        if self.floor < 1:
+            raise ValueError("capacity floor must be at least one CPU")
+
+    def arm(self, system: Any) -> None:
+        rng = system.streams["degradation"]
+        mean_gap_s = 1.0 / self.rate_per_s
+
+        def tick() -> None:
+            for target in system.fault_nodes():
+                target.erode(self.floor)
+            if system.sim.queue:
+                schedule_next()
+
+        def schedule_next() -> None:
+            gap = float(rng.exponential(mean_gap_s))
+            system.sim.schedule(gap, tick, kind="fault")
+
+        system.emit_fault(
+            "erosion", rate_per_s=self.rate_per_s, floor=self.floor
+        )
+        schedule_next()
+
+
 #: Scenario-schema type name -> injection class (see docs/faults.md).
 INJECTION_TYPES: Dict[str, Type[FaultInjection]] = {
     "workload_shift": WorkloadShift,
@@ -433,6 +478,7 @@ INJECTION_TYPES: Dict[str, Type[FaultInjection]] = {
     "crash": NodeCrash,
     "hang": NodeHang,
     "aging": AgingAcceleration,
+    "erosion": CapacityErosion,
 }
 
 #: Injection class -> scenario-schema type name.

@@ -63,11 +63,16 @@ AGING_FACTOR = 3.0
 BASE_CONFIG = PAPER_CONFIG.without_degradation()
 
 
-def _check_horizon(horizon_s: float) -> float:
-    if horizon_s < MIN_HORIZON_S:
+def check_horizon(horizon_s: float) -> float:
+    """``horizon_s`` as a float; ValueError unless finite and >= 300 s.
+
+    Every front door (the CLI's ``--horizon``, the serve routes)
+    validates here, so a bad horizon is a usage error, not a traceback.
+    """
+    if not math.isfinite(horizon_s) or horizon_s < MIN_HORIZON_S:
         raise ValueError(
-            f"horizon must be >= {MIN_HORIZON_S:g} s for the zoo "
-            f"timelines to stay meaningful, got {horizon_s!r}"
+            f"horizon must be a finite number >= {MIN_HORIZON_S:g} s "
+            f"for the zoo timelines to stay meaningful, got {horizon_s!r}"
         )
     return float(horizon_s)
 
@@ -78,7 +83,7 @@ def _transactions(rate: float, horizon_s: float) -> int:
 
 def aging_onset(horizon_s: float = 3600.0) -> FaultScenario:
     """Pure aging: a x3 slowdown at 50% of the horizon, nothing else."""
-    h = _check_horizon(horizon_s)
+    h = check_horizon(horizon_s)
     onset = 0.5 * h
     return FaultScenario(
         name="aging_onset",
@@ -102,7 +107,7 @@ def workload_shift(horizon_s: float = 3600.0) -> FaultScenario:
     that fires on it mistakes an operating-point change for aging (the
     Moura et al. workload-shift confounder).
     """
-    h = _check_horizon(horizon_s)
+    h = check_horizon(horizon_s)
     shift_at = 0.25 * h
     onset = 0.65 * h
     n = _transactions(MODERATE_LOAD_RATE, shift_at) + _transactions(
@@ -140,7 +145,7 @@ def workload_ramp(horizon_s: float = 3600.0) -> FaultScenario:
     the genuine x3 slowdown at 70% of the horizon (the Moura et al.
     stress test, pushed past the operating envelope).
     """
-    h = _check_horizon(horizon_s)
+    h = check_horizon(horizon_s)
     ramp_start = 0.15 * h
     ramp_end = 0.45 * h
     onset = 0.7 * h
@@ -189,7 +194,7 @@ def traffic_surge(horizon_s: float = 3600.0) -> FaultScenario:
     elevated but stable response times that a burst-tolerant detector
     must ride out (the multi-bucket design intent of Section 5.1).
     """
-    h = _check_horizon(horizon_s)
+    h = check_horizon(horizon_s)
     surge_at = 0.2 * h
     surge_len = 0.1 * h
     onset = 0.6 * h
@@ -223,7 +228,7 @@ def false_aging(horizon_s: float = 3600.0) -> FaultScenario:
     zero false alarms and zero missed detections while CLTA pays in
     false alarms.
     """
-    h = _check_horizon(horizon_s)
+    h = check_horizon(horizon_s)
     onset = 0.6 * h
     return FaultScenario(
         name="false_aging",
@@ -250,7 +255,7 @@ def node_crash(horizon_s: float = 3600.0) -> FaultScenario:
     The crash wipes in-flight work and the policy's detection state;
     it is not a rejuvenation and must not be scored as a detection.
     """
-    h = _check_horizon(horizon_s)
+    h = check_horizon(horizon_s)
     onset = 0.6 * h
     return FaultScenario(
         name="node_crash",
@@ -278,7 +283,7 @@ def heavy_tail(horizon_s: float = 3600.0) -> FaultScenario:
     that arrives as sporadic very-slow transactions rather than a
     uniform slowdown.
     """
-    h = _check_horizon(horizon_s)
+    h = check_horizon(horizon_s)
     onset = 0.55 * h
     return FaultScenario(
         name="heavy_tail",
@@ -310,7 +315,7 @@ def gc_thrash(horizon_s: float = 3600.0) -> FaultScenario:
     present from then on), so measured detection latency includes the
     symptom's own incubation time.
     """
-    h = _check_horizon(horizon_s)
+    h = check_horizon(horizon_s)
     onset = 0.5 * h
     config = replace(PAPER_CONFIG, alloc_mb=0.0)
     return FaultScenario(

@@ -49,11 +49,6 @@ class RejuvenationMonitor:
         Callback invoked (with the trigger time) when the policy fires;
         the e-commerce simulator passes its capacity-restoration routine
         here.  May be ``None`` for offline analysis.
-    tracer:
-        Optional :class:`repro.obs.tracer.Tracer`; with ``decisions``
-        on, the monitor emits ``monitor.trigger`` / ``monitor.reset``
-        events (the *relay* layer, complementing the policy's own
-        decision events).
 
     Examples
     --------
@@ -70,13 +65,9 @@ class RejuvenationMonitor:
         self,
         policy: RejuvenationPolicy,
         on_rejuvenate: Optional[Callable[[float], None]] = None,
-        tracer: Optional[object] = None,
     ) -> None:
         self.policy = policy
         self.on_rejuvenate = on_rejuvenate
-        self._tracer = (
-            tracer if tracer is not None and tracer.decisions else None
-        )
         self.moments = OnlineMoments()
         self._records: List[_TriggerRecord] = []
         self._observations = 0
@@ -119,15 +110,6 @@ class RejuvenationMonitor:
         self._records.append(
             _TriggerRecord(time=when, observation_index=self._observations)
         )
-        if self._tracer is not None:
-            self._tracer.emit(
-                when,
-                "monitor.trigger",
-                "monitor",
-                observation=self._observations,
-                trigger=len(self._records),
-                metric_mean=self.moments.mean,
-            )
         if self.on_rejuvenate is not None:
             self.on_rejuvenate(when)
         return True
@@ -138,13 +120,6 @@ class RejuvenationMonitor:
         Clears detection state so stale evidence does not cause an
         immediate re-trigger after an operator-initiated restart.
         """
-        if self._tracer is not None:
-            self._tracer.emit(
-                float(self._observations),
-                "monitor.reset",
-                "monitor",
-                observation=self._observations,
-            )
         self.policy.reset()
 
     def report(self) -> MonitorReport:

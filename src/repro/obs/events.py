@@ -33,7 +33,8 @@ Fault-injection events (category ``span`` -- emitted by
 ``fault.injected``       a scripted fault took effect; payload carries
                          its kind (``workload_shift``, ``surge``,
                          ``slowdown``, ``contamination``, ``crash``,
-                         ``hang``, ``aging``, ...) and parameters
+                         ``hang``, ``aging``, ``erosion``, ...) and
+                         parameters
 ``fault.cleared``        a transient fault ended (surge over, node
                          restarted, contamination removed)
 
@@ -48,11 +49,6 @@ Policy decision events (category ``decision``):
                          full cause (bucket index, batch mean,
                          threshold, sample size, causing batch seq)
 ``policy.reset``         detection state was cleared externally
-
-Monitor events (category ``decision``):
-
-``monitor.trigger``      the streaming monitor relayed a policy trigger
-``monitor.reset``        an external rejuvenation was notified
 
 Engine events (category ``engine``; only at trace level ``all``):
 
@@ -93,8 +89,6 @@ POLICY_LEVEL = "policy.level"
 POLICY_RESIZE = "policy.resize"
 POLICY_TRIGGER = "policy.trigger"
 POLICY_RESET = "policy.reset"
-MONITOR_TRIGGER = "monitor.trigger"
-MONITOR_RESET = "monitor.reset"
 
 DES_EVENT = "des.event"
 RUN_META = "run.meta"
@@ -119,8 +113,6 @@ DECISION_TYPES: Tuple[str, ...] = (
     POLICY_RESIZE,
     POLICY_TRIGGER,
     POLICY_RESET,
-    MONITOR_TRIGGER,
-    MONITOR_RESET,
 )
 
 #: Event types only emitted at trace level ``all``.
@@ -166,7 +158,7 @@ class TraceEvent:
         Dotted event type from the module taxonomy.
     source:
         The emitting component, e.g. ``node0``, ``policy:sraa``,
-        ``monitor``, ``system``.
+        ``system``.
     data:
         Event payload: plain JSON-serialisable values only.
     """

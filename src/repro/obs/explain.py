@@ -24,7 +24,6 @@ from repro.obs.columnar.query import as_query, load_query
 from repro.obs.events import (
     FAULT_CLEARED,
     FAULT_INJECTED,
-    MONITOR_TRIGGER,
     POLICY_LEVEL,
     POLICY_TRIGGER,
     REQUEST_COMPLETE,
@@ -38,7 +37,6 @@ _NARRATIVE_TYPES = (
     POLICY_LEVEL,
     FAULT_INJECTED,
     FAULT_CLEARED,
-    MONITOR_TRIGGER,
     POLICY_TRIGGER,
 )
 
@@ -174,12 +172,6 @@ def _explain_run(view: Any) -> List[str]:
             lines.append(
                 f"  [t={record['ts']:12.3f}s] fault {verb}: {kind}"
                 + (f" ({extras})" if extras else "")
-            )
-        elif etype == MONITOR_TRIGGER:
-            data = record.get("data", {})
-            lines.append(
-                f"  [t={record['ts']:12.3f}s] monitor relayed trigger "
-                f"(observation #{data.get('observation', '?')})"
             )
         elif etype == POLICY_TRIGGER:
             trigger_no += 1

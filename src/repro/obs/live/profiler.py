@@ -28,7 +28,6 @@ KIND_SUBSYSTEMS: Dict[str, str] = {
     "done": "node",
     "probe": "telemetry",
     "fault": "injectors",
-    "degrade": "degradation",
     "policy.observe": "policy",
     "": "engine",
 }

@@ -539,9 +539,13 @@ class _Handler(BaseHTTPRequestHandler):
         return {"policies": policy_schema(), "labels": labels}
 
     def _scenarios(self, query: Dict[str, str]) -> Dict[str, Any]:
-        from repro.faults.zoo import builtin_scenarios
+        from repro.faults.zoo import builtin_scenarios, check_horizon
 
-        horizon = float(query.get("horizon", "900"))
+        horizon = self._float_param(query, "horizon")
+        try:
+            horizon = check_horizon(900.0 if horizon is None else horizon)
+        except ValueError as error:
+            raise ApiError(400, str(error)) from None
         out = []
         for scenario in builtin_scenarios(horizon).values():
             out.append(
@@ -683,7 +687,10 @@ class _Handler(BaseHTTPRequestHandler):
             raise ApiError(400, f"{name} must be a number") from None
 
     def _read_json_body(self, optional: bool = False) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            raise ApiError(400, "Content-Length must be an integer") from None
         if length <= 0:
             if optional:
                 return {}

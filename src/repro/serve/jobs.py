@@ -241,7 +241,7 @@ class JobManager:
     @staticmethod
     def _validate_campaign(params: Dict[str, Any]) -> Dict[str, Any]:
         from repro.faults.campaign import resolve_policies
-        from repro.faults.zoo import scenario_names
+        from repro.faults.zoo import check_horizon, scenario_names
 
         if not isinstance(params, dict):
             raise ValueError("campaign parameters must be a JSON object")
@@ -277,9 +277,11 @@ class JobManager:
         replications = int(params.get("replications", 2))
         if replications < 1:
             raise ValueError("replications must be >= 1")
-        horizon = float(params.get("horizon", 900.0))
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
+        try:
+            horizon = float(params.get("horizon", 900.0))
+        except TypeError:
+            raise ValueError("horizon must be a number") from None
+        check_horizon(horizon)
         slo = params.get("slo")
         return {
             "scenarios": scenarios,

@@ -10,9 +10,7 @@ from repro.ecommerce.config import PAPER_CONFIG
 from repro.ecommerce.runner import run_once, simulate_mmc_response_times
 from repro.ecommerce.trace import (
     RecordingArrivals,
-    ReplayReport,
     load_trace,
-    replay_policy,
     save_trace,
 )
 from repro.ecommerce.workload import PoissonArrivals
@@ -84,32 +82,21 @@ class TestPersistence:
 
 
 class TestReplay:
+    """Offline replay is ``policy.reset()`` then ``observe_many``."""
+
     def test_healthy_trace_triggers_rarely(self):
         rts = simulate_mmc_response_times(1.6, 10_000, seed=2)
-        report = replay_policy(SRAA(PAPER_SLO, 2, 5, 3), rts)
-        assert report.observations == 10_000
-        assert report.triggers == 0
+        policy = SRAA(PAPER_SLO, 2, 5, 3)
+        assert policy.observe_many(rts) == []
 
     def test_degraded_trace_triggers(self):
         rng = np.random.default_rng(3)
         degraded = rng.exponential(40.0, size=2_000)
-        report = replay_policy(SRAA(PAPER_SLO, 2, 5, 3), degraded)
-        assert report.triggers > 0
+        assert SRAA(PAPER_SLO, 2, 5, 3).observe_many(degraded)
 
     def test_policy_reset_before_replay(self):
         policy = CLTA(PAPER_SLO, sample_size=4, z=1.96)
         policy.observe(100.0)  # stale partial batch
-        report = replay_policy(policy, [100.0, 100.0, 100.0, 100.0])
+        policy.reset()
         # A fresh batch of four: exactly one trigger at index 3.
-        assert report.trigger_indices == (3,)
-
-    def test_gap_statistics(self):
-        report = ReplayReport(observations=100, trigger_indices=(10, 40, 90))
-        assert report.triggers == 3
-        assert report.mean_observations_between_triggers == pytest.approx(
-            40.0
-        )
-
-    def test_gap_degenerate(self):
-        report = ReplayReport(observations=10, trigger_indices=(5,))
-        assert report.mean_observations_between_triggers == float("inf")
+        assert policy.observe_many([100.0, 100.0, 100.0, 100.0]) == [3]

@@ -2,9 +2,12 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
-from repro.ecommerce.config import PAPER_CONFIG
+from repro.des.engine import Simulator
+from repro.ecommerce.config import PAPER_CONFIG, SystemConfig
+from repro.ecommerce.node import Job, ProcessingNode
 from repro.ecommerce.spec import ArrivalSpec
 from repro.ecommerce.system import ECommerceSystem
 from repro.ecommerce.workload import PoissonArrivals
@@ -12,6 +15,7 @@ from repro.faults.injectors import (
     INJECTION_NAMES,
     INJECTION_TYPES,
     AgingAcceleration,
+    CapacityErosion,
     HeavyTailContamination,
     NodeCrash,
     NodeHang,
@@ -225,6 +229,92 @@ class TestAgingAcceleration:
             AgingAcceleration(10.0, 1.0, end_s=10.0)
 
 
+#: The eroding exchange of ref. [3]: 8 CPUs, mean service 2 s.  The
+#: model-level erosion behaviour (conservation, no loss without a
+#: policy, the floor, restoration by rejuvenation) is pinned by
+#: tests/degradation/test_system.py.
+EXCHANGE = SystemConfig(cpus=8, service_rate=0.5).without_degradation()
+
+
+class TestCapacityErosion:
+    def test_in_flight_work_survives_erosion(self):
+        sim = Simulator()
+        node = ProcessingNode(
+            EXCHANGE,
+            sim,
+            np.random.default_rng(0),
+            on_complete=lambda job, rt: None,
+            on_loss=lambda job: pytest.fail("erosion killed work"),
+        )
+        for index in range(8):
+            node.submit(Job(0.0, index))
+        node.erode(floor=2)
+        # Every CPU is busy: the CPU is owed, not taken from a job.
+        assert node.free_cpus == -1
+        assert len(node.in_service) == 8
+        sim.run()
+        assert node.completed == 8
+        assert node.free_cpus == 7
+
+    def test_both_nodes_of_a_cluster_erode(self):
+        system = ECommerceSystem(
+            EXCHANGE,
+            PoissonArrivals(4.0),
+            policy=None,
+            seed=0,
+            faults=(CapacityErosion(1 / 10.0, floor=3),),
+            n_nodes=2,
+        )
+        result = system.run(4_000)
+        assert [node.free_cpus for node in system.nodes] == [3, 3]
+        assert result.lost == 0
+
+    def test_announces_itself_once(self):
+        from repro.obs.tracer import Tracer
+
+        system = ECommerceSystem(
+            EXCHANGE,
+            PoissonArrivals(2.0),
+            seed=0,
+            faults=(CapacityErosion(1 / 10.0, floor=2),),
+            tracer=Tracer("spans"),
+        )
+        faults = [
+            event
+            for event in system.run(500).trace
+            if event.etype == "fault.injected"
+        ]
+        assert [event.data for event in faults] == [
+            {"kind": "erosion", "rate_per_s": 0.1, "floor": 2}
+        ]
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="rate"):
+            CapacityErosion(0.0)
+        with pytest.raises(ValueError, match="rate"):
+            CapacityErosion(float("nan"))
+        with pytest.raises(ValueError, match="floor"):
+            CapacityErosion(0.1, floor=0)
+
+    def test_scenario_round_trip(self):
+        from repro.faults.scenario import FaultScenario, scenario_from_dict
+
+        scenario = FaultScenario(
+            name="telecom",
+            description="ref. [3] capacity erosion",
+            config=EXCHANGE,
+            arrival=ArrivalSpec.poisson(2.0),
+            n_transactions=1_000,
+            injections=(CapacityErosion(1 / 180.0, floor=2),),
+            degraded=((0.0, float("inf")),),
+        )
+        payload = scenario.to_dict()
+        assert payload["injections"] == [
+            {"type": "erosion", "rate_per_s": 1 / 180.0, "floor": 2}
+        ]
+        assert scenario_from_dict(payload) == scenario
+
+
 class TestRegistryAndPickling:
     def test_every_injection_type_registered_bidirectionally(self):
         for name, cls in INJECTION_TYPES.items():
@@ -240,6 +330,7 @@ class TestRegistryAndPickling:
             NodeCrash(0.0, 5.0),
             NodeHang(0.0, 5.0),
             AgingAcceleration(0.0, 1.0),
+            CapacityErosion(0.01, floor=2),
         )
         for injection in samples:
             assert pickle.loads(pickle.dumps(injection)) == injection

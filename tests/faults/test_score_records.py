@@ -49,11 +49,18 @@ def _rejuvenation(run, ts):
 
 class TestDegradedIntervals:
     def test_aging_kinds_open_intervals(self):
-        assert AGING_FAULT_KINDS == ("aging", "contamination", "slowdown")
+        assert AGING_FAULT_KINDS == (
+            "aging",
+            "contamination",
+            "erosion",
+            "slowdown",
+        )
         records = [_fault(0, 100.0, "slowdown")]
         assert degraded_intervals_from_records(records) == (
             (100.0, math.inf),
         )
+        records = [_fault(1, 0.0, "erosion")]
+        assert degraded_intervals_from_records(records) == ((0.0, math.inf),)
 
     def test_cleared_fault_closes_the_interval(self):
         records = [

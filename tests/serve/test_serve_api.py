@@ -7,6 +7,7 @@ without a restart.
 """
 
 import json
+import socket
 
 import pytest
 
@@ -156,6 +157,48 @@ class TestScenarioEndpoint:
             scenario_names()
         )
         assert all(s["n_transactions"] > 0 for s in payload["scenarios"])
+
+    @pytest.mark.parametrize("horizon", ["abc", "-5", "nan", "inf"])
+    def test_bad_horizon_is_400(self, served, horizon):
+        status, payload = served.get(f"/api/scenarios?horizon={horizon}")
+        assert status == 400
+        assert "horizon must be" in payload["error"]
+
+
+def _raw_request(served, request: bytes) -> bytes:
+    """Send raw bytes to the server; return everything it answers."""
+    address = (served.server.host, served.server.port)
+    with socket.create_connection(address, timeout=30) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestCampaignRequestValidation:
+    def test_non_integer_content_length_is_400(self, served):
+        answer = _raw_request(
+            served,
+            b"POST /api/campaigns HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: abc\r\nConnection: close\r\n\r\n",
+        )
+        head, _, body = answer.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert "Content-Length" in json.loads(body)["error"]
+
+    @pytest.mark.parametrize("horizon", [100, "nan", None])
+    def test_bad_horizon_is_400_before_any_job(self, served, horizon):
+        status, payload = served.post(
+            "/api/campaigns",
+            {"scenarios": "aging_onset", "horizon": horizon},
+        )
+        assert status == 400
+        assert "horizon must be" in payload["error"]
+        assert served.get("/api/campaigns") == (200, {"jobs": []})
 
 
 class TestPoliciesEndpoint:

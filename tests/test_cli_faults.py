@@ -25,6 +25,14 @@ class TestFaultsList:
         for name in scenario_names():
             assert name in out
 
+    @pytest.mark.parametrize("horizon", ["nan", "inf", "-5", "100"])
+    def test_bad_horizon_is_a_usage_error(self, horizon, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["faults", "list", "--horizon", horizon])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --horizon: horizon must be a finite number" in err
+
 
 class TestFaultsRun:
     def test_prints_score_table_and_writes_csv(self, tmp_path, capsys):
