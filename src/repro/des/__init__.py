@@ -12,13 +12,17 @@ provides:
   random-number substreams derived from a single seed, so that e.g. the
   arrival process and the service process draw from decoupled streams and
   experiments are reproducible.
+* :class:`~repro.des.random_streams.BlockDrawnGenerator` -- a generator
+  proxy serving scalar exponentials from pre-drawn blocks, bit-identical
+  to scalar draws.
 """
 
 from repro.des.engine import Simulator, StopSimulation
 from repro.des.events import Event, EventQueue
-from repro.des.random_streams import RandomStreams
+from repro.des.random_streams import BlockDrawnGenerator, RandomStreams
 
 __all__ = [
+    "BlockDrawnGenerator",
     "Event",
     "EventQueue",
     "RandomStreams",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from repro.des.events import Event, EventQueue
@@ -16,7 +18,9 @@ class Simulator:
 
     The simulator owns the clock and the pending-event set.  Model code
     schedules zero-argument callables at absolute or relative times and the
-    run loop fires them in time order.
+    run loop fires them in time order.  Scheduling and the run loop work on
+    the queue's ``(time, sequence, event)`` heap directly; every event,
+    from :meth:`run` or :meth:`step`, fires through :meth:`_fire`.
 
     Examples
     --------
@@ -38,6 +42,8 @@ class Simulator:
     ) -> None:
         self.now = float(start_time)
         self.queue = EventQueue()
+        self._heap = self.queue._heap
+        self._sequence = self.queue._sequence
         self.events_fired = 0
         #: Optional :class:`repro.obs.tracer.Tracer`; engine-level
         #: records are only emitted at trace level ``all`` (they are
@@ -60,9 +66,14 @@ class Simulator:
         payload: Any = None,
     ) -> Event:
         """Schedule ``action`` to fire ``delay`` time units from now."""
-        if delay < 0:
+        if not delay >= 0.0:
+            if delay != delay:
+                raise ValueError(f"cannot schedule at a NaN delay ({delay})")
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self.now + delay, action, kind, payload)
+        event = Event(self.now + delay, action, kind, payload)
+        event.sequence = sequence = next(self._sequence)
+        heappush(self._heap, (event.time, sequence, event))
+        return event
 
     def schedule_at(
         self,
@@ -72,11 +83,16 @@ class Simulator:
         payload: Any = None,
     ) -> Event:
         """Schedule ``action`` at absolute simulated time ``time``."""
-        if time < self.now:
+        if not time >= self.now:
+            if time != time:
+                raise ValueError(f"cannot schedule at a NaN time ({time})")
             raise ValueError(
                 f"cannot schedule into the past (time={time}, now={self.now})"
             )
-        return self.queue.push(Event(time, action, kind, payload))
+        event = Event(time, action, kind, payload)
+        event.sequence = sequence = next(self._sequence)
+        heappush(self._heap, (event.time, sequence, event))
+        return event
 
     def cancel(self, event: Event) -> None:
         """Cancel a pending event (no-op if already fired or cancelled)."""
@@ -85,11 +101,8 @@ class Simulator:
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
-    def step(self) -> Optional[Event]:
-        """Fire the single next event; return it, or ``None`` if idle."""
-        if not self.queue:
-            return None
-        event = self.queue.pop()
+    def _fire(self, event: Event) -> None:
+        """Advance the clock to ``event`` and run its action."""
         self.now = event.time
         self.events_fired += 1
         if self.tracer is not None:
@@ -110,6 +123,13 @@ class Simulator:
                 event.action()
             finally:
                 profiler.account(event.kind, clock() - started)
+
+    def step(self) -> Optional[Event]:
+        """Fire the single next event; return it, or ``None`` if idle."""
+        if not self.queue:
+            return None
+        event = self.queue.pop()
+        self._fire(event)
         return event
 
     def run(
@@ -129,23 +149,32 @@ class Simulator:
         events scheduled at exactly ``until`` *are* fired (closed interval),
         matching the usual DES convention for horizon-limited runs.
         """
-        fired_this_call = 0
-        while True:
-            if max_events is not None and fired_this_call >= max_events:
-                return fired_this_call
-            next_event = self.queue.peek()
-            if next_event is None:
-                if until is not None and until > self.now:
+        if until is not None and until != until:
+            raise ValueError(f"cannot run until a NaN time ({until})")
+        horizon = math.inf if until is None else until
+        limit = math.inf if max_events is None else max_events
+        heap = self._heap
+        fire = self._fire
+        fired = 0
+        try:
+            while fired < limit:
+                if not heap:
+                    if until is not None and until > self.now:
+                        self.now = until
+                    return fired
+                time, _, event = heap[0]
+                if event.cancelled:
+                    heappop(heap)
+                    continue
+                if time > horizon:
                     self.now = until
-                return fired_this_call
-            if until is not None and next_event.time > until:
-                self.now = until
-                return fired_this_call
-            try:
-                self.step()
-            except StopSimulation:
-                return fired_this_call + 1
-            fired_this_call += 1
+                    return fired
+                heappop(heap)
+                fired += 1
+                fire(event)
+        except StopSimulation:
+            pass
+        return fired
 
     def reset(self, start_time: float = 0.0) -> None:
         """Drop all pending events and rewind the clock."""

@@ -1,9 +1,11 @@
 """Event objects and the pending-event set.
 
-The event queue is a binary heap ordered by ``(time, sequence)``.  The
-monotonically increasing sequence number gives deterministic FIFO ordering
-for events scheduled at the same simulated time, which keeps replications
-bit-for-bit reproducible for a given seed.
+The event queue is a binary heap of ``(time, sequence, event)`` entries.
+The monotonically increasing sequence number is unique, so heap order is
+decided by comparing a float and an int in C and two events are never
+compared; it also gives deterministic FIFO ordering for events scheduled
+at the same simulated time, which keeps replications bit-for-bit
+reproducible for a given seed.
 
 Cancellation is *lazy*: :meth:`EventQueue.cancel` marks the event and the
 heap discards cancelled entries when they surface.  This is the standard
@@ -14,7 +16,8 @@ garbage-collection stall postponing every in-service completion).
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterator, Optional
+import itertools
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 
 class Event:
@@ -52,28 +55,29 @@ class Event:
         """Mark this event so the queue will skip it."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.sequence) < (other.time, other.sequence)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.6g}, kind={self.kind!r}, {state})"
+
+
+#: One heap entry: the event's time and sequence number are its key.
+Entry = Tuple[float, int, Event]
 
 
 class EventQueue:
     """A time-ordered set of pending events with lazy cancellation."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
-        self._sequence = 0
-        self._live = 0
+        self._heap: List[Entry] = []
+        self._sequence = itertools.count()
 
     def __len__(self) -> int:
-        """Number of *non-cancelled* events still pending."""
-        return self._live
+        """Number of *non-cancelled* events still pending (O(n))."""
+        return sum(1 for _, _, event in self._heap if not event.cancelled)
 
     def __bool__(self) -> bool:
-        return self._live > 0
+        self._drop_cancelled()
+        return bool(self._heap)
 
     def push(self, event: Event) -> Event:
         """Schedule ``event`` and return it (for later cancellation)."""
@@ -81,26 +85,24 @@ class EventQueue:
             raise ValueError("cannot schedule a cancelled event")
         if event.sequence != -1:
             raise ValueError("event is already scheduled")
-        event.sequence = self._sequence
-        self._sequence += 1
-        heapq.heappush(self._heap, event)
-        self._live += 1
+        event.sequence = sequence = next(self._sequence)
+        heapq.heappush(self._heap, (event.time, sequence, event))
         return event
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event.
 
-        Cancelling an already-cancelled or already-fired event is a no-op,
-        which makes caller-side bookkeeping simpler.
+        Cancelling an already-cancelled, already-fired or never-scheduled
+        event is a no-op: a fired event has left the heap, so its mark is
+        never read.
         """
-        if not event.cancelled and event.sequence != -1:
+        if event.sequence != -1:
             event.cancelled = True
-            self._live -= 1
 
     def peek(self) -> Optional[Event]:
         """Return the next live event without removing it, or ``None``."""
         self._drop_cancelled()
-        return self._heap[0] if self._heap else None
+        return self._heap[0][2] if self._heap else None
 
     def pop(self) -> Event:
         """Remove and return the next live event.
@@ -113,19 +115,17 @@ class EventQueue:
         self._drop_cancelled()
         if not self._heap:
             raise IndexError("pop from an empty event queue")
-        event = heapq.heappop(self._heap)
-        self._live -= 1
-        return event
+        return heapq.heappop(self._heap)[2]
 
     def clear(self) -> None:
         """Drop every pending event."""
         self._heap.clear()
-        self._live = 0
 
     def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
 
     def iter_pending(self) -> Iterator[Event]:
         """Iterate over live events in an unspecified order (for tests)."""
-        return (event for event in self._heap if not event.cancelled)
+        return (event for _, _, event in self._heap if not event.cancelled)

@@ -252,14 +252,18 @@ class ECommerceSystem:
         )
         self._source = "system" if single else "cluster"
         self.streams = RandomStreams(seed)
-        self._arrival_rng = self.streams["arrivals"]
+        # The two streams drawn once per event serve their exponentials
+        # from pre-drawn blocks (bit-identical to scalar draws).
+        self._arrival_rng = self.streams.block_drawn("arrivals")
         self._balancer_rng = self.streams["lb"] if n_nodes > 1 else None
         self.sim = Simulator(tracer=tracer, profiler=profiler)
         self.nodes: List[ProcessingNode] = [
             ProcessingNode(
                 node_configs[i],
                 self.sim,
-                self.streams["service" if single else f"service.{i}"],
+                self.streams.block_drawn(
+                    "service" if single else f"service.{i}"
+                ),
                 on_complete=self._on_complete,
                 on_loss=self._on_loss,
                 on_allocation=(

@@ -1,8 +1,13 @@
 """Simulator clock and run-loop behaviour."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.des.engine import Simulator, StopSimulation
+from repro.des.events import Event
 
 
 class TestScheduling:
@@ -38,6 +43,28 @@ class TestScheduling:
         sim = Simulator(start_time=5.0)
         with pytest.raises(ValueError):
             sim.schedule_at(4.0, lambda: None)
+
+    def test_nan_delay_rejected(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match=r"NaN .*\(nan\)"):
+            sim.schedule(math.nan, lambda: None)
+        assert not sim.queue
+        assert sim.now == 0.0
+
+    def test_nan_time_rejected(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match=r"NaN .*\(nan\)"):
+            sim.schedule_at(math.nan, lambda: None)
+        assert not sim.queue
+
+    def test_nan_until_rejected(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(1))
+        with pytest.raises(ValueError, match=r"NaN .*\(nan\)"):
+            sim.run(until=math.nan)
+        assert fired == []
+        assert sim.now == 0.0
 
     def test_events_scheduled_during_run_fire(self):
         sim = Simulator()
@@ -140,6 +167,17 @@ class TestCancelAndReset:
         sim.run()
         assert fired == []
 
+    def test_cancelling_a_fired_event_is_a_noop(self):
+        sim = Simulator()
+        fired = []
+        first = sim.schedule(1.0, lambda: fired.append(1))
+        sim.schedule(2.0, lambda: fired.append(2))
+        sim.run(max_events=1)
+        sim.cancel(first)
+        assert len(sim.queue) == 1 and sim.queue
+        assert sim.run() == 1
+        assert fired == [1, 2]
+
     def test_reset_clears_pending_events_and_clock(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
@@ -152,3 +190,107 @@ class TestCancelAndReset:
 
     def test_step_returns_none_when_idle(self):
         assert Simulator().step() is None
+
+
+class TestFirePath:
+    def test_ties_fire_fifo_without_comparing_events(self):
+        class Incomparable(Event):
+            __slots__ = ()
+
+            def __lt__(self, other):
+                raise AssertionError("the event heap compared two events")
+
+        sim = Simulator()
+        fired = []
+        for i, t in enumerate([1.0, 2.0, 1.0, 1.0, 2.0, 1.0]):
+            sim.queue.push(Incomparable(t, lambda i=i: fired.append(i)))
+        assert sim.run() == 6
+        assert fired == [0, 2, 3, 5, 1, 4]
+
+    def test_step_and_run_share_the_profiler_hook(self):
+        class Profiler:
+            def __init__(self):
+                self.kinds = []
+
+            def clock(self):
+                return 0.0
+
+            def account(self, kind, seconds):
+                self.kinds.append(kind)
+
+        for drive in (lambda sim: sim.run(), lambda sim: sim.step()):
+            profiler = Profiler()
+            sim = Simulator(profiler=profiler)
+            sim.schedule(1.0, lambda: None, kind="tick")
+            drive(sim)
+            assert profiler.kinds == ["tick"]
+
+
+# One initially scheduled event: (time, what it does, its parameter).
+_steps = st.tuples(
+    st.integers(0, 6).map(float),
+    st.sampled_from(("log", "child", "cancel", "stop")),
+    st.integers(0, 11),
+)
+
+
+def _build(script):
+    """A simulator loaded with ``script``, its fire log and a stop flag."""
+    sim = Simulator()
+    log = []
+    stopped = [False]
+    events = []
+
+    def action(index, what, param):
+        def fire():
+            log.append((sim.now, index, what))
+            if what == "child":
+                sim.schedule(param % 3, lambda: log.append((sim.now, index, "kid")))
+            elif what == "cancel" and param < len(events):
+                sim.cancel(events[param])
+            elif what == "stop":
+                stopped[0] = True
+                raise StopSimulation
+
+        return fire
+
+    for index, (time, what, param) in enumerate(script):
+        events.append(sim.schedule_at(time, action(index, what, param)))
+    for index in range(0, len(events), 5):
+        sim.cancel(events[index])
+    return sim, log, stopped
+
+
+class TestRunMatchesStep:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(_steps, max_size=12),
+        st.one_of(st.none(), st.integers(0, 8).map(float)),
+    )
+    def test_property_fused_run_equals_repeated_step(self, script, until):
+        sim, log, stopped = _build(script)
+        returned = stops = 0
+        while True:
+            stopped[0] = False
+            returned += sim.run(until=until)
+            if not stopped[0]:
+                break
+            stops += 1
+            assert log[-1][2] == "stop"  # run() returned at the stop
+        fused = (log, sim.events_fired, sim.now, stops)
+        assert returned == sim.events_fired
+
+        sim, log, _ = _build(script)
+        horizon = math.inf if until is None else until
+        stops = 0
+        while True:
+            pending = sim.queue.peek()
+            if pending is None or pending.time > horizon:
+                if until is not None and (pending is not None or until > sim.now):
+                    sim.now = until
+                break
+            try:
+                sim.step()
+            except StopSimulation:
+                stops += 1
+        assert fused == (log, sim.events_fired, sim.now, stops)

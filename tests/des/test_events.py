@@ -18,18 +18,45 @@ class TestEvent:
         event.cancel()
         assert event.cancelled
 
+    # Events are ordered by the queue's (time, sequence) heap keys, never
+    # by comparing Event objects.
     def test_ordering_is_by_time(self):
-        early, late = Event(1.0, _noop), Event(2.0, _noop)
-        early.sequence, late.sequence = 1, 0
-        assert early < late
+        queue = EventQueue()
+        late = queue.push(Event(2.0, _noop))
+        early = queue.push(Event(1.0, _noop))
+        assert early.sequence > late.sequence
+        assert queue.pop() is early
+        assert queue.pop() is late
 
     def test_ties_broken_by_sequence(self):
-        first, second = Event(1.0, _noop), Event(1.0, _noop)
-        first.sequence, second.sequence = 0, 1
-        assert first < second
+        queue = EventQueue()
+        first = queue.push(Event(1.0, _noop))
+        second = queue.push(Event(1.0, _noop))
+        assert first.sequence < second.sequence
+        assert queue.pop() is first
+        assert queue.pop() is second
+
+
+class _Incomparable(Event):
+    """An event that fails the test if the heap ever compares it."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        raise AssertionError("the event heap compared two events")
+
+    __gt__ = __le__ = __ge__ = __lt__
 
 
 class TestEventQueue:
+    def test_same_time_ties_pop_fifo_without_comparing_events(self):
+        queue = EventQueue()
+        times = [2.0, 1.0, 2.0, 1.0, 1.0, 3.0, 2.0, 1.0] * 8
+        events = [queue.push(_Incomparable(t, _noop)) for t in times]
+        popped = [queue.pop() for _ in range(len(events))]
+        expected = sorted(events, key=lambda event: (event.time, event.sequence))
+        assert popped == expected
+
     def test_pop_returns_time_order(self):
         queue = EventQueue()
         times = [5.0, 1.0, 3.0, 2.0, 4.0]

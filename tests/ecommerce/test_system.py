@@ -5,11 +5,12 @@ import dataclasses
 import pytest
 
 from repro.core.baselines import PeriodicRejuvenation
-from repro.core.sla import ServiceLevelObjective
+from repro.core.sla import PAPER_SLO, ServiceLevelObjective
 from repro.core.sraa import SRAA
 from repro.ecommerce.config import PAPER_CONFIG, SystemConfig
 from repro.ecommerce.system import ECommerceSystem
 from repro.ecommerce.workload import PoissonArrivals, TraceArrivals
+from repro.faults.injectors import HeavyTailContamination
 
 SLO = ServiceLevelObjective(mean=5.0, std=5.0)
 
@@ -269,3 +270,55 @@ class TestGCPauseModel:
     def test_invalid_model_rejected(self):
         with pytest.raises(ValueError):
             dataclasses.replace(PAPER_CONFIG, gc_pause_model="magic")
+
+
+class TestRepeatedRuns:
+    """A second ``run()`` continues the same random streams.
+
+    The pinned values were produced by scalar draws on plain
+    generators, before the arrival and service streams served their
+    exponentials from pre-drawn blocks; the second run starts with part
+    of a block unserved, and the contaminated node interleaves uniform
+    and Pareto draws with the exponentials.
+    """
+
+    FIELDS = (
+        "completed",
+        "lost",
+        "gc_count",
+        "rejuvenations",
+        "avg_response_time",
+        "max_response_time",
+        "sim_duration_s",
+    )
+
+    @pytest.mark.parametrize(
+        "faults, expected",
+        [
+            (
+                None,
+                (2955, 45, 9, 3, 7.695921586819636, 85.59093269224036,
+                 1939.7142088431785),
+            ),
+            (
+                (HeavyTailContamination(
+                    at_s=50.0, prob=0.3, alpha=1.5, scale_s=20.0,
+                    duration_s=300.0,
+                ),),
+                (2805, 195, 7, 13, 16.135359843550866, 108.36536024564418,
+                 1936.8465882162475),
+            ),
+        ],
+        ids=["poisson", "contamination"],
+    )
+    def test_second_run_is_pinned(self, faults, expected):
+        system = ECommerceSystem(
+            PAPER_CONFIG,
+            PoissonArrivals(rate=1.6),
+            policy=SRAA(PAPER_SLO, 2, 5, 3),
+            seed=7,
+            faults=faults,
+        )
+        system.run(3_000)
+        second = system.run(3_000)
+        assert tuple(getattr(second, f) for f in self.FIELDS) == expected
