@@ -385,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runs_list.add_argument(
         "-n",
         "--last",
-        type=int,
+        type=_count,
         default=None,
         metavar="N",
         help="only the N most recent runs",
@@ -960,6 +960,15 @@ def _write_live_outputs(result_runs, merged_live, args) -> None:
     )
 
 
+def _count(text: str) -> int:
+    """argparse type for ``--last``: an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 0, got {text!r}"
+        )
+    return int(text)
+
+
 def _horizon(text: str) -> float:
     """argparse type for ``--horizon``: the zoo's horizon check."""
     from repro.faults.zoo import check_horizon
@@ -1372,78 +1381,31 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     )
 
 
-def _resolve_campaign_policies(spec: str):
-    """``--policies`` CSV to an ordered ``label -> PolicySpec`` dict."""
-    from repro.faults.campaign import resolve_policies
-
-    try:
-        return resolve_policies(spec)
-    except ValueError as error:
-        raise SystemExit(f"--policies: {error}") from None
-
-
 def _cmd_faults_run(args: argparse.Namespace) -> int:
-    from repro.faults.campaign import run_campaign
+    from repro.faults.campaign import run_request, validate_campaign
     from repro.faults.scenario import load_scenario
     from repro.faults.score import write_scores_csv
-    from repro.faults.zoo import builtin_scenarios
 
-    zoo = builtin_scenarios(args.horizon)
-    if args.scenarios == "all":
-        scenarios = list(zoo.values())
-    else:
-        scenarios = []
-        for name in (part.strip() for part in args.scenarios.split(",")):
-            if not name:
-                continue
-            if name not in zoo:
-                raise SystemExit(
-                    f"unknown scenario {name!r}; see 'repro faults list'"
-                )
-            scenarios.append(zoo[name])
-    if args.scenario_file is not None:
-        scenarios.append(load_scenario(args.scenario_file))
-    if not scenarios:
-        raise SystemExit(f"no scenarios in {args.scenarios!r}")
-    policies = _resolve_campaign_policies(args.policies)
+    fields = ("scenarios", "policies", "replications", "seed", "horizon")
+    try:
+        request = validate_campaign({f: getattr(args, f) for f in fields})
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
+    extra = [load_scenario(args.scenario_file)] if args.scenario_file else []
     backend = _resolve_backend(args)
     session = _make_trace_session(args)
     live_spec = _make_live_spec(args)
     system = _make_system_spec(args)
-    timer = StageTimer()
-    with timer.stage("campaign"), _maybe_tracing(session):
-        campaign = run_campaign(
-            scenarios=scenarios,
-            policies=policies,
-            replications=args.replications,
-            seed=args.seed,
+    with _maybe_tracing(session):
+        campaign, entry = run_request(
+            request,
+            extra_scenarios=extra,
             backend=backend,
             live=live_spec,
             profile=args.profile,
             system=system,
         )
-    from repro.obs.ledger import (
-        campaign_manifest,
-        campaign_outcomes,
-        timing_block,
-    )
-
-    _record_ledger(
-        args,
-        campaign_manifest(
-            scenarios,
-            policies,
-            args.replications,
-            args.seed,
-            backend=backend,
-            system=system,
-        ),
-        campaign_outcomes(campaign),
-        timing_block(
-            timer.total_s,
-            campaign.merged_profile() if args.profile else None,
-        ),
-    )
+    _record_ledger(args, *entry)
     print(campaign.format_table())
     if args.csv is not None:
         rows = write_scores_csv(args.csv, campaign.scores)
@@ -1457,7 +1419,7 @@ def _cmd_faults_run(args: argparse.Namespace) -> int:
         profile = campaign.merged_profile()
         if profile is not None:
             print(profile.format_table())
-    print(f"wall-clock: {timer.total_s:.2f} s")
+    print(f"wall-clock: {entry.timing['wall_clock_s']:.2f} s")
     return 0
 
 
@@ -1577,50 +1539,24 @@ def _open_ledger(args: argparse.Namespace):
 
 
 def _cmd_runs_list(args: argparse.Namespace) -> int:
+    from repro.obs.ledger import runs_payload
+
     ledger = _open_ledger(args)
-    entries = ledger.entries()
+    # The exact GET /api/runs payload, so scripts can swap the CLI and
+    # the serve API freely; the text rows render the same window.
+    payload = runs_payload(
+        ledger.entries(), ledger.baselines(), kind=args.kind, last=args.last
+    )
     if args.json:
-        # The exact GET /api/runs payload (shared serializer), so
-        # scripts can swap the CLI and the serve API freely.
-        import json as json_module
-
-        from repro.obs.ledger import runs_payload
-
-        total = sum(
-            1
-            for e in entries
-            if args.kind is None or e["kind"] == args.kind
-        )
-        offset = (
-            max(0, total - args.last) if args.last is not None else 0
-        )
-        payload = runs_payload(
-            entries,
-            ledger.baselines(),
-            kind=args.kind,
-            limit=args.last,
-            offset=offset,
-        )
-        print(json_module.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    if args.kind is not None:
-        entries = [e for e in entries if e["kind"] == args.kind]
-    if args.last is not None:
-        entries = entries[-args.last :]
-    if not entries:
+    if not payload["runs"]:
         print(f"no recorded runs in {ledger.directory}")
-        return 0
-    pinned = {
-        pin["id"]: label for label, pin in ledger.baselines().items()
-    }
-    for entry in entries:
-        mark = f"  [baseline:{pinned[entry['id']]}]" if entry[
-            "id"
-        ] in pinned else ""
-        print(
-            f"{entry['id']}  {entry['created_utc']}  "
-            f"{entry['label']}{mark}"
+    for run in payload["runs"]:
+        mark = "" if run["baseline"] is None else (
+            f"  [baseline:{run['baseline']}]"
         )
+        print(f"{run['id']}  {run['created_utc']}  {run['label']}{mark}")
     return 0
 
 
@@ -1788,32 +1724,22 @@ def _print_check_report(report) -> int:
 
 
 def _cmd_runs_bench(args: argparse.Namespace) -> int:
-    from repro.obs.ledger import (
-        list_trajectories,
-        load_trajectory,
-        validate_trajectory,
-    )
+    from repro.obs.ledger import trajectory_summaries
 
-    names = list_trajectories(args.bench_dir)
-    if not names:
+    rows = trajectory_summaries(args.bench_dir)
+    if not rows:
         print("no benchmark trajectories recorded")
-        return 0
-    status = 0
-    for name in names:
-        trajectory = load_trajectory(name, args.bench_dir)
-        problems = validate_trajectory(trajectory)
-        points = trajectory.get("points", [])
-        latest = points[-1] if points else None
-        if problems:
-            status = 1
-            print(f"{name}: INVALID ({'; '.join(problems)})")
+    for row in rows:
+        latest = row["latest"]
+        if row["problems"]:
+            print(f"{row['name']}: INVALID ({'; '.join(row['problems'])})")
         elif latest is not None:
             print(
-                f"{name}: {len(points)} point(s), latest "
+                f"{row['name']}: {row['points']} point(s), latest "
                 f"{latest['value']:g} {latest['units']} "
                 f"at {latest['timestamp']}"
             )
-    return status
+    return 1 if any(row["problems"] for row in rows) else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:

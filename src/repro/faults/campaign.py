@@ -14,8 +14,19 @@ scores are bit-identical between serial and process-pool runs.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.spec import PolicySpec
 from repro.ecommerce.metrics import RunResult
@@ -24,7 +35,13 @@ from repro.exec.jobs import ReplicationJob, execute_job
 from repro.exec.progress import ProgressHook
 from repro.faults.scenario import FaultScenario
 from repro.faults.score import PolicyScore, format_scores, score_policy
-from repro.faults.zoo import builtin_scenarios, get_scenario
+from repro.faults.zoo import (
+    builtin_scenarios,
+    check_horizon,
+    check_scenario_name,
+    get_scenario,
+    scenario_names,
+)
 from repro.obs.session import (
     active_trace_level,
     current_session,
@@ -84,6 +101,88 @@ def resolve_policies(spec: str) -> Dict[str, PolicySpec]:
     if not policies:
         raise ValueError(f"no policy names in {spec!r}")
     return policies
+
+
+class CampaignRequest(NamedTuple):
+    """A campaign as both front doors launch it.
+
+    :func:`validate_campaign` builds one: ``scenarios`` is then a list
+    of zoo names and ``policies`` a CSV.  The field defaults are those
+    of ``POST /api/campaigns``; ``repro faults run`` passes its own
+    (5 replications).  ``slo`` (seconds) arms the serve plane's flight
+    recorder.
+    """
+
+    scenarios: Any = "all"
+    policies: Any = "SRAA,SARAA,CLTA"
+    replications: int = 2
+    seed: int = 0
+    horizon: float = 900.0
+    slo: Optional[float] = None
+
+
+def _typed(name: str, value: Any, kind: Any, what: str) -> Any:
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _names(name: str, value: Any) -> List[str]:
+    names = value
+    if isinstance(value, str):
+        names = [part.strip() for part in value.split(",") if part.strip()]
+    if not names or not isinstance(names, list) or not all(
+        isinstance(item, str) for item in names
+    ):
+        raise ValueError(
+            f"{name} must be a CSV or a non-empty list of names, "
+            f"got {value!r}"
+        )
+    return names
+
+
+def validate_campaign(params: Mapping[str, Any]) -> CampaignRequest:
+    """The one campaign validator of both front doors.
+
+    ``params`` holds any :class:`CampaignRequest` field: ``scenarios``
+    ("all", a CSV or a list of zoo names), ``policies`` (a CSV or a
+    list; see :func:`resolve_policies`), integers ``replications``
+    (>= 1) and ``seed``, a number ``horizon`` and a number or ``None``
+    ``slo``.  Raises ``ValueError`` naming the offending field.
+    """
+    if not isinstance(params, Mapping):
+        raise ValueError("campaign parameters must be a JSON object")
+    unknown = set(params) - set(CampaignRequest._fields)
+    if unknown:
+        raise ValueError(f"unknown campaign parameter(s): {sorted(unknown)}")
+    raw = CampaignRequest(**params)
+    if raw.scenarios == "all":
+        scenarios = list(scenario_names())
+    else:
+        scenarios = [
+            check_scenario_name(name)
+            for name in _names("scenarios", raw.scenarios)
+        ]
+    policies = ",".join(_names("policies", raw.policies))
+    try:
+        resolve_policies(policies)
+    except ValueError as error:
+        raise ValueError(f"policies: {error}") from None
+    replications = _typed("replications", raw.replications, int, "an integer")
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
+    number = (int, float)
+    horizon = _typed("horizon", raw.horizon, number, "a number")
+    slo = raw.slo
+    return raw._replace(
+        scenarios=scenarios,
+        policies=policies,
+        seed=_typed("seed", raw.seed, int, "an integer"),
+        horizon=check_horizon(horizon),
+        slo=None if slo is None else float(
+            _typed("slo", slo, number, "a number or null")
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -257,6 +356,56 @@ def run_campaign(
             scores.append(score_policy(scenario, label, cell))
             cells.append(((scenario.name, label), cell))
     return CampaignResult(scores=tuple(scores), runs=tuple(cells))
+
+
+class CampaignEntry(NamedTuple):
+    """A campaign's ledger entry parts, for ``Ledger.append(*entry)``."""
+
+    manifest: Any
+    outcomes: Dict[str, Any]
+    timing: Dict[str, Any]
+
+
+def run_request(
+    request: CampaignRequest,
+    extra_scenarios: Sequence[FaultScenario] = (),
+    backend: Union[ExecutionBackend, str, None] = None,
+    progress: Optional[ProgressHook] = None,
+    live: Optional[object] = None,
+    profile: bool = False,
+    system: Optional[object] = None,
+) -> Tuple[CampaignResult, CampaignEntry]:
+    """Run a validated campaign; returns it and its ledger entry parts.
+
+    The request's zoo scenarios, laid out at its horizon, come first,
+    then ``extra_scenarios`` (``repro faults run --scenario-file``);
+    the other arguments go to :func:`run_campaign` unchanged.
+    """
+    from repro.obs.ledger import (
+        campaign_manifest,
+        campaign_outcomes,
+        timing_block,
+    )
+
+    scenarios = [
+        get_scenario(name, request.horizon) for name in request.scenarios
+    ] + list(extra_scenarios)
+    policies = resolve_policies(request.policies)
+    counts = (request.replications, request.seed)
+    started = time.perf_counter()
+    campaign = run_campaign(
+        scenarios, policies, *counts, backend, progress, live, profile, system
+    )
+    timing = timing_block(
+        time.perf_counter() - started,
+        campaign.merged_profile() if profile else None,
+    )
+    manifest = campaign_manifest(
+        scenarios, policies, *counts, backend=backend, system=system
+    )
+    return campaign, CampaignEntry(
+        manifest, campaign_outcomes(campaign), timing
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -364,12 +364,17 @@ def builtin_scenarios(
     }
 
 
+def check_scenario_name(name: str) -> str:
+    """``name`` if it is a built-in scenario; ValueError naming the zoo."""
+    if name not in scenario_names():
+        raise ValueError(
+            f"unknown scenario {name!r}; available: "
+            f"{', '.join(scenario_names())}"
+        )
+    return name
+
+
 def get_scenario(name: str, horizon_s: float = 3600.0) -> FaultScenario:
     """One built-in scenario by name (raises on unknown names)."""
-    for builder in _BUILDERS:
-        if builder.__name__ == name:
-            return builder(horizon_s)
-    raise ValueError(
-        f"unknown scenario {name!r}; available: "
-        f"{', '.join(scenario_names())}"
-    )
+    index = scenario_names().index(check_scenario_name(name))
+    return _BUILDERS[index](horizon_s)

@@ -14,6 +14,7 @@ from repro.obs.ledger.bench import (
     load_trajectory,
     record_bench_point,
     trajectory_path,
+    trajectory_summaries,
     validate_trajectory,
 )
 from repro.obs.ledger.canonical import canonical_hash, canonical_json, to_plain
@@ -86,6 +87,7 @@ __all__ = [
     "timing_block",
     "to_plain",
     "trajectory_path",
+    "trajectory_summaries",
     "validate_trajectory",
     "version_string",
     "welch_check",

@@ -145,3 +145,25 @@ def list_trajectories(directory: Optional[str] = None) -> List[str]:
         if filename.startswith("BENCH_") and filename.endswith(".json"):
             names.append(filename[len("BENCH_") : -len(".json")])
     return sorted(names)
+
+
+def trajectory_summaries(
+    directory: Optional[str] = None,
+) -> List[Dict[str, Any]]:
+    """One row per trajectory: name, point count, latest point, problems.
+
+    The listing behind both ``repro runs bench`` and ``GET /api/bench``.
+    """
+    rows = []
+    for name in list_trajectories(directory):
+        trajectory = load_trajectory(name, directory)
+        points = trajectory.get("points", [])
+        rows.append(
+            {
+                "name": name,
+                "points": len(points),
+                "latest": points[-1] if points else None,
+                "problems": validate_trajectory(trajectory),
+            }
+        )
+    return rows

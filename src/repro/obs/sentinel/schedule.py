@@ -244,6 +244,17 @@ class ScheduleSpec:
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ValueError("schedule name must be a non-empty string")
+        for name, kind, what in (
+            ("every_s", (int, float), "a number"),
+            ("anchor_s", (int, float), "a number"),
+            ("max_runs", int, "an integer"),
+            ("cron", str, "a string"),
+        ):
+            value = getattr(self, name)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, kind)
+            ):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         if (self.every_s is None) == (self.cron is None):
             raise ValueError(
                 "schedule needs exactly one of every_s or cron"
@@ -277,7 +288,8 @@ class ScheduleSpec:
         return ScheduleSpec(
             name=spec.get("name", ""),
             campaign=dict(campaign),
-            every_s=None if every_s is None else float(every_s),
+            # A whole number of seconds still reports as a float.
+            every_s=float(every_s) if type(every_s) is int else every_s,
             cron=spec.get("cron"),
             on_overlap=spec.get("on_overlap", "skip"),
             max_runs=spec.get("max_runs"),

@@ -67,6 +67,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
+from repro.obs.ledger import trajectory_summaries
 from repro.serve.broker import EventBroker
 from repro.serve.jobs import JobManager
 
@@ -250,7 +251,9 @@ class _Handler(BaseHTTPRequestHandler):
                     {"baselines": self.app.ledger().baselines()}
                 )
             if path == "/api/bench":
-                return self._send_json(self._bench_list())
+                return self._send_json(
+                    {"trajectories": trajectory_summaries(self.app.bench_dir)}
+                )
             if path.startswith("/api/bench/"):
                 name = path[len("/api/bench/") :]
                 return self._send_json(self._bench_one(name))
@@ -292,38 +295,24 @@ class _Handler(BaseHTTPRequestHandler):
         path, _ = self._split()
         try:
             if path == "/api/campaigns":
-                body = self._read_json_body()
-                try:
-                    job = self.app.jobs.submit_campaign(body)
-                except ValueError as error:
-                    raise ApiError(400, str(error)) from None
+                job = self.app.jobs.submit_campaign(self._read_json_body())
                 return self._send_json({"job": job}, status=202)
             if path.startswith("/api/campaigns/") and path.endswith(
                 "/cancel"
             ):
                 job_id = path[len("/api/campaigns/") : -len("/cancel")]
-                try:
-                    job = self.app.jobs.cancel(job_id)
-                except LookupError as error:
-                    raise ApiError(404, str(error)) from None
+                job = self.app.jobs.cancel(job_id)
                 return self._send_json({"job": job}, status=202)
             if path == "/api/schedules":
                 body = self._read_json_body()
                 # Virtual-clock add time: a client driving explicit
                 # ticks pins "now" so first-due is deterministic.
-                now = body.pop("now", time.time())
-                try:
-                    schedule = self.app.scheduler.add(body, now=float(now))
-                except ValueError as error:
-                    raise ApiError(400, str(error)) from None
+                now = self._now(body.pop("now", time.time()))
+                schedule = self.app.scheduler.add(body, now=now)
                 return self._send_json({"schedule": schedule}, status=201)
             if path == "/api/schedules/tick":
                 body = self._read_json_body(optional=True)
-                now = body.get("now", time.time())
-                try:
-                    now = float(now)
-                except (TypeError, ValueError):
-                    raise ApiError(400, "now must be a number") from None
+                now = self._now(body.get("now", time.time()))
                 launched = self.app.scheduler.tick(now)
                 return self._send_json(
                     {"now": now, "launched": launched}, status=200
@@ -331,6 +320,10 @@ class _Handler(BaseHTTPRequestHandler):
             raise ApiError(404, f"no such endpoint: {path}")
         except ApiError as error:
             self._send_json({"error": str(error)}, status=error.status)
+        except ValueError as error:  # a body the validators rejected
+            self._send_json({"error": str(error)}, status=400)
+        except LookupError as error:  # an unknown job id
+            self._send_json({"error": str(error)}, status=404)
         except BrokenPipeError:  # pragma: no cover - client went away
             pass
 
@@ -356,25 +349,18 @@ class _Handler(BaseHTTPRequestHandler):
         from repro.obs.ledger.summary import runs_payload
 
         ledger = self.app.ledger()
-        entries = ledger.entries()
-        kind = query.get("kind")
-        limit = self._int_param(query, "limit")
-        offset = self._int_param(query, "offset") or 0
-        last = self._int_param(query, "last")
-        if last is not None:
-            # The CLI's --last N: the N newest of the filtered view.
-            total = sum(
-                1 for e in entries if kind is None or e["kind"] == kind
+        entries, baselines = ledger.entries(), ledger.baselines()
+        try:
+            return runs_payload(
+                entries,
+                baselines,
+                kind=query.get("kind"),
+                limit=self._int_param(query, "limit"),
+                offset=self._int_param(query, "offset") or 0,
+                last=self._int_param(query, "last"),
             )
-            offset = max(0, total - last)
-            limit = last
-        return runs_payload(
-            entries,
-            ledger.baselines(),
-            kind=kind,
-            limit=limit,
-            offset=offset,
-        )
+        except ValueError as error:
+            raise ApiError(400, str(error)) from None
 
     def _run_entry(self, ref: str) -> Dict[str, Any]:
         if not ref:
@@ -405,6 +391,7 @@ class _Handler(BaseHTTPRequestHandler):
             REQUEST_COMPLETE,
             SYSTEM_REJUVENATION,
         )
+        from repro.obs.ledger.summary import page
 
         if not ref:
             raise ApiError(404, "missing run ref")
@@ -435,11 +422,14 @@ class _Handler(BaseHTTPRequestHandler):
             else {}
         )
         views = trace_query.run_views()
-        offset = max(0, self._int_param(query, "offset") or 0)
-        limit = self._int_param(query, "limit")
-        window = views[offset:]
-        if limit is not None:
-            window = window[: max(0, limit)]
+        try:
+            offset, window = page(
+                views,
+                self._int_param(query, "limit"),
+                self._int_param(query, "offset") or 0,
+            )
+        except ValueError as error:
+            raise ApiError(400, str(error)) from None
         runs = []
         for view in window:
             meta = view.meta or {}
@@ -486,27 +476,6 @@ class _Handler(BaseHTTPRequestHandler):
             "identical": not differences,
             "differences": differences,
         }
-
-    def _bench_list(self) -> Dict[str, Any]:
-        from repro.obs.ledger import (
-            list_trajectories,
-            load_trajectory,
-            validate_trajectory,
-        )
-
-        out = []
-        for name in list_trajectories(self.app.bench_dir):
-            trajectory = load_trajectory(name, self.app.bench_dir)
-            points = trajectory.get("points", [])
-            out.append(
-                {
-                    "name": name,
-                    "points": len(points),
-                    "latest": points[-1] if points else None,
-                    "problems": validate_trajectory(trajectory),
-                }
-            )
-        return {"trajectories": out}
 
     def _bench_one(self, name: str) -> Dict[str, Any]:
         from repro.obs.ledger import load_trajectory, validate_trajectory
@@ -675,6 +644,14 @@ class _Handler(BaseHTTPRequestHandler):
             return int(raw)
         except ValueError:
             raise ApiError(400, f"{name} must be an integer") from None
+
+    @staticmethod
+    def _now(value: Any) -> float:
+        """A body's virtual-clock ``now`` as seconds, or a 400."""
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            raise ApiError(400, "now must be a number") from None
 
     @staticmethod
     def _float_param(query: Dict[str, str], name: str) -> Optional[float]:

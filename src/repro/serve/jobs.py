@@ -1,15 +1,16 @@
-"""Background campaign/simulation jobs behind the serve API.
+"""Background campaign jobs behind the serve API.
 
 ``POST /api/campaigns`` lands here: the request parameters become a
-:class:`Job`, a daemon thread runs the fault campaign (or one-off
-simulation) over the **serial** backend -- determinism first; the
-serving thread pool is for HTTP, not simulation fan-out -- with a
+:class:`Job`, and a daemon thread runs the fault campaign over the
+**serial** backend -- determinism first; the serving thread pool is
+for HTTP, not simulation fan-out -- with a
 :class:`~repro.serve.tap.ServeSpec` attached so subscribers watch it
-live, and the finished result is recorded into the run ledger exactly
-the way the CLI records it (same manifest builders, same outcome
-blocks).  Same seed, same parameters -> same manifest hash and the
-same outcome block, byte for byte; pinned by
-``tests/serve/test_serve_jobs.py``.
+live.  Validation and the run itself are ``repro faults run``'s own
+code (:func:`~repro.faults.campaign.validate_campaign` and
+:func:`~repro.faults.campaign.run_request`), so the manager keeps only
+the job lifecycle: queue, run lock, cancel and summary.  Same seed,
+same parameters -> same manifest hash and the same outcome block as
+the CLI, byte for byte; pinned by ``tests/serve/test_serve_jobs.py``.
 
 Execution is serialised through one manager-wide lock: jobs queue up
 rather than interleave, so ledger entry ids stay sequential and two
@@ -22,8 +23,15 @@ from __future__ import annotations
 
 import threading
 import traceback
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Any, Dict, List, Optional
+
+from repro.faults.campaign import (
+    CampaignRequest,
+    run_request,
+    validate_campaign,
+)
 
 #: Job lifecycle states, in order.
 QUEUED = "queued"
@@ -35,6 +43,13 @@ CANCELLED = "cancelled"
 #: States a job can never leave.
 TERMINAL_STATES = (DONE, FAILED, CANCELLED)
 
+#: The :class:`~repro.faults.score.PolicyScore` fields a job summary
+#: reports per (scenario, policy) cell.
+SUMMARY_SCORE_KEYS = (
+    "scenario", "policy", "detected", "missed", "false_alarms",
+    "mean_loss_fraction", "mean_response_time_s",
+)
+
 
 class JobCancelled(Exception):
     """Raised inside a job body when :meth:`JobManager.cancel` hit it."""
@@ -44,68 +59,33 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+@dataclass
 class Job:
     """One background run: parameters in, status + ledger entry out."""
 
-    __slots__ = (
-        "id",
-        "kind",
-        "params",
-        "status",
-        "source",
-        "scheduled_for",
-        "submitted_utc",
-        "started_utc",
-        "finished_utc",
-        "error",
-        "summary",
-        "entry_id",
-        "manifest_hash",
-        "cancel_requested",
-    )
-
-    def __init__(
-        self,
-        job_id: str,
-        kind: str,
-        params: Dict[str, Any],
-        source: str = "api",
-        scheduled_for: Optional[float] = None,
-    ):
-        self.id = job_id
-        self.kind = kind
-        self.params = params
-        self.status = QUEUED
-        #: Who asked for this job: ``"api"`` or ``"schedule:<name>"``.
-        self.source = source
-        #: Virtual-clock fire time for scheduler-launched jobs.
-        self.scheduled_for = scheduled_for
-        self.submitted_utc = _utc_now()
-        self.started_utc: Optional[str] = None
-        self.finished_utc: Optional[str] = None
-        self.error: Optional[str] = None
-        #: Small result digest (score rows / intervals), JSON-safe.
-        self.summary: Optional[Dict[str, Any]] = None
-        self.entry_id: Optional[str] = None
-        self.manifest_hash: Optional[str] = None
-        self.cancel_requested = False
+    id: str
+    kind: str
+    params: Dict[str, Any]
+    #: Who asked for this job: ``"api"`` or ``"schedule:<name>"``.
+    source: str = "api"
+    #: Virtual-clock fire time for scheduler-launched jobs.
+    scheduled_for: Optional[float] = None
+    status: str = QUEUED
+    submitted_utc: str = field(default_factory=_utc_now)
+    started_utc: Optional[str] = None
+    finished_utc: Optional[str] = None
+    error: Optional[str] = None
+    #: Small result digest (score rows / intervals), JSON-safe.
+    summary: Optional[Dict[str, Any]] = None
+    entry_id: Optional[str] = None
+    manifest_hash: Optional[str] = None
+    cancel_requested: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "id": self.id,
-            "kind": self.kind,
-            "params": self.params,
-            "status": self.status,
-            "source": self.source,
-            "scheduled_for": self.scheduled_for,
-            "submitted_utc": self.submitted_utc,
-            "started_utc": self.started_utc,
-            "finished_utc": self.finished_utc,
-            "error": self.error,
-            "summary": self.summary,
-            "entry_id": self.entry_id,
-            "manifest_hash": self.manifest_hash,
-        }
+        """A JSON-safe snapshot (a copy: the job keeps changing)."""
+        snapshot = asdict(self)
+        del snapshot["cancel_requested"]
+        return snapshot
 
 
 class JobManager:
@@ -191,115 +171,38 @@ class JobManager:
     ) -> Dict[str, Any]:
         """Validate and launch a fault campaign; returns the job dict.
 
-        Accepted parameters (all optional except none):
-
-        ``scenarios``  "all", a CSV string, or a list of zoo names
-        ``policies``   CSV string or list (default "SRAA,SARAA,CLTA")
-        ``replications``  per-cell replications (default 2)
-        ``seed``       campaign master seed (default 0)
-        ``horizon``    scenario horizon in simulated seconds (default 900)
-        ``slo``        response-time SLO in seconds (flight-dump trigger)
-
-        Raises ``ValueError`` on anything unresolvable -- the HTTP
-        layer maps that to a 400 *before* a job is created.
+        ``params`` is a ``POST /api/campaigns`` body (fields and
+        defaults: :class:`~repro.faults.campaign.CampaignRequest`).
+        The validator's ``ValueError`` propagates -- the HTTP layer
+        maps it to a 400 *before* a job is created.
         """
-        normalised = self._validate_campaign(params)
-        job = self._new_job(
-            "campaign", normalised, source=source, scheduled_for=scheduled_for
-        )
-        thread = threading.Thread(
-            target=self._execute,
-            args=(job, self._run_campaign),
-            name=f"serve-job-{job.id}",
-            daemon=True,
-        )
-        thread.start()
-        return job.to_dict()
-
-    def _new_job(
-        self,
-        kind: str,
-        params: Dict[str, Any],
-        source: str = "api",
-        scheduled_for: Optional[float] = None,
-    ) -> Job:
+        request = validate_campaign(params)
         with self._lock:
             self._counter += 1
             job = Job(
                 f"job-{self._counter:04d}",
-                kind,
-                params,
+                "campaign",
+                request._asdict(),
                 source=source,
                 scheduled_for=scheduled_for,
             )
             self._jobs.append(job)
-        return job
+        threading.Thread(
+            target=self._execute,
+            args=(job, request),
+            name=f"serve-job-{job.id}",
+            daemon=True,
+        ).start()
+        return job.to_dict()
 
-    # ------------------------------------------------------------------
-    # Validation
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _validate_campaign(params: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.faults.campaign import resolve_policies
-        from repro.faults.zoo import check_horizon, scenario_names
-
-        if not isinstance(params, dict):
-            raise ValueError("campaign parameters must be a JSON object")
-        known = {
-            "scenarios", "policies", "replications", "seed", "horizon",
-            "slo",
-        }
-        unknown = set(params) - known
-        if unknown:
-            raise ValueError(
-                f"unknown campaign parameter(s): {sorted(unknown)}"
-            )
-        scenarios = params.get("scenarios", "all")
-        if isinstance(scenarios, str):
-            scenarios = (
-                list(scenario_names())
-                if scenarios == "all"
-                else [s.strip() for s in scenarios.split(",") if s.strip()]
-            )
-        if not isinstance(scenarios, list) or not scenarios:
-            raise ValueError("scenarios must be 'all', a CSV, or a list")
-        valid = set(scenario_names())
-        for name in scenarios:
-            if name not in valid:
-                raise ValueError(
-                    f"unknown scenario {name!r}; "
-                    f"known: {', '.join(sorted(valid))}"
-                )
-        policies = params.get("policies", "SRAA,SARAA,CLTA")
-        if isinstance(policies, list):
-            policies = ",".join(policies)
-        resolve_policies(policies)  # raises ValueError on bad names
-        replications = int(params.get("replications", 2))
-        if replications < 1:
-            raise ValueError("replications must be >= 1")
-        try:
-            horizon = float(params.get("horizon", 900.0))
-        except TypeError:
-            raise ValueError("horizon must be a number") from None
-        check_horizon(horizon)
-        slo = params.get("slo")
-        return {
-            "scenarios": scenarios,
-            "policies": policies,
-            "replications": replications,
-            "seed": int(params.get("seed", 0)),
-            "horizon": horizon,
-            "slo": None if slo is None else float(slo),
-        }
-
-    #: Public alias -- the scheduler validates specs at add time so a
-    #: bad schedule is a 400 at POST, not a failed job at tick time.
-    validate_campaign = _validate_campaign
+    #: The scheduler validates specs at add time so a bad schedule is a
+    #: 400 at POST, not a failed job at tick time.
+    validate_campaign = staticmethod(validate_campaign)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _execute(self, job: Job, body) -> None:
+    def _execute(self, job: Job, request: CampaignRequest) -> None:
         with self._run_lock:
             with self._lock:
                 if job.cancel_requested:
@@ -321,7 +224,7 @@ class JobManager:
             if self.broker is not None:
                 self.broker.publish("job.started", {"job": job.id})
             try:
-                body(job)
+                self._run_campaign(job, request)
             except JobCancelled:
                 with self._lock:
                     job.status = CANCELLED
@@ -347,30 +250,11 @@ class JobManager:
                     },
                 )
 
-    def _run_campaign(self, job: Job) -> None:
+    def _run_campaign(self, job: Job, request: CampaignRequest) -> None:
         from repro.exec.backends import SerialBackend
-        from repro.faults.campaign import resolve_policies, run_campaign
-        from repro.faults.zoo import get_scenario
-        from repro.obs.ledger import (
-            Ledger,
-            campaign_manifest,
-            campaign_outcomes,
-        )
+        from repro.obs.ledger import Ledger
         from repro.obs.live import RecorderSpec
         from repro.serve.tap import ServeSpec
-
-        params = job.params
-        scenarios = [
-            get_scenario(name, params["horizon"])
-            for name in params["scenarios"]
-        ]
-        policies = resolve_policies(params["policies"])
-        live = ServeSpec(
-            recorder=RecorderSpec(slo_s=params["slo"]),
-            broker=self.broker,
-            run_tag=job.id,
-        )
-        import time
 
         def _abort_on_cancel(event: Any) -> None:
             # Runs between replication jobs on the serial backend; a
@@ -378,45 +262,25 @@ class JobManager:
             if job.cancel_requested:
                 raise JobCancelled(job.id)
 
-        started = time.perf_counter()
-        campaign = run_campaign(
-            scenarios=scenarios,
-            policies=policies,
-            replications=params["replications"],
-            seed=params["seed"],
+        campaign, parts = run_request(
+            request,
             backend=SerialBackend(),
-            live=live,
             progress=_abort_on_cancel,
-        )
-        wall_clock_s = time.perf_counter() - started
-        manifest = campaign_manifest(
-            scenarios,
-            policies,
-            params["replications"],
-            params["seed"],
-            backend=SerialBackend(),
+            live=ServeSpec(
+                recorder=RecorderSpec(slo_s=request.slo),
+                broker=self.broker,
+                run_tag=job.id,
+            ),
         )
         ledger = self.ledger if self.ledger is not None else Ledger()
-        entry = ledger.append(
-            manifest,
-            campaign_outcomes(campaign),
-            {"wall_clock_s": wall_clock_s},
-        )
+        entry = ledger.append(*parts)
         with self._lock:
             job.entry_id = entry["id"]
             job.manifest_hash = entry["manifest"]["manifest_hash"]
             job.summary = {
                 "table": campaign.format_table(),
                 "scores": [
-                    {
-                        "scenario": score.scenario,
-                        "policy": score.policy,
-                        "detected": score.detected,
-                        "missed": score.missed,
-                        "false_alarms": score.false_alarms,
-                        "mean_loss_fraction": score.mean_loss_fraction,
-                        "mean_response_time_s": score.mean_response_time_s,
-                    }
+                    {key: getattr(score, key) for key in SUMMARY_SCORE_KEYS}
                     for score in campaign.scores
                 ],
             }

@@ -155,6 +155,25 @@ class TestSchedulesApi:
         assert status == 400
         assert "already exists" in payload["error"]
 
+    @pytest.mark.parametrize(
+        "patch, field",
+        [
+            ({"now": None}, "now"),
+            ({"every_s": [60]}, "every_s"),
+            ({"every_s": "60"}, "every_s"),
+            ({"anchor_s": []}, "anchor_s"),
+            ({"max_runs": 1.5}, "max_runs"),
+            ({"cron": 5}, "cron"),
+            ({"campaign": {"seed": None}}, "seed"),
+        ],
+    )
+    def test_wrong_typed_field_is_400_naming_it(self, watched, patch, field):
+        body = {"name": "x", "campaign": dict(CAMPAIGN), "every_s": 60.0}
+        status, payload = watched.post("/api/schedules", {**body, **patch})
+        assert status == 400
+        assert payload["error"].startswith(f"{field} must be")
+        assert watched.get("/api/schedules") == (200, {"schedules": []})
+
     def test_tick_now_must_be_numeric(self, watched):
         status, payload = watched.post(
             "/api/schedules/tick", {"now": "noon"}

@@ -44,6 +44,13 @@ class TestHealthAndErrors:
         assert status == 400
         assert "limit" in payload["error"]
 
+    @pytest.mark.parametrize("name", ["last", "limit", "offset"])
+    def test_negative_window_is_400(self, served, name):
+        seed_ledger()
+        status, payload = served.get(f"/api/runs?{name}=-1")
+        assert status == 400
+        assert payload["error"] == f"{name} must be >= 0"
+
 
 class TestRunsEndpoints:
     def test_list_matches_cli_json_exactly(self, served, capsys):
@@ -198,6 +205,29 @@ class TestCampaignRequestValidation:
         )
         assert status == 400
         assert "horizon must be" in payload["error"]
+        assert served.get("/api/campaigns") == (200, {"jobs": []})
+
+
+    @pytest.mark.parametrize(
+        "body, field",
+        [
+            ({"seed": None}, "seed"),
+            ({"seed": 1.7}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"policies": [1]}, "policies"),
+            ({"policies": None}, "policies"),
+            ({"scenarios": ["aging_onset", 2]}, "scenarios"),
+            ({"scenarios": None}, "scenarios"),
+            ({"replications": [1]}, "replications"),
+            ({"replications": 1.7}, "replications"),
+            ({"replications": True}, "replications"),
+            ({"slo": []}, "slo"),
+        ],
+    )
+    def test_wrong_typed_field_is_400_naming_it(self, served, body, field):
+        status, payload = served.post("/api/campaigns", body)
+        assert status == 400
+        assert payload["error"].startswith(f"{field} must be")
         assert served.get("/api/campaigns") == (200, {"jobs": []})
 
 

@@ -7,6 +7,7 @@ block.  Same seed through the HTTP surface twice -> identical hashes.
 
 import pytest
 
+from repro.faults.campaign import validate_campaign
 from repro.serve.jobs import DONE, FAILED, JobManager
 
 #: A campaign small enough for test wall-clocks.
@@ -22,13 +23,11 @@ CAMPAIGN = {
 class TestValidation:
     def test_rejects_unknown_parameter(self):
         with pytest.raises(ValueError, match="unknown campaign"):
-            JobManager()._validate_campaign({"scenario": "typo"})
+            validate_campaign({"scenario": "typo"})
 
     def test_rejects_unknown_scenario(self):
         with pytest.raises(ValueError, match="no_such_zoo_entry"):
-            JobManager()._validate_campaign(
-                {"scenarios": "no_such_zoo_entry"}
-            )
+            validate_campaign({"scenarios": "no_such_zoo_entry"})
 
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError):
@@ -36,21 +35,21 @@ class TestValidation:
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError, match="replications"):
-            JobManager()._validate_campaign({"replications": 0})
+            validate_campaign({"replications": 0})
         with pytest.raises(ValueError, match="horizon"):
-            JobManager()._validate_campaign({"horizon": -1})
+            validate_campaign({"horizon": -1})
 
     def test_scenarios_all_expands_to_the_zoo(self):
         from repro.faults.zoo import scenario_names
 
-        normalised = JobManager()._validate_campaign({})
+        normalised = validate_campaign({})._asdict()
         assert normalised["scenarios"] == list(scenario_names())
         assert normalised["policies"] == "SRAA,SARAA,CLTA"
 
     def test_accepts_lists_as_well_as_csv(self):
-        normalised = JobManager()._validate_campaign(
+        normalised = validate_campaign(
             {"scenarios": ["node_crash"], "policies": ["SRAA", "CLTA"]}
-        )
+        )._asdict()
         assert normalised["scenarios"] == ["node_crash"]
         assert normalised["policies"] == "SRAA,CLTA"
 
@@ -133,11 +132,13 @@ class TestExecution:
         )
 
     def test_failure_is_reported_not_raised(self, monkeypatch):
+        # The runner thread must catch and report, not kill the server.
+        def explode(*args, **kwargs):
+            raise RuntimeError("exploded")
+
+        monkeypatch.setattr("repro.serve.jobs.run_request", explode)
         manager = JobManager()
         job = manager.submit_campaign(dict(CAMPAIGN))
-        # Corrupt the validated params after validation: the runner
-        # thread must catch and report, not kill the server.
-        with manager._lock:
-            manager._jobs[0].params["scenarios"] = ["exploded"]
         done = manager.wait(job["id"], timeout_s=120.0)
-        assert done["status"] in (DONE, FAILED)
+        assert done["status"] == FAILED
+        assert done["error"] == "RuntimeError: exploded"

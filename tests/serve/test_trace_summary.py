@@ -76,6 +76,15 @@ class TestTraceSummary:
         assert first["events_by_kind"] == full["events_by_kind"]
         assert first["latency_quantiles"] == full["latency_quantiles"]
 
+    def test_negative_window_is_400(self, served, tmp_path):
+        seed_traced_run(tmp_path)
+        for name in ("limit", "offset"):
+            status, payload = served.get(
+                f"/api/runs/latest/trace/summary?{name}=-1"
+            )
+            assert status == 400
+            assert payload["error"] == f"{name} must be >= 0"
+
     def test_jsonl_trace_served_identically(self, served, tmp_path):
         seed_traced_run(tmp_path, name="a.rcol")
         _status, columnar = served.get("/api/runs/latest/trace/summary")

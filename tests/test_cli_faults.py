@@ -51,6 +51,16 @@ class TestFaultsRun:
         with pytest.raises(SystemExit):
             main(["faults", "run", "nonesuch"])
 
+    @pytest.mark.parametrize("replications", ["0", "-2"])
+    def test_bad_replications_is_one_line(self, replications, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(RUN[:3] + ["--replications", replications])
+        message = str(excinfo.value.code)
+        assert excinfo.value.code != 0
+        assert message.startswith("replications must be")
+        assert "\n" not in message
+        assert capsys.readouterr().out == ""
+
     def test_unknown_policy_exits(self):
         with pytest.raises(SystemExit):
             main(RUN[:3] + ["--policies", "nonesuch"])

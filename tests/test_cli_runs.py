@@ -141,6 +141,37 @@ class TestCheck:
         assert "baseline" in str(excinfo.value)
 
 
+class TestListWindow:
+    @pytest.mark.parametrize("last", [0, 1])
+    def test_text_rows_match_json_ids(self, last, capsys):
+        simulate()
+        simulate(["--seed", "8"])
+        capsys.readouterr()
+        assert main(["runs", "list", "--last", str(last)]) == 0
+        text = capsys.readouterr().out
+        rows = [
+            line.split()[0]
+            for line in text.splitlines()
+            if not line.startswith("no recorded runs")
+        ]
+        assert main(["runs", "list", "--last", str(last), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert rows == [run["id"] for run in payload["runs"]]
+        assert len(rows) == payload["count"] == last
+        assert payload["total"] == 2
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_negative_last_is_a_usage_error(self, extra, capsys):
+        simulate()
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["runs", "list", "--last", "-1"] + extra)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument -n/--last: must be an integer >= 0" in captured.err
+
+
 class TestBaselinePins:
     def test_listing_pins(self, capsys):
         simulate()
