@@ -722,6 +722,57 @@ def _add_ledger_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
+_CLUSTER_OR_FLEET = ("system", ("cluster", "fleet"))
+_LIMITED = ("scheduler", ("rolling", "canary"))
+
+#: The options that shape a ``--system`` substrate: flag, argparse
+#: keywords, and the reader ``(option, values)`` -- the value is read
+#: only while ``option`` takes one of ``values`` (``None``: while
+#: ``option`` is given at all).  Anything else is a usage error.
+_SYSTEM_OPTIONS = (
+    ("--nodes", dict(
+        type=int,
+        help="node count for --system cluster/fleet (defaults: 4 / 100)",
+    ), _CLUSTER_OR_FLEET),
+    ("--shards", dict(
+        type=int, help="shard count for --system fleet (default 4)",
+    ), ("system", ("fleet",))),
+    ("--balancer", dict(
+        help="load balancer for cluster/fleet "
+        "(round_robin, random, jsq; default round_robin)",
+    ), _CLUSTER_OR_FLEET),
+    ("--scheduler", dict(
+        choices=("rolling", "canary", "unrestricted"),
+        help="fleet rejuvenation scheduler (default: independent "
+        "per-node triggers)",
+    ), _CLUSTER_OR_FLEET),
+    ("--capacity-floor", dict(
+        type=float,
+        help="fraction of nodes that must stay up per scheduling "
+        "domain (e.g. 0.8)",
+    ), _LIMITED),
+    ("--max-nodes-down", dict(
+        type=int, help="absolute cap on concurrently rejuvenating nodes",
+    ), _LIMITED),
+    ("--pod-size", dict(
+        type=int,
+        help="blast-radius pod size (consecutive global node indices)",
+    ), _LIMITED),
+    ("--max-down-per-pod", dict(
+        type=int, help="concurrently-down cap within one pod (default 1)",
+    ), ("pod_size", None)),
+    ("--min-gap", dict(
+        type=float,
+        help="minimum simulated seconds between grants (default 0)",
+    ), _LIMITED),
+    ("--canary-soak", dict(
+        type=float,
+        help="canary scheduler: soak seconds after the canary's "
+        "downtime before the wave opens",
+    ), ("scheduler", ("canary",))),
+)
+
+
 def _add_system_options(parser: argparse.ArgumentParser) -> None:
     """Substrate selection (see repro.systems and docs/systems.md)."""
     parser.add_argument(
@@ -731,74 +782,30 @@ def _add_system_options(parser: argparse.ArgumentParser) -> None:
         help="substrate to run against: the single Section-3 node "
         "(default), a balanced cluster, or a sharded fleet",
     )
-    parser.add_argument(
-        "--nodes",
-        type=int,
-        default=None,
-        help="node count for --system cluster/fleet "
-        "(defaults: 4 / 100)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard count for --system fleet (default 4)",
-    )
-    parser.add_argument(
-        "--balancer",
-        default="round_robin",
-        help="load balancer for cluster/fleet "
-        "(round_robin, random, jsq; default round_robin)",
-    )
-    parser.add_argument(
-        "--scheduler",
-        choices=("rolling", "canary", "unrestricted"),
-        default=None,
-        help="fleet rejuvenation scheduler (default: independent "
-        "per-node triggers)",
-    )
-    parser.add_argument(
-        "--capacity-floor",
-        type=float,
-        default=None,
-        help="fraction of nodes that must stay up per scheduling "
-        "domain (e.g. 0.8)",
-    )
-    parser.add_argument(
-        "--max-nodes-down",
-        type=int,
-        default=None,
-        help="absolute cap on concurrently rejuvenating nodes",
-    )
-    parser.add_argument(
-        "--pod-size",
-        type=int,
-        default=None,
-        help="blast-radius pod size (consecutive global node indices)",
-    )
-    parser.add_argument(
-        "--max-down-per-pod",
-        type=int,
-        default=1,
-        help="concurrently-down cap within one pod (default 1)",
-    )
-    parser.add_argument(
-        "--min-gap",
-        type=float,
-        default=0.0,
-        help="minimum simulated seconds between grants (default 0)",
-    )
-    parser.add_argument(
-        "--canary-soak",
-        type=float,
-        default=0.0,
-        help="canary scheduler: soak seconds after the canary's "
-        "downtime before the wave opens",
-    )
+    for flag, keywords, _ in _SYSTEM_OPTIONS:
+        parser.add_argument(flag, **keywords)
+
+
+def _check_system_flags(args: argparse.Namespace) -> None:
+    """Refuse any ``--system`` option the chosen substrate would ignore."""
+    for flag, _, (option, values) in _SYSTEM_OPTIONS:
+        given = getattr(args, flag[2:].replace("-", "_")) is not None
+        value = getattr(args, option)
+        if given and (value is None or values and value not in values):
+            needs = "--" + option.replace("_", "-")
+            if values:
+                needs += " " + " or ".join(values)
+            raise SystemExit(f"{flag}: only read with {needs}")
+
+
+def _given(**options):
+    """The keyword arguments whose value was given (is not ``None``)."""
+    return {key: value for key, value in options.items() if value is not None}
 
 
 def _make_system_spec(args: argparse.Namespace):
     """The ``--system`` options as a SystemSpec (None = single node)."""
+    _check_system_flags(args)
     if args.system == "ecommerce":
         return None
     from repro.systems import ClusterSpec, FleetSpec, SchedulerSpec
@@ -808,24 +815,22 @@ def _make_system_spec(args: argparse.Namespace):
         if args.scheduler is not None:
             scheduler = SchedulerSpec(
                 kind=args.scheduler,
-                min_gap_s=args.min_gap,
-                max_nodes_down=args.max_nodes_down,
-                capacity_floor=args.capacity_floor,
-                pod_size=args.pod_size,
-                max_down_per_pod=args.max_down_per_pod,
-                canary_soak_s=args.canary_soak,
+                **_given(
+                    min_gap_s=args.min_gap,
+                    max_nodes_down=args.max_nodes_down,
+                    capacity_floor=args.capacity_floor,
+                    pod_size=args.pod_size,
+                    max_down_per_pod=args.max_down_per_pod,
+                    canary_soak_s=args.canary_soak,
+                ),
             )
-        if args.system == "cluster":
-            kwargs = {"balancer": args.balancer, "scheduler": scheduler}
-            if args.nodes is not None:
-                kwargs["n_nodes"] = args.nodes
-            return ClusterSpec(**kwargs)
-        kwargs = {"balancer": args.balancer, "scheduler": scheduler}
-        if args.nodes is not None:
-            kwargs["n_nodes"] = args.nodes
-        if args.shards is not None:
-            kwargs["shards"] = args.shards
-        return FleetSpec(**kwargs)
+        spec_class = ClusterSpec if args.system == "cluster" else FleetSpec
+        return spec_class(
+            scheduler=scheduler,
+            **_given(
+                n_nodes=args.nodes, shards=args.shards, balancer=args.balancer
+            ),
+        )
     except ValueError as error:
         raise SystemExit(f"--system: {error}") from None
 
@@ -1277,10 +1282,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     params = _parse_params(args.param)
     if args.policy == "none":
+        if params:
+            raise SystemExit("--param: policy 'none' takes no parameters")
         policy = PolicySpec.none()
     else:
         policy = PolicySpec(args.policy, params)
-    description = policy.describe()
+    try:
+        description = policy.describe()
+    except ValueError as error:
+        raise SystemExit(f"--param: {error}") from None
     rate = PAPER_CONFIG.arrival_rate_for_load(args.load)
     arrival = ArrivalSpec.poisson(rate)
     backend = _resolve_backend(args)

@@ -10,7 +10,9 @@ this package holds the parts that only a cluster needs:
   random, join-shortest-queue, weighted round-robin);
 * :class:`~repro.cluster.coordinator.RollingCoordinator` -- cluster-wide
   constraints so rejuvenations roll through the cluster instead of
-  taking several nodes out simultaneously;
+  taking several nodes out simultaneously, with a grant log (and
+  :class:`~repro.cluster.coordinator.CanaryCoordinator`, canary-first
+  waves on top of it);
 * :class:`~repro.cluster.metrics.NodeStats` -- the per-node outcome on
   ``RunResult.nodes``, and :func:`~repro.cluster.metrics.imbalance`
   over it.
@@ -23,10 +25,11 @@ from repro.cluster.balancer import (
     RoundRobin,
     WeightedRoundRobin,
 )
-from repro.cluster.coordinator import RollingCoordinator
+from repro.cluster.coordinator import CanaryCoordinator, RollingCoordinator
 from repro.cluster.metrics import NodeStats, imbalance
 
 __all__ = [
+    "CanaryCoordinator",
     "JoinShortestQueue",
     "LoadBalancer",
     "NodeStats",

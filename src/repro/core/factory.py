@@ -6,11 +6,15 @@ builder accepts, their types, defaults and one-line docs.  The serve
 layer publishes it verbatim as ``GET /api/policies`` and
 :func:`make_policy` validates parameter names against it, so a typo in
 ``-p`` params or a campaign request fails loudly with the valid
-spellings instead of being silently ignored.
+spellings instead of being silently ignored, and checks each value
+against its schema type: an ``int`` parameter takes an integer (not a
+bool, not a fraction), and no parameter takes NaN.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Any, Callable, Dict, List, Tuple
 
 from repro.core.base import RejuvenationPolicy
@@ -361,11 +365,27 @@ def make_policy(
         raise ValueError(
             f"unknown policy {name!r}; available: {', '.join(available_policies())}"
         ) from None
-    allowed = {p["name"] for p in _SCHEMAS[name][1]}
-    unknown = sorted(set(params) - allowed)
+    kinds = {p["name"]: p["type"] for p in _SCHEMAS[name][1]}
+    unknown = sorted(set(params) - set(kinds))
     if unknown:
         raise ValueError(
             f"unknown parameter(s) {', '.join(unknown)} for policy "
-            f"{name!r}; accepted: {', '.join(sorted(allowed)) or '(none)'}"
+            f"{name!r}; accepted: {', '.join(sorted(kinds)) or '(none)'}"
         )
+    for key, value in params.items():
+        _check_value(name, key, kinds[key], value)
     return builder(slo, **params)
+
+
+def _check_value(policy: str, key: str, kind: str, value: Any) -> None:
+    """Refuse a parameter value its schema type cannot hold."""
+    numeric = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not numeric or math.isnan(value):
+        raise ValueError(
+            f"parameter {key}={value!r} of policy {policy!r} must be a number"
+        )
+    if kind == "int" and not float(value).is_integer():
+        raise ValueError(
+            f"parameter {key}={value!r} of policy {policy!r} must be an "
+            "integer"
+        )

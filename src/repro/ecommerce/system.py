@@ -28,7 +28,9 @@ The same class is the companion deployment of [2]: ``n_nodes`` such
 nodes behind a front-end balancer (:mod:`repro.cluster.balancer`), each
 with its own policy watching its own response times, and a coordinator
 (:mod:`repro.cluster.coordinator`) arbitrating triggers so restarts
-roll through the cluster.  The paper's node is the one-node cluster.
+roll through the cluster.  Every system holds one -- unbounded unless
+told otherwise -- so every granted restart lands in its grant log.
+The paper's node is the one-node cluster.
 A system of exactly one node in total (``total_nodes == 1``) keeps the
 Section-3 shape: its node draws service times from stream
 ``"service"`` and its ``request.*`` trace events carry source
@@ -45,7 +47,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.cluster.balancer import LoadBalancer, RoundRobin
-from repro.cluster.coordinator import RollingCoordinator, UnrestrictedCoordinator
+from repro.cluster.coordinator import RollingCoordinator
 from repro.cluster.metrics import NodeStats
 from repro.core.base import RejuvenationPolicy
 from repro.core.proactive import ResourceExhaustionPolicy
@@ -120,10 +122,10 @@ class ECommerceSystem:
     balancer:
         Dispatching strategy; defaults to round-robin.
     coordinator:
-        Trigger arbitration; defaults to unrestricted (independent
-        nodes).  Any object speaking ``reset()`` / ``request(node,
-        now, downtime_s)`` works -- including the fleet schedulers of
-        :mod:`repro.systems.schedulers`.
+        Trigger arbitration; defaults to an unbounded
+        :class:`~repro.cluster.coordinator.RollingCoordinator`
+        (independent nodes) whose grant log still records every
+        restart under its global node index.
     arrival_scale:
         Every inter-arrival draw is divided by this factor.  The
         declarative specs use it to keep scenario arrival processes in
@@ -229,7 +231,9 @@ class ECommerceSystem:
         self.first_node_index = int(first_node_index)
         self.balancer = balancer if balancer is not None else RoundRobin()
         self.coordinator = (
-            coordinator if coordinator is not None else UnrestrictedCoordinator()
+            coordinator
+            if coordinator is not None
+            else RollingCoordinator(first_node=first_node_index)
         )
         self.faults = faults
         self.policies: List[Optional[RejuvenationPolicy]] = policies
@@ -301,7 +305,6 @@ class ECommerceSystem:
         self._completed = 0
         self._lost = 0
         self._refused = 0
-        self.rejuvenation_times: List[float] = []
         self._warmup = 0
         self._measured_lost = 0
         self._measured_moments = OnlineMoments()
@@ -326,6 +329,11 @@ class ECommerceSystem:
     def rejuvenations(self) -> int:
         """Rejuvenations carried out so far, over all nodes."""
         return sum(node.rejuvenations for node in self.nodes)
+
+    @property
+    def rejuvenation_times(self) -> List[float]:
+        """When each rejuvenation was granted, read off the grant log."""
+        return [time for time, _, _ in self.coordinator.grants]
 
     @property
     def crashes(self) -> int:
@@ -443,7 +451,6 @@ class ECommerceSystem:
         downtime = node.config.rejuvenation_downtime_s
         if not self.coordinator.request(node_index, now, downtime):
             return
-        self.rejuvenation_times.append(now)
         node.rejuvenate()
         if downtime > 0.0:
             self._mark_down(node_index, now + downtime)

@@ -89,16 +89,9 @@ def _run_scenario(
             config, arrival, PolicySpec.sraa(2, 5, 3), seed=seed
         )
         result = fleet.run(n_transactions)
-        if fleet.grant_log:
-            intervals = [
-                (time, down_until) for time, _, down_until in fleet.grant_log
-            ]
-        else:
-            # No coordinator in the loop: every trigger restarts freely.
-            intervals = [
-                (time, time + DOWNTIME_S)
-                for time in result.rejuvenation_times
-            ]
+        intervals = [
+            (time, down_until) for time, _, down_until in fleet.grant_log
+        ]
         rt_series.add(load, result.avg_response_time)
         loss_series.add(load, result.loss_fraction)
         down_series.add(

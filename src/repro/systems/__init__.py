@@ -29,21 +29,14 @@ from repro.systems.protocol import (
     resolve_system,
     system_spec_from_dict,
 )
-from repro.systems.schedulers import (
-    SCHEDULER_KINDS,
-    CanaryCoordinator,
-    FleetCoordinator,
-    SchedulerSpec,
-)
+from repro.systems.schedulers import SCHEDULER_KINDS, SchedulerSpec
 
 __all__ = [
     "SYSTEM_KINDS",
     "SCHEDULER_KINDS",
     "FLEET_SHARD_RULE",
-    "CanaryCoordinator",
     "ClusterSpec",
     "EcommerceSpec",
-    "FleetCoordinator",
     "FleetSpec",
     "FleetSystem",
     "ObsSinks",

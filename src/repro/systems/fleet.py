@@ -29,7 +29,7 @@ max)``; the merged mean/std/max are *not* recomputed from per-shard
 summaries); the loss fraction is recomputed from summed measured
 losses; traces and rejuvenation times are stably merged by simulated
 time; live aggregators and DES profiles merge with the existing
-submission-order folds.  Scheduler grant logs concatenate into
+submission-order folds.  Coordinator grant logs concatenate into
 :attr:`FleetSystem.grant_log` (sorted by grant time) for invariant
 audits -- capacity floors and blast-radius limits are enforced per
 shard (the shard is the coordination domain; see
@@ -112,7 +112,6 @@ class ShardOutcome:
     moments: Tuple[float, ...]
     measured_lost: int
     grants: Tuple[Tuple[float, int, float], ...]
-    granted: int
     denied: int
 
 
@@ -121,11 +120,7 @@ def _run_shard(task: _ShardTask) -> ShardOutcome:
     from repro.cluster.balancer import make_balancer
     from repro.systems.ecommerce import build_system
 
-    coordinator = None
-    if task.scheduler is not None:
-        coordinator = task.scheduler.build(
-            task.n_nodes, first_node=task.first_node
-        )
+    scheduler = task.scheduler or SchedulerSpec.unrestricted()
     run = build_system(
         task.config,
         task.arrival,
@@ -139,7 +134,7 @@ def _run_shard(task: _ShardTask) -> ShardOutcome:
         task.faults,
         n_nodes=task.n_nodes,
         balancer=make_balancer(task.balancer),
-        coordinator=coordinator,
+        coordinator=scheduler.build(task.n_nodes, first_node=task.first_node),
         arrival_scale=task.arrival_scale,
         first_node_index=task.first_node,
         total_nodes=task.total_nodes,
@@ -161,9 +156,8 @@ def _run_shard(task: _ShardTask) -> ShardOutcome:
             moments.maximum,
         ),
         measured_lost=system.measured_lost,
-        grants=tuple(getattr(coordinator, "grants", ())),
-        granted=getattr(system.coordinator, "granted", 0),
-        denied=getattr(system.coordinator, "denied", 0),
+        grants=tuple(system.coordinator.grants),
+        denied=system.coordinator.denied,
     )
 
 
@@ -260,9 +254,10 @@ class FleetSystem:
     pool each worker is pinned to serial execution, so a fleet job in a
     campaign never nests pools.
 
-    After :meth:`run`, :attr:`grant_log` holds the merged scheduler
-    audit trail ``(time, global_node, down_until)`` sorted by grant
-    time, and :attr:`shard_outcomes` the per-shard
+    After :meth:`run`, :attr:`grant_log` holds every shard
+    coordinator's audit trail ``(time, global_node, down_until)``
+    merged by grant time (scheduler or not: each shard's coordinator
+    logs its grants), and :attr:`shard_outcomes` the per-shard
     :class:`ShardOutcome` records.
     """
 
@@ -390,7 +385,7 @@ class FleetSystem:
             (grant for o in outcomes for grant in o.grants),
             key=lambda grant: grant[0],
         )
-        self.granted = sum(o.granted for o in outcomes)
+        self.granted = len(self.grant_log)
         self.denied = sum(o.denied for o in outcomes)
 
         trace = None
@@ -426,9 +421,6 @@ class FleetSystem:
             from repro.obs.live import merge_profiles
 
             profile = merge_profiles(r.profile for r in results)
-        rejuvenation_times = sorted(
-            t for r in results for t in (r.rejuvenation_times or ())
-        )
         return RunResult(
             arrivals=sum(r.arrivals for r in results),
             completed=sum(r.completed for r in results),
@@ -443,7 +435,7 @@ class FleetSystem:
             response_times=response_times,
             trace=trace,
             telemetry=None,
-            rejuvenation_times=tuple(rejuvenation_times),
+            rejuvenation_times=tuple(time for time, _, _ in self.grant_log),
             live=live,
             flight=flight,
             profile=profile,

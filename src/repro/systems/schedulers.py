@@ -1,12 +1,13 @@
-"""Fleet-level rejuvenation schedulers (rolling, canary, blast radius).
+"""Declarative rejuvenation schedulers (rolling, canary, unrestricted).
 
-The cluster layer's :class:`~repro.cluster.coordinator.RollingCoordinator`
-arbitrates trigger requests with two knobs: a cluster-wide minimum gap
-and an absolute cap on concurrently-down nodes.  At fleet scale the
-operator vocabulary is richer -- Guo et al. schedule restarts around
-deadlines, and container platforms roll restarts pod by pod -- so this
-module generalises the coordinator into a declarative, picklable
-:class:`SchedulerSpec` that builds one of three disciplines:
+The one coordinator hierarchy lives in :mod:`repro.cluster.coordinator`:
+:class:`~repro.cluster.coordinator.RollingCoordinator` (minimum gap, a
+cap on concurrently-down nodes, pod blast radius, grant log) and
+:class:`~repro.cluster.coordinator.CanaryCoordinator` on top of it.
+This module holds only :class:`SchedulerSpec`, the declarative,
+picklable description of one discipline.  It rides inside job and
+system specs, and its :meth:`~SchedulerSpec.build` makes a fresh
+coordinator per scheduling domain:
 
 ``rolling``
     Rolling restarts under a **capacity floor**: at most
@@ -20,15 +21,13 @@ module generalises the coordinator into a declarative, picklable
     under the rolling limits.  A wave with no grant for
     ``wave_quiet_s`` closes, and the next trigger starts a new canary.
 ``unrestricted``
-    Grant everything (the cluster layer's default), still recording
-    the grant log so invariants stay checkable.
+    Grant everything: the same coordinator every system holds when no
+    scheduler is given.
 
-Both disciplines additionally honour a **blast radius**: with
-``pod_size`` set, nodes are grouped into pods of ``pod_size``
-consecutive *global* indices and at most ``max_down_per_pod`` nodes of
-any one pod may be down simultaneously (the two-layer container/pod
-aging stack of Bai et al.: losing a whole pod is the failure mode the
-limit rules out).
+Both limited disciplines additionally honour a **blast radius** with
+``pod_size`` set (Guo et al. schedule restarts around deadlines;
+container platforms roll them pod by pod, and losing a whole pod is the
+failure mode Bai et al.'s two-layer aging stack warns of).
 
 In a sharded :class:`~repro.systems.fleet.FleetSystem` each shard
 builds its own coordinator from the same spec -- shards run in
@@ -37,23 +36,22 @@ capacity floor and ``max_nodes_down`` are enforced *per shard* (the
 shard is the coordination domain), while pods are laid out on global
 node indices; the fleet refuses pod layouts that straddle shard
 boundaries so the per-pod cap stays exact.
-
-Every coordinator records a grant log of ``(time, global_node,
-down_until)`` tuples; tests replay it to assert the capacity-floor and
-blast-radius invariants held throughout a run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
+
+from repro.cluster.coordinator import (
+    UNBOUNDED,
+    CanaryCoordinator,
+    RollingCoordinator,
+)
 
 #: The scheduler disciplines a spec may name.
 SCHEDULER_KINDS: Tuple[str, ...] = ("rolling", "canary", "unrestricted")
-
-#: Effectively-unbounded cap (mirrors UnrestrictedCoordinator).
-_UNBOUNDED = 10**9
 
 
 @dataclass(frozen=True)
@@ -195,9 +193,9 @@ class SchedulerSpec:
                     "lower the floor or use larger shards"
                 )
             caps.append(allowed)
-        return min(caps) if caps else _UNBOUNDED
+        return min(caps) if caps else UNBOUNDED
 
-    def build(self, n_nodes: int, first_node: int = 0) -> "FleetCoordinator":
+    def build(self, n_nodes: int, first_node: int = 0) -> RollingCoordinator:
         """A fresh coordinator for one domain of ``n_nodes`` nodes.
 
         ``first_node`` is the domain's global node offset (a fleet
@@ -207,10 +205,10 @@ class SchedulerSpec:
         if n_nodes < 1:
             raise ValueError("a scheduling domain needs at least one node")
         if self.kind == "unrestricted":
-            return FleetCoordinator(first_node=first_node)
+            return RollingCoordinator(first_node=first_node)
         max_down = self.resolved_max_down(n_nodes)
         if self.kind == "rolling":
-            return FleetCoordinator(
+            return RollingCoordinator(
                 min_gap_s=self.min_gap_s,
                 max_nodes_down=max_down,
                 pod_size=self.pod_size,
@@ -226,156 +224,3 @@ class SchedulerSpec:
             canary_soak_s=self.canary_soak_s,
             wave_quiet_s=self.wave_quiet_s,
         )
-
-
-class FleetCoordinator:
-    """Rolling-restart arbitration with pods and a grant log.
-
-    Speaks the same ``reset()`` / ``request(node, now, downtime_s)``
-    protocol as :class:`~repro.cluster.coordinator.RollingCoordinator`
-    (so it plugs straight into a multi-node
-    :class:`~repro.ecommerce.system.ECommerceSystem`)
-    but tracks *which* node is down rather than only how many, which is
-    what pod-level blast-radius limits and the auditable grant log
-    need.
-
-    ``node`` in :meth:`request` is the domain-local index;
-    ``first_node`` translates it to the global index used for pod
-    membership and the grant log.
-    """
-
-    def __init__(
-        self,
-        min_gap_s: float = 0.0,
-        max_nodes_down: int = _UNBOUNDED,
-        pod_size: Optional[int] = None,
-        max_down_per_pod: int = 1,
-        first_node: int = 0,
-    ) -> None:
-        if min_gap_s < 0:
-            raise ValueError("minimum gap must be non-negative")
-        if max_nodes_down < 1:
-            raise ValueError("at least one node must be allowed down")
-        if pod_size is not None and pod_size < 1:
-            raise ValueError("pod size must be positive")
-        if max_down_per_pod < 1:
-            raise ValueError("max_down_per_pod must allow at least one node")
-        self.min_gap_s = float(min_gap_s)
-        self.max_nodes_down = int(max_nodes_down)
-        self.pod_size = pod_size
-        self.max_down_per_pod = int(max_down_per_pod)
-        self.first_node = int(first_node)
-        self.reset()
-
-    def reset(self) -> None:
-        """Forget history between runs (including the grant log)."""
-        self._last_grant = -float("inf")
-        self._down: Dict[int, float] = {}  # global node -> down_until
-        self.granted = 0
-        self.denied = 0
-        #: Audit trail: ``(grant_time, global_node, down_until)``.
-        self.grants: List[Tuple[float, int, float]] = []
-
-    # ------------------------------------------------------------------
-    def _prune(self, now: float) -> None:
-        if self._down:
-            self._down = {
-                node: until
-                for node, until in self._down.items()
-                if until > now
-            }
-
-    def nodes_down(self, now: float) -> int:
-        """Nodes currently inside their rejuvenation downtime."""
-        self._prune(now)
-        return len(self._down)
-
-    def _pod_down(self, pod: int) -> int:
-        size = self.pod_size
-        assert size is not None
-        return sum(1 for node in self._down if node // size == pod)
-
-    def _admit(self, global_node: int, now: float, downtime_s: float) -> bool:
-        """The rolling limits (gap, cap, pod); no state changes on deny."""
-        if now - self._last_grant < self.min_gap_s:
-            return False
-        if downtime_s > 0.0:
-            if self.nodes_down(now) >= self.max_nodes_down:
-                return False
-            if (
-                self.pod_size is not None
-                and self._pod_down(global_node // self.pod_size)
-                >= self.max_down_per_pod
-            ):
-                return False
-        return True
-
-    def request(self, node: int, now: float, downtime_s: float) -> bool:
-        """May local ``node`` rejuvenate at ``now``?  Grants are logged."""
-        global_node = self.first_node + node
-        if not self._admit(global_node, now, downtime_s):
-            self.denied += 1
-            return False
-        self._grant(global_node, now, downtime_s)
-        return True
-
-    def _grant(self, global_node: int, now: float, downtime_s: float) -> None:
-        self._last_grant = now
-        until = now + downtime_s
-        if downtime_s > 0.0:
-            self._down[global_node] = until
-        self.granted += 1
-        self.grants.append((now, global_node, until))
-
-
-class CanaryCoordinator(FleetCoordinator):
-    """Canary-first waves on top of the rolling limits.
-
-    State machine: the first trigger of a wave is the **canary** --
-    granted alone, and every other request is denied until the canary's
-    downtime plus ``canary_soak_s`` has elapsed.  The wave then opens
-    and requests pass through the inherited rolling limits.  With
-    ``wave_quiet_s`` set, a wave that sees no grant for that long
-    closes, and the next trigger becomes a fresh canary.
-    """
-
-    def __init__(
-        self,
-        canary_soak_s: float = 0.0,
-        wave_quiet_s: Optional[float] = None,
-        **limits,
-    ) -> None:
-        self.canary_soak_s = float(canary_soak_s)
-        self.wave_quiet_s = wave_quiet_s
-        super().__init__(**limits)
-
-    def reset(self) -> None:
-        super().reset()
-        self._canary_done: Optional[float] = None
-        self._wave_open = False
-
-    def request(self, node: int, now: float, downtime_s: float) -> bool:
-        if (
-            self._wave_open
-            and self.wave_quiet_s is not None
-            and now - self._last_grant > self.wave_quiet_s
-        ):
-            # The wave went quiet: the next grant starts a new canary.
-            self._wave_open = False
-            self._canary_done = None
-        if not self._wave_open:
-            if self._canary_done is None:
-                # No canary in flight: this request volunteers.
-                global_node = self.first_node + node
-                if not self._admit(global_node, now, downtime_s):
-                    self.denied += 1
-                    return False
-                self._grant(global_node, now, downtime_s)
-                self._canary_done = now + downtime_s + self.canary_soak_s
-                return True
-            if now < self._canary_done:
-                # The canary is still baking: hold the fleet back.
-                self.denied += 1
-                return False
-            self._wave_open = True
-        return super().request(node, now, downtime_s)

@@ -132,6 +132,29 @@ class TestParameterSchema:
         with pytest.raises(ValueError, match="accepted"):
             make_policy("adaptive", PAPER_SLO, window=16, k_sigmas=3.0)
 
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("sraa", {"n": 2.5}),
+            ("sraa", {"K": float("inf")}),
+            ("sraa", {"D": True}),
+            ("sraa", {"n": float("nan")}),
+            ("sraa", {"n": "2"}),
+            ("clta", {"z": float("nan")}),
+            ("clta", {"z": None}),
+            ("threshold", {"limit": float("nan")}),
+            ("periodic", {"period": 1e3 + 0.5}),
+        ],
+    )
+    def test_values_checked_against_schema_type(self, name, params):
+        with pytest.raises(ValueError, match="must be an? (number|integer)"):
+            make_policy(name, PAPER_SLO, **params)
+
+    def test_integral_values_accepted_for_int_and_float(self):
+        policy = make_policy("sraa", PAPER_SLO, n=2.0, K=5, D=3)
+        assert policy.describe() == "SRAA(n=2, K=5, D=3)"
+        assert make_policy("clta", PAPER_SLO, n=30, z=2).z == 2.0
+
     def test_schema_params_match_builder_acceptance(self):
         # Every advertised parameter must actually be accepted by the
         # builder it documents (defaults exercise the full set).

@@ -1,12 +1,9 @@
-"""Fleet rejuvenation schedulers: floors, pods, canaries, grant logs."""
+"""Declarative schedulers and the canary discipline they build."""
 
 import pytest
 
-from repro.systems.schedulers import (
-    CanaryCoordinator,
-    FleetCoordinator,
-    SchedulerSpec,
-)
+from repro.cluster.coordinator import CanaryCoordinator, RollingCoordinator
+from repro.systems.schedulers import SchedulerSpec
 
 
 class TestSchedulerSpec:
@@ -44,91 +41,13 @@ class TestSchedulerSpec:
 
     def test_build_kinds(self):
         assert isinstance(
-            SchedulerSpec.unrestricted().build(4), FleetCoordinator
+            SchedulerSpec.unrestricted().build(4), RollingCoordinator
         )
         assert isinstance(
             SchedulerSpec.canary().build(4), CanaryCoordinator
         )
         rolling = SchedulerSpec.rolling(capacity_floor=0.5).build(4)
         assert rolling.max_nodes_down == 2
-
-
-class TestFleetCoordinator:
-    def test_capacity_cap(self):
-        coordinator = FleetCoordinator(max_nodes_down=2)
-        assert coordinator.request(0, now=0.0, downtime_s=100.0)
-        assert coordinator.request(1, now=0.0, downtime_s=100.0)
-        assert not coordinator.request(2, now=0.0, downtime_s=100.0)
-        assert coordinator.request(2, now=100.5, downtime_s=100.0)
-
-    def test_pod_blast_radius(self):
-        # Pods of 2: nodes {0,1}, {2,3}.  One down per pod.
-        coordinator = FleetCoordinator(
-            max_nodes_down=10, pod_size=2, max_down_per_pod=1
-        )
-        assert coordinator.request(0, now=0.0, downtime_s=100.0)
-        assert not coordinator.request(1, now=0.0, downtime_s=100.0)
-        assert coordinator.request(2, now=0.0, downtime_s=100.0)
-        assert not coordinator.request(3, now=0.0, downtime_s=100.0)
-
-    def test_first_node_offsets_pod_membership(self):
-        # The shard owns global nodes 4..7; pods of 4 -> one pod here.
-        coordinator = FleetCoordinator(
-            max_nodes_down=10,
-            pod_size=4,
-            max_down_per_pod=1,
-            first_node=4,
-        )
-        assert coordinator.request(0, now=0.0, downtime_s=100.0)
-        assert not coordinator.request(3, now=0.0, downtime_s=100.0)
-        assert coordinator.grants[0][1] == 4  # logged globally
-
-    def test_grant_log_records_downtime_window(self):
-        coordinator = FleetCoordinator(first_node=10)
-        coordinator.request(2, now=5.0, downtime_s=30.0)
-        assert coordinator.grants == [(5.0, 12, 35.0)]
-
-    def test_denials_leave_no_trace_in_the_log(self):
-        coordinator = FleetCoordinator(max_nodes_down=1)
-        coordinator.request(0, now=0.0, downtime_s=50.0)
-        coordinator.request(1, now=1.0, downtime_s=50.0)
-        assert len(coordinator.grants) == 1
-        assert coordinator.denied == 1
-
-    def test_reset_clears_everything(self):
-        coordinator = FleetCoordinator(max_nodes_down=1)
-        coordinator.request(0, now=0.0, downtime_s=50.0)
-        coordinator.reset()
-        assert coordinator.grants == []
-        assert coordinator.granted == 0
-        assert coordinator.nodes_down(0.0) == 0
-
-    def test_zero_downtime_grants_do_not_occupy_capacity(self):
-        coordinator = FleetCoordinator(max_nodes_down=1)
-        for node in range(5):
-            assert coordinator.request(node, now=float(node), downtime_s=0.0)
-
-    def test_cluster_protocol_compatible(self):
-        """Drop-in for RollingCoordinator inside a multi-node system."""
-        import dataclasses
-
-        from repro.ecommerce.config import PAPER_CONFIG
-        from repro.ecommerce.system import ECommerceSystem
-        from repro.ecommerce.workload import PoissonArrivals
-
-        config = dataclasses.replace(
-            PAPER_CONFIG, rejuvenation_downtime_s=120.0
-        )
-        coordinator = FleetCoordinator(max_nodes_down=1)
-        cluster = ECommerceSystem(
-            config,
-            PoissonArrivals(3 * 1.8),
-            seed=1,
-            n_nodes=3,
-            coordinator=coordinator,
-        )
-        cluster.run(2_000)
-        assert coordinator.granted == 0  # no policy, no requests
 
 
 class TestCanaryCoordinator:

@@ -124,6 +124,38 @@ class TestFaultsRunSystems:
             )
 
 
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--system", "cluster", "--capacity-floor", "0.8",
+              "--max-nodes-down", "1", "--min-gap", "50"],
+             "--capacity-floor"),
+            (["--system", "ecommerce", "--scheduler", "canary",
+              "--nodes", "7"], "--nodes"),
+            (["--nodes", "4"], "--nodes"),
+            (["--balancer", "jsq"], "--balancer"),
+            (["--scheduler", "rolling"], "--scheduler"),
+            (["--system", "cluster", "--shards", "2"], "--shards"),
+            (["--system", "cluster", "--min-gap", "30"], "--min-gap"),
+            (["--system", "fleet", "--max-nodes-down", "1"],
+             "--max-nodes-down"),
+            (["--system", "fleet", "--scheduler", "unrestricted",
+              "--pod-size", "2"], "--pod-size"),
+            (["--system", "cluster", "--scheduler", "rolling",
+              "--canary-soak", "5"], "--canary-soak"),
+            (["--system", "cluster", "--scheduler", "rolling",
+              "--max-down-per-pod", "2"], "--max-down-per-pod"),
+        ],
+    )
+    def test_unread_flag_is_one_line(self, extra, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(RUN + ["--policies", "SRAA"] + extra)
+        message = str(excinfo.value.code)
+        assert message.startswith(f"{flag}: only read with ")
+        assert "\n" not in message
+        assert capsys.readouterr().out == ""
+
+
 class TestFaultsScoreRoundTrip:
     def test_score_reprints_the_run_table(self, tmp_path, capsys):
         trace = str(tmp_path / "campaign.jsonl")

@@ -87,6 +87,30 @@ class TestSimulate:
         with pytest.raises(SystemExit):
             main(["simulate", "-p", "n=abc", "--transactions", "1000"])
 
+    @pytest.mark.parametrize(
+        "policy, param, problem",
+        [
+            ("sraa", "K=inf", "must be an integer"),
+            ("sraa", "n=nan", "must be a number"),
+            ("sraa", "n=2.5", "must be an integer"),
+            ("sraa", "n=0", "sample size"),
+            ("sraa", "foo=1", "unknown parameter"),
+            ("periodic", "period=-5", "period"),
+            ("threshold", "limit=nan", "must be a number"),
+            ("none", "n=2", "takes no parameters"),
+        ],
+    )
+    def test_bad_policy_param_is_one_line(
+        self, policy, param, problem, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--policy", policy, "-p", param,
+                  "--transactions", "1000"])
+        message = str(excinfo.value.code)
+        assert message.startswith("--param: ") and problem in message
+        assert "\n" not in message
+        assert capsys.readouterr().out == ""
+
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             main(
