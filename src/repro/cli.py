@@ -1286,7 +1286,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise SystemExit("--param: policy 'none' takes no parameters")
         policy = PolicySpec.none()
     else:
-        policy = PolicySpec(args.policy, params)
+        try:
+            policy = PolicySpec(args.policy, params)
+        except ValueError as error:
+            raise SystemExit(f"--policy: {error}") from None
     try:
         description = policy.describe()
     except ValueError as error:

@@ -188,34 +188,23 @@ class BatchBuffer:
         self._count += 1
         if self._count < self.size:
             return None
-        # Divide by the actual count: after a carry_partial resize to a
-        # smaller n, the completing batch may hold more than `size` values.
         mean = self._sum / self._count
         self._sum = 0.0
         self._count = 0
         self.batches_completed += 1
         return mean
 
-    def resize(self, new_size: int, carry_partial: bool = False) -> None:
-        """Change the batch size.
+    def resize(self, new_size: int) -> None:
+        """Change the batch size, discarding any partial batch.
 
-        Parameters
-        ----------
-        new_size:
-            The new ``n``.
-        carry_partial:
-            If ``True``, observations already accumulated keep counting
-            towards the next batch (which may complete immediately on the
-            next push); if ``False`` (the default, matching the paper's
-            pseudo-code which only ever indexes whole batches), the
-            partial batch is discarded.
+        The paper's pseudo-code only ever indexes whole batches, so the
+        observations gathered towards a batch of the old size are dropped.
         """
         if new_size < 1:
             raise ValueError("batch size must be >= 1")
         self.size = int(new_size)
-        if not carry_partial:
-            self._sum = 0.0
-            self._count = 0
+        self._sum = 0.0
+        self._count = 0
 
     def clear(self) -> None:
         """Drop any partially accumulated batch."""

@@ -19,12 +19,10 @@ from typing import Any, Callable, Dict, List, Tuple
 
 from repro.core.base import RejuvenationPolicy
 from repro.core.baselines import NeverRejuvenate, PeriodicRejuvenation
-from repro.core.clta import CLTA
+from repro.core.buckets import CLTA, SARAA, SRAA, StaticRejuvenation
 from repro.core.control_charts import CUSUMPolicy, EWMAPolicy
 from repro.core.quantile import QuantilePolicy
-from repro.core.saraa import SARAA
 from repro.core.sla import ServiceLevelObjective
-from repro.core.sraa import SRAA, StaticRejuvenation
 from repro.core.threshold import DeterministicThreshold, RiskBasedThreshold
 from repro.core.trend import TrendPolicy
 

@@ -19,15 +19,15 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, List, Sequence, Tuple
 
-from repro.core.clta import CLTA
-from repro.core.saraa import (
+from repro.core.buckets import (
+    CLTA,
     SARAA,
+    SRAA,
     geometric_acceleration,
     linear_acceleration,
     no_acceleration,
 )
 from repro.core.sla import PAPER_SLO
-from repro.core.sraa import SRAA
 from repro.ecommerce.config import PAPER_CONFIG, SystemConfig
 from repro.ecommerce.runner import run_replications
 from repro.ecommerce.spec import ArrivalSpec

@@ -22,7 +22,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.core.arl import BucketChainARL, sraa_exceedance_probabilities
-from repro.core.saraa import linear_acceleration
+from repro.core.buckets import linear_acceleration
 from repro.ctmc.sample_mean import SampleMeanChain
 from repro.experiments.scale import Scale
 from repro.experiments.sraa_figs import CONFIGS_NKD15, CONFIGS_SAMPLE_DOUBLED

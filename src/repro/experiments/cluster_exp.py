@@ -15,8 +15,8 @@ from typing import Callable, Optional
 
 from repro.cluster.balancer import JoinShortestQueue, LoadBalancer, RoundRobin
 from repro.cluster.coordinator import RollingCoordinator
+from repro.core.buckets import SRAA
 from repro.core.sla import PAPER_SLO
-from repro.core.sraa import SRAA
 from repro.ecommerce.config import PAPER_CONFIG, SystemConfig
 from repro.ecommerce.system import ECommerceSystem
 from repro.ecommerce.workload import PoissonArrivals

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from repro.core.buckets import SRAA
 from repro.core.composite import AllOf
 from repro.core.sla import PAPER_SLO
 from repro.core.spec import PolicySpec
-from repro.core.sraa import SRAA
 from repro.core.threshold import DeterministicThreshold
 from repro.ecommerce.config import PAPER_CONFIG
 from repro.ecommerce.runner import run_replications

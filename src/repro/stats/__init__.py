@@ -6,8 +6,9 @@
 * :mod:`~repro.stats.autocorrelation` -- the paper's lag-1 autocorrelation
   estimator (Shumway & Stoffer) with warm-up discard and the
   ``1.96/sqrt(N)`` significance test of Section 4.1.
-* :mod:`~repro.stats.normal` -- standard-normal quantiles and the
-  decision thresholds ``mu + z sigma / sqrt(n)`` used by SARAA/CLTA.
+* :mod:`~repro.stats.normal` -- standard-normal quantiles (CLTA's
+  ``z``); the decision thresholds themselves live on
+  :class:`~repro.core.sla.ServiceLevelObjective`.
 * :mod:`~repro.stats.clt` -- diagnostics for how fast the law of the
   sample mean approaches the normal (Fig. 5): sup-density distance,
   Kolmogorov distance and tail inflation.
@@ -22,11 +23,7 @@ from repro.stats.autocorrelation import (
 from repro.stats.clt import CLTDiagnostics
 from repro.stats.cusum_arl import cusum_arl, cusum_detection_profile
 from repro.stats.intervals import mean_confidence_interval
-from repro.stats.normal import (
-    normal_quantile,
-    sample_mean_threshold,
-    two_sided_z,
-)
+from repro.stats.normal import normal_quantile, two_sided_z
 from repro.stats.quantiles import P2Quantile
 from repro.stats.running import OnlineMoments
 from repro.stats.trend import (
@@ -50,7 +47,6 @@ __all__ = [
     "mann_kendall",
     "mean_confidence_interval",
     "normal_quantile",
-    "sample_mean_threshold",
     "significance_threshold",
     "theil_sen_slope",
     "time_to_level",

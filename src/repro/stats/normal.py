@@ -1,8 +1,6 @@
-"""Standard-normal quantiles and the algorithms' decision thresholds."""
+"""Standard-normal quantiles."""
 
 from __future__ import annotations
-
-import math
 
 from scipy.stats import norm
 
@@ -20,26 +18,3 @@ def two_sided_z(confidence: float) -> float:
         raise ValueError("confidence must lie in (0, 1)")
     return normal_quantile(0.5 + confidence / 2.0)
 
-
-def sample_mean_threshold(
-    mean: float, std: float, n: int, multiplier: float
-) -> float:
-    """The SARAA/CLTA target value ``mu + multiplier * sigma / sqrt(n)``.
-
-    For SRAA the multiplier is the bucket index ``N`` and the ``sqrt(n)``
-    factor is *not* applied (SRAA tests a shift of the underlying
-    distribution, not of the sampling distribution); use
-    :func:`shift_threshold` for that.
-    """
-    if n < 1:
-        raise ValueError("sample size must be >= 1")
-    if std < 0:
-        raise ValueError("standard deviation must be non-negative")
-    return mean + multiplier * std / math.sqrt(n)
-
-
-def shift_threshold(mean: float, std: float, multiplier: float) -> float:
-    """The SRAA target value ``mu + multiplier * sigma``."""
-    if std < 0:
-        raise ValueError("standard deviation must be non-negative")
-    return mean + multiplier * std

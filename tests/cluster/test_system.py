@@ -7,8 +7,8 @@ import pytest
 from repro.cluster.balancer import JoinShortestQueue, RoundRobin
 from repro.cluster.coordinator import RollingCoordinator
 from repro.cluster.metrics import imbalance
+from repro.core.buckets import SRAA
 from repro.core.sla import PAPER_SLO
-from repro.core.sraa import SRAA
 from repro.ecommerce.config import PAPER_CONFIG
 from repro.ecommerce.system import ECommerceSystem
 from repro.ecommerce.workload import PoissonArrivals

@@ -49,6 +49,13 @@ class TestClosedForms:
                 p
             ) == pytest.approx(expected)
 
+    def test_k1_d0_closed_form_is_geometric(self):
+        # CLTA's chain fires on the first exceedance: a geometric wait.
+        for p in (0.0337, 0.3, 1.0):
+            assert BucketChainARL(1, 0).mean_batches_to_trigger(
+                p
+            ) == pytest.approx(1 / p)
+
     def test_impossible_climb_is_infinite(self):
         arl = BucketChainARL(2, 1)
         assert arl.mean_batches_to_trigger([0.9, 0.0]) == float("inf")
@@ -65,7 +72,14 @@ class TestClosedForms:
 class TestMonteCarloAgreement:
     @pytest.mark.parametrize(
         "K, D, p",
-        [(1, 1, 0.6), (1, 3, 0.7), (2, 2, 0.6), (3, 1, 0.8), (5, 3, 0.9)],
+        [
+            (1, 0, 0.3),
+            (1, 1, 0.6),
+            (1, 3, 0.7),
+            (2, 2, 0.6),
+            (3, 1, 0.8),
+            (5, 3, 0.9),
+        ],
     )
     def test_scalar_probability(self, K, D, p):
         exact = BucketChainARL(K, D).mean_batches_to_trigger(p)
@@ -172,7 +186,7 @@ class TestSRAAIntegration:
         with pytest.raises(ValueError):
             BucketChainARL(0, 1)
         with pytest.raises(ValueError):
-            BucketChainARL(1, 0)
+            BucketChainARL(1, -1)
         arl = BucketChainARL(2, 1)
         with pytest.raises(ValueError):
             arl.mean_batches_to_trigger([0.5])  # wrong length
@@ -217,6 +231,29 @@ class TestCostToTrigger:
             arl.mean_cost_to_trigger(0.5, [1.0])  # wrong length
         with pytest.raises(ValueError):
             arl.mean_cost_to_trigger(0.5, [1.0, -1.0])
+
+
+class TestCLTAIntegration:
+    def test_healthy_arl_is_inverse_false_alarm_probability(
+        self, paper_model
+    ):
+        from repro.core.buckets import CLTA
+        from repro.core.sla import ServiceLevelObjective
+        from repro.ctmc.sample_mean import (
+            SampleMeanChain,
+            clt_false_alarm_probability,
+        )
+
+        slo = ServiceLevelObjective(
+            paper_model.response_time_mean(), paper_model.response_time_std()
+        )
+        policy = CLTA.from_false_alarm_rate(slo, sample_size=30)
+        chain = policy.chain
+        p = SampleMeanChain(paper_model, 30).sf(policy.threshold)
+        arl = BucketChainARL(chain.n_buckets, chain.depth)
+        assert arl.mean_batches_to_trigger(p) == pytest.approx(
+            1 / clt_false_alarm_probability(paper_model, 30), rel=1e-9
+        )
 
 
 class TestSARAARunLength:

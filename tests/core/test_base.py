@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.base import BatchBuffer
-from repro.core.clta import CLTA
+from repro.core.buckets import CLTA
 from repro.core.sla import ServiceLevelObjective
 
 
@@ -41,22 +41,6 @@ class TestBatchBuffer:
         assert buffer.pending == 0
         buffer.push(1.0)
         assert buffer.push(3.0) == pytest.approx(2.0)
-
-    def test_resize_carry_partial_keeps_observations(self):
-        buffer = BatchBuffer(4)
-        buffer.push(2.0)
-        buffer.push(4.0)
-        buffer.resize(3, carry_partial=True)
-        assert buffer.pending == 2
-        assert buffer.push(6.0) == pytest.approx(4.0)
-
-    def test_resize_smaller_than_pending_completes_on_next_push(self):
-        buffer = BatchBuffer(5)
-        for value in (1.0, 2.0, 3.0):
-            buffer.push(value)
-        buffer.resize(2, carry_partial=True)
-        # Four observations accumulated; mean over the actual count.
-        assert buffer.push(6.0) == pytest.approx(3.0)
 
     def test_clear(self):
         buffer = BatchBuffer(3)

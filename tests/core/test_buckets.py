@@ -12,7 +12,7 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BucketChain(n_buckets=0, depth=1)
         with pytest.raises(ValueError):
-            BucketChain(n_buckets=1, depth=0)
+            BucketChain(n_buckets=1, depth=-1)
 
     def test_initial_state(self):
         chain = BucketChain(3, 2)
@@ -46,6 +46,13 @@ class TestWithinBucket:
 
 
 class TestOverflowUnderflow:
+    def test_depth_zero_fires_on_first_exceedance(self):
+        # CLTA's chain: K = 1, D = 0 overflows on one exceedance.
+        chain = BucketChain(1, 0)
+        assert chain.record(False) is Transition.NONE
+        assert chain.record(True) is Transition.TRIGGER
+        assert (chain.level, chain.fill) == (0, 0)
+
     def test_overflow_needs_depth_plus_one(self):
         chain = BucketChain(2, 3)
         for _ in range(3):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.clta import CLTA
+from repro.core.buckets import CLTA
 from repro.core.sla import ServiceLevelObjective
 
 SLO = ServiceLevelObjective(mean=5.0, std=5.0)

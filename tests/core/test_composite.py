@@ -3,10 +3,9 @@
 import pytest
 
 from repro.core.baselines import PeriodicRejuvenation
-from repro.core.clta import CLTA
+from repro.core.buckets import CLTA, SRAA
 from repro.core.composite import AllOf, AnyOf, MajorityOf
 from repro.core.sla import ServiceLevelObjective
-from repro.core.sraa import SRAA
 from repro.core.threshold import DeterministicThreshold
 
 SLO = ServiceLevelObjective(mean=5.0, std=5.0)

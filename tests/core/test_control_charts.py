@@ -122,7 +122,7 @@ class TestEWMA:
 
 class TestComparisonWithBuckets:
     def test_all_detectors_catch_severe_degradation(self):
-        from repro.core.sraa import SRAA
+        from repro.core.buckets import SRAA
 
         rng = np.random.default_rng(2)
         degraded = rng.exponential(35.0, size=2_000)

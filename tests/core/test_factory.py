@@ -3,11 +3,9 @@
 import pytest
 
 from repro.core.baselines import NeverRejuvenate, PeriodicRejuvenation
-from repro.core.clta import CLTA
+from repro.core.buckets import CLTA, SARAA, SRAA, StaticRejuvenation
 from repro.core.factory import available_policies, make_policy
-from repro.core.saraa import SARAA
 from repro.core.sla import PAPER_SLO
-from repro.core.sraa import SRAA, StaticRejuvenation
 from repro.core.threshold import DeterministicThreshold, RiskBasedThreshold
 
 

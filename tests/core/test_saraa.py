@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from repro.core.buckets import Transition
-from repro.core.saraa import (
+from repro.core.buckets import (
     SARAA,
+    Transition,
     geometric_acceleration,
     linear_acceleration,
     no_acceleration,
@@ -140,15 +140,6 @@ class TestCarryPartial:
         policy.observe(0.0)
         assert policy.buffer.pending == 0 or policy.buffer.pending < before + 1
 
-    def test_carry_partial_keeps_observations(self):
-        policy = SARAA(
-            SLO, sample_size=4, n_buckets=2, depth=1, carry_partial=True
-        )
-        # No resize happens at level 0; just check construction works and
-        # batches complete normally.
-        assert policy.observe_many([100.0] * 8) == []
-        assert policy.level == 1
-
 
 class TestLifecycle:
     def test_reset(self):
@@ -166,6 +157,11 @@ class TestLifecycle:
     def test_validation(self):
         with pytest.raises(ValueError):
             SARAA(SLO, sample_size=0, n_buckets=1, depth=1)
+        with pytest.raises(ValueError, match="K >= 1"):
+            SARAA(SLO, sample_size=2, n_buckets=0, depth=1)
+        # The chain accepts D = 0 (CLTA), SARAA keeps D >= 1.
+        with pytest.raises(ValueError, match="D >= 1"):
+            SARAA(SLO, sample_size=2, n_buckets=1, depth=0)
 
     def test_describe(self):
         policy = SARAA(SLO, sample_size=2, n_buckets=5, depth=3)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.buckets import SRAA, StaticRejuvenation
 from repro.core.sla import ServiceLevelObjective
-from repro.core.sraa import SRAA, StaticRejuvenation
 
 SLO = ServiceLevelObjective(mean=5.0, std=5.0)
 
@@ -89,6 +89,15 @@ class TestValidationAndIntrospection:
     def test_invalid_sample_size(self):
         with pytest.raises(ValueError):
             SRAA(SLO, sample_size=0, n_buckets=1, depth=1)
+
+    def test_invalid_bucket_shape(self):
+        with pytest.raises(ValueError, match="K >= 1"):
+            SRAA(SLO, sample_size=1, n_buckets=0, depth=1)
+        # The chain accepts D = 0 (CLTA), SRAA and static keep D >= 1.
+        with pytest.raises(ValueError, match="D >= 1"):
+            SRAA(SLO, sample_size=1, n_buckets=1, depth=0)
+        with pytest.raises(ValueError, match="D >= 1"):
+            StaticRejuvenation(SLO, n_buckets=1, depth=0)
 
     def test_describe(self):
         policy = SRAA(SLO, sample_size=2, n_buckets=5, depth=3)

@@ -10,8 +10,8 @@ pin the model-level behaviour the slow-drift study relies on.
 import pytest
 
 from repro.core.baselines import PeriodicRejuvenation
+from repro.core.buckets import SRAA
 from repro.core.sla import ServiceLevelObjective
-from repro.core.sraa import SRAA
 from repro.core.trend import TrendPolicy
 from repro.ecommerce.config import SystemConfig
 from repro.ecommerce.system import ECommerceSystem

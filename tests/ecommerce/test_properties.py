@@ -12,10 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.baselines import PeriodicRejuvenation
-from repro.core.clta import CLTA
-from repro.core.saraa import SARAA
+from repro.core.buckets import CLTA, SARAA, SRAA
 from repro.core.sla import PAPER_SLO
-from repro.core.sraa import SRAA
 from repro.ecommerce.config import PAPER_CONFIG, SystemConfig
 from repro.ecommerce.runner import run_once
 from repro.ecommerce.workload import PoissonArrivals

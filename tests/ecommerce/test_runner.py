@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.buckets import SRAA
 from repro.core.sla import ServiceLevelObjective
-from repro.core.sraa import SRAA
 from repro.ecommerce.config import PAPER_CONFIG
 from repro.ecommerce.runner import (
     run_once,

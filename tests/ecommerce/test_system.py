@@ -5,8 +5,8 @@ import dataclasses
 import pytest
 
 from repro.core.baselines import PeriodicRejuvenation
+from repro.core.buckets import SRAA
 from repro.core.sla import PAPER_SLO, ServiceLevelObjective
-from repro.core.sraa import SRAA
 from repro.ecommerce.config import PAPER_CONFIG, SystemConfig
 from repro.ecommerce.system import ECommerceSystem
 from repro.ecommerce.workload import PoissonArrivals, TraceArrivals

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.clta import CLTA
+from repro.core.buckets import CLTA, SRAA
 from repro.core.sla import PAPER_SLO
-from repro.core.sraa import SRAA
 from repro.ecommerce.config import PAPER_CONFIG
 from repro.ecommerce.runner import run_once, simulate_mmc_response_times
 from repro.ecommerce.trace import (

@@ -4,10 +4,8 @@ import pickle
 
 import pytest
 
-from repro.core.clta import CLTA
-from repro.core.saraa import SARAA
+from repro.core.buckets import CLTA, SARAA, SRAA
 from repro.core.spec import NO_POLICY, PolicySpec
-from repro.core.sraa import SRAA
 from repro.ecommerce.config import PAPER_CONFIG
 from repro.ecommerce.spec import ArrivalSpec
 from repro.ecommerce.workload import (

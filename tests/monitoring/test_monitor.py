@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core.clta import CLTA
+from repro.core.buckets import CLTA, SRAA
 from repro.core.sla import ServiceLevelObjective
-from repro.core.sraa import SRAA
 from repro.monitoring.monitor import RejuvenationMonitor
 
 SLO = ServiceLevelObjective(mean=5.0, std=5.0)

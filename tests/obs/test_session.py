@@ -158,7 +158,7 @@ class TestJsonlRoundTrip:
             assert cause["data"]["exceeded"] is True
 
     def test_clta_threshold_is_policy_threshold(self, tmp_path):
-        from repro.core.clta import CLTA
+        from repro.core.buckets import CLTA
         from repro.obs.exporters import read_jsonl
 
         session, _ = _traced_run(

@@ -1,15 +1,8 @@
-"""Normal quantiles and the algorithms' thresholds."""
-
-import math
+"""Standard-normal quantiles."""
 
 import pytest
 
-from repro.stats.normal import (
-    normal_quantile,
-    sample_mean_threshold,
-    shift_threshold,
-    two_sided_z,
-)
+from repro.stats.normal import normal_quantile, two_sided_z
 
 
 class TestQuantiles:
@@ -34,24 +27,3 @@ class TestQuantiles:
         with pytest.raises(ValueError):
             two_sided_z(1.0)
 
-
-class TestThresholds:
-    def test_clta_paper_threshold(self):
-        # mu + 1.96 sigma / sqrt(30) with mu = sigma = 5 (Section 5.6).
-        value = sample_mean_threshold(5.0, 5.0, 30, 1.96)
-        assert value == pytest.approx(5.0 + 1.96 * 5.0 / math.sqrt(30))
-
-    def test_sraa_threshold_ignores_n(self):
-        assert shift_threshold(5.0, 5.0, 2) == 15.0
-
-    def test_multiplier_zero(self):
-        assert sample_mean_threshold(5.0, 5.0, 10, 0.0) == 5.0
-        assert shift_threshold(5.0, 5.0, 0.0) == 5.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sample_mean_threshold(5.0, 5.0, 0, 1.0)
-        with pytest.raises(ValueError):
-            sample_mean_threshold(5.0, -1.0, 5, 1.0)
-        with pytest.raises(ValueError):
-            shift_threshold(5.0, -1.0, 1.0)

@@ -112,11 +112,15 @@ class TestSimulate:
         assert capsys.readouterr().out == ""
 
     def test_unknown_policy(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as excinfo:
             main(
                 ["simulate", "--policy", "quantum",
                  "--transactions", "1000"]
             )
+        message = str(excinfo.value.code)
+        assert message.startswith("--policy: unknown policy 'quantum'")
+        assert "sraa" in message and "clta" in message
+        assert "\n" not in message
 
     def test_workers_gives_identical_numbers(self, capsys):
         args = [

@@ -11,7 +11,7 @@ formulas, and here they must meet.
 import numpy as np
 import pytest
 
-from repro.core.clta import CLTA
+from repro.core.buckets import CLTA
 from repro.core.sla import PAPER_SLO
 from repro.ctmc.sample_mean import SampleMeanChain
 from repro.ecommerce.runner import simulate_mmc_response_times
