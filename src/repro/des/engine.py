@@ -8,6 +8,10 @@ from typing import Any, Callable, Optional
 
 from repro.des.events import Event, EventQueue
 
+#: Allocates an :class:`Event` without running ``Event.__init__``; the
+#: scheduling methods fill every slot themselves, saving a frame per event.
+_new_event = object.__new__
+
 
 class StopSimulation(Exception):
     """Raised from inside an event action to stop the run loop cleanly."""
@@ -19,8 +23,10 @@ class Simulator:
     The simulator owns the clock and the pending-event set.  Model code
     schedules zero-argument callables at absolute or relative times and the
     run loop fires them in time order.  Scheduling and the run loop work on
-    the queue's ``(time, sequence, event)`` heap directly; every event,
-    from :meth:`run` or :meth:`step`, fires through :meth:`_fire`.
+    the queue's ``(time, sequence, event)`` heap directly.  With no tracer
+    and no profiler installed, :meth:`run` fires each event inline;
+    otherwise, and always from :meth:`step`, an event fires through
+    :meth:`_fire`.
 
     Examples
     --------
@@ -70,9 +76,14 @@ class Simulator:
             if delay != delay:
                 raise ValueError(f"cannot schedule at a NaN delay ({delay})")
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        event = Event(self.now + delay, action, kind, payload)
+        event = _new_event(Event)
+        event.time = time = self.now + delay
+        event.action = action
+        event.kind = kind
+        event.payload = payload
         event.sequence = sequence = next(self._sequence)
-        heappush(self._heap, (event.time, sequence, event))
+        event.cancelled = False
+        heappush(self._heap, (time, sequence, event))
         return event
 
     def schedule_at(
@@ -89,9 +100,14 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule into the past (time={time}, now={self.now})"
             )
-        event = Event(time, action, kind, payload)
+        event = _new_event(Event)
+        event.time = time = float(time)
+        event.action = action
+        event.kind = kind
+        event.payload = payload
         event.sequence = sequence = next(self._sequence)
-        heappush(self._heap, (event.time, sequence, event))
+        event.cancelled = False
+        heappush(self._heap, (time, sequence, event))
         return event
 
     def cancel(self, event: Event) -> None:
@@ -147,14 +163,27 @@ class Simulator:
 
         When stopping on ``until``, the clock is advanced to ``until`` and
         events scheduled at exactly ``until`` *are* fired (closed interval),
-        matching the usual DES convention for horizon-limited runs.
+        matching the usual DES convention for horizon-limited runs.  An
+        ``until`` before the current clock, or NaN, raises ``ValueError``.
+
+        The tracer and profiler are read once per call: one installed or
+        removed by an event's action takes effect on the next call.
         """
-        if until is not None and until != until:
-            raise ValueError(f"cannot run until a NaN time ({until})")
+        if until is not None:
+            if until != until:
+                raise ValueError(f"cannot run until a NaN time ({until})")
+            if until < self.now:
+                raise ValueError(
+                    f"cannot run until {until}: the clock is already at "
+                    f"{self.now}"
+                )
+            until = float(until)
         horizon = math.inf if until is None else until
         limit = math.inf if max_events is None else max_events
         heap = self._heap
         fire = self._fire
+        # Uninstrumented, an event fires inline: clock, count, action.
+        plain = self.tracer is None and self.profiler is None
         fired = 0
         try:
             while fired < limit:
@@ -171,7 +200,12 @@ class Simulator:
                     return fired
                 heappop(heap)
                 fired += 1
-                fire(event)
+                if plain:
+                    self.now = time
+                    self.events_fired += 1
+                    event.action()
+                else:
+                    fire(event)
         except StopSimulation:
             pass
         return fired

@@ -11,7 +11,9 @@ callbacks.
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, Dict, Optional, Tuple
 
 import numpy as np
@@ -133,6 +135,17 @@ class ProcessingNode:
         #: or ``None``; when set, each service start adds a Pareto-
         #: distributed delay with probability ``prob``.
         self.contamination: Optional[Tuple[float, float, float]] = None
+        # The frozen config's per-transaction constants, read once: the
+        # heap leak per transaction (0.0 when nothing leaks) and the
+        # kernel-overhead rule (an infinite threshold when disabled).
+        cfg = self.config
+        self._leak_mb = (
+            cfg.alloc_mb if cfg.enable_gc and cfg.alloc_mb > 0.0 else 0.0
+        )
+        self._overhead_threshold = (
+            cfg.overhead_threshold if cfg.enable_overhead else math.inf
+        )
+        self._overhead_factor = cfg.overhead_factor
 
     @property
     def free_heap_mb(self) -> float:
@@ -153,11 +166,19 @@ class ProcessingNode:
     # Work intake
     # ------------------------------------------------------------------
     def submit(self, job: Job) -> None:
-        """Accept one transaction (step 2: queue for a CPU)."""
+        """Accept one transaction (step 2: queue for a CPU).
+
+        With a CPU free and nobody waiting, the job would leave the
+        queue the moment it joined it, so it starts service at once --
+        unless a lifecycle tracer wants to see the ``request.enqueue``.
+        """
         self.dispatched += 1
         self.in_system += 1
-        self.queue.append(job)
         tracer = self._life_tracer
+        if tracer is None and self.free_cpus > 0 and not self.queue:
+            self._start_service(job)
+            return
+        self.queue.append(job)
         if tracer is not None:
             tracer.emit(
                 self.sim.now,
@@ -175,7 +196,6 @@ class ProcessingNode:
             self._start_service(self.queue.popleft())
 
     def _start_service(self, job: Job) -> None:
-        cfg = self.config
         now = self.sim.now
         self.free_cpus -= 1
         self.in_service[job] = None
@@ -191,15 +211,17 @@ class ProcessingNode:
             if self.service_rng.random() < prob:
                 service += scale_s * float(self.service_rng.pareto(alpha))
         # Step 4: kernel overhead above the concurrency threshold.
-        if cfg.enable_overhead and self.in_system > cfg.overhead_threshold:
-            service *= cfg.overhead_factor
+        if self.in_system > self._overhead_threshold:
+            service *= self._overhead_factor
         # Steps 5-6: allocation, possibly forcing a full GC first.
-        allocated = False
-        if cfg.enable_gc and cfg.alloc_mb > 0.0:
-            if self.free_heap_mb < cfg.gc_threshold_mb:
+        cfg = self.config
+        leak_mb = self._leak_mb
+        if leak_mb:
+            # The free_heap_mb property, inlined: a frame per transaction.
+            free_mb = cfg.heap_mb - self.live_mb - self.garbage_mb
+            if free_mb < cfg.gc_threshold_mb:
                 self._run_gc()
-            self.live_mb += cfg.alloc_mb
-            allocated = True
+            self.live_mb += leak_mb
         completion_time = now + service
         # A thread starting mid-GC stalls until the GC ends (only when
         # the stop-the-world variant is configured; the paper's default
@@ -207,7 +229,7 @@ class ProcessingNode:
         if cfg.gc_freezes_new_threads and now < self.gc_end:
             completion_time += self.gc_end - now
         job.completion_event = self.sim.schedule_at(
-            completion_time, lambda j=job: self._on_completion(j), kind="done"
+            completion_time, partial(self._on_completion, job), kind="done"
         )
         tracer = self._life_tracer
         if tracer is not None:
@@ -220,7 +242,7 @@ class ProcessingNode:
                 service_s=completion_time - now,
                 free_heap_mb=self.free_heap_mb,
             )
-        if allocated and self.on_allocation is not None:
+        if leak_mb and self.on_allocation is not None:
             self.on_allocation(now, self.free_heap_mb)
 
     def _run_gc(self) -> None:
@@ -261,14 +283,13 @@ class ProcessingNode:
             self.sim.cancel(event)
             running.completion_event = self.sim.schedule_at(
                 event.time + pause_s,
-                lambda j=running: self._on_completion(j),
+                partial(self._on_completion, running),
                 kind="done",
             )
             delayed += 1
         return delayed
 
     def _on_completion(self, job: Job) -> None:
-        cfg = self.config
         # Break the job -> event -> callback -> job reference cycle so
         # the subgraph is freed by refcounting the moment the job
         # leaves; left in place, every completed transaction becomes
@@ -278,16 +299,18 @@ class ProcessingNode:
         self.in_service.pop(job, None)
         self.free_cpus += 1
         self.in_system -= 1
-        if cfg.enable_gc and cfg.alloc_mb > 0.0:
+        leak_mb = self._leak_mb
+        if leak_mb:
             # The allocation leaks: reclaimed only by GC/rejuvenation.
-            self.live_mb -= cfg.alloc_mb
-            self.garbage_mb += cfg.alloc_mb
+            self.live_mb -= leak_mb
+            self.garbage_mb += leak_mb
         response_time = self.sim.now - job.arrival_time
         self.rt_sum += response_time
         # Step 7-8: hand the measurement to the owner, which may decide
         # to rejuvenate this node from inside the callback.
         self.on_complete(job, response_time)
-        self.dispatch()
+        if self.queue:
+            self.dispatch()
 
     # ------------------------------------------------------------------
     # Capacity restoration

@@ -18,6 +18,7 @@ meaningful, a coefficient of variation; all are exact-mean.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -63,7 +64,8 @@ def make_service_sampler(
     if rng is None:
         raise ValueError(f"{distribution!r} service times need an rng")
     if distribution == "exponential":
-        return lambda: float(rng.exponential(mean))
+        # A scalar draw is already a Python float: bind, don't wrap.
+        return partial(rng.exponential, mean)
     if distribution == "erlang2":
         # Two stages of rate 2/mean: mean preserved, cv = 1/sqrt(2).
         return lambda: float(rng.gamma(2.0, mean / 2.0))

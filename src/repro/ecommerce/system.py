@@ -225,7 +225,6 @@ class ECommerceSystem:
         else:
             policies = [policy() for _ in range(n_nodes)]
         self.config = config
-        self.arrivals = arrivals
         self._base_arrivals = arrivals
         self.arrival_scale = float(arrival_scale)
         self.first_node_index = int(first_node_index)
@@ -259,6 +258,7 @@ class ECommerceSystem:
         # The two streams drawn once per event serve their exponentials
         # from pre-drawn blocks (bit-identical to scalar draws).
         self._arrival_rng = self.streams.block_drawn("arrivals")
+        self._use_arrivals(arrivals)
         self._balancer_rng = self.streams["lb"] if n_nodes > 1 else None
         self.sim = Simulator(tracer=tracer, profiler=profiler)
         self.nodes: List[ProcessingNode] = [
@@ -350,6 +350,14 @@ class ECommerceSystem:
         """Lost transactions after the warm-up cut (for merging)."""
         return self._measured_lost
 
+    def _use_arrivals(self, process: ArrivalProcess) -> None:
+        """Make ``process`` the arrival source and bind ``_next_gap``,
+        the zero-argument draw of the next (scaled) inter-arrival gap."""
+        self.arrivals = process
+        sample = process.sampler(self._arrival_rng)
+        scale = self.arrival_scale
+        self._next_gap = sample if scale == 1.0 else lambda: sample() / scale
+
     def _mark_down(self, node_index: int, until: float) -> None:
         if until > self._down_until[node_index]:
             self._down_until[node_index] = until
@@ -359,19 +367,15 @@ class ECommerceSystem:
     # ------------------------------------------------------------------
     # Event handlers
     # ------------------------------------------------------------------
-    def _schedule_next_arrival(self) -> None:
-        if self._arrivals_generated >= self._n_target:
-            return
-        gap = self.arrivals.interarrival(self._arrival_rng)
-        if self.arrival_scale != 1.0:
-            gap /= self.arrival_scale
-        self.sim.schedule(gap, self._on_arrival, kind="arrival")
-
     def _on_arrival(self) -> None:
         now = self.sim.now
         index = self._arrivals_generated
-        self._arrivals_generated += 1
-        self._schedule_next_arrival()
+        self._arrivals_generated = generated = index + 1
+        # Schedule the next arrival before admitting this one.
+        if generated < self._n_target:
+            self.sim.schedule(
+                self._next_gap(), self._on_arrival, kind="arrival"
+            )
         tracer = self._life_tracer
         if tracer is not None:
             tracer.emit(now, "request.arrival", self._source, index=index)
@@ -484,7 +488,7 @@ class ECommerceSystem:
         scenarios shifts every node's offered load alike.
         """
         previous = self.arrivals
-        self.arrivals = process
+        self._use_arrivals(process)
         return previous
 
     def _local_indices(self, node: Optional[int]) -> List[int]:
@@ -612,8 +616,8 @@ class ECommerceSystem:
         self.sim.reset()
         # Fault injectors may have swapped the arrival process in a
         # previous run; every run starts from the constructor's process.
-        self.arrivals = self._base_arrivals
-        self.arrivals.reset()
+        self._base_arrivals.reset()
+        self._use_arrivals(self._base_arrivals)
         self.balancer.reset()
         self.coordinator.reset()
         if self.tracer is not None:
@@ -635,7 +639,7 @@ class ECommerceSystem:
             injections = getattr(self.faults, "injections", self.faults)
             for injection in injections:
                 injection.arm(self)
-        self._schedule_next_arrival()
+        self.sim.schedule(self._next_gap(), self._on_arrival, kind="arrival")
         if self.telemetry is not None:
             self.telemetry.clear()
             self._probe_telemetry()

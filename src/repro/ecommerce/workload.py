@@ -12,17 +12,33 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
 
 class ArrivalProcess(abc.ABC):
-    """A stateful source of inter-arrival times."""
+    """A stateful source of inter-arrival times.
+
+    A subclass implements :meth:`interarrival` and :meth:`mean_rate`;
+    :meth:`sampler` and :meth:`reset` have working defaults.
+    """
 
     @abc.abstractmethod
     def interarrival(self, rng: np.random.Generator) -> float:
         """Draw the time until the next arrival (seconds, ``>= 0``)."""
+
+    def sampler(self, rng: np.random.Generator) -> Callable[[], float]:
+        """A zero-argument callable drawing successive inter-arrivals.
+
+        Each call must return exactly what :meth:`interarrival` would
+        return on ``rng`` at that point, with the same draws, so a
+        system may bind the sampler once and call it per arrival.  The
+        default binds :meth:`interarrival`; a process may return
+        something cheaper with the same draws.
+        """
+        return partial(self.interarrival, rng)
 
     @abc.abstractmethod
     def mean_rate(self) -> float:
@@ -48,6 +64,10 @@ class PoissonArrivals(ArrivalProcess):
 
     def interarrival(self, rng: np.random.Generator) -> float:
         return float(rng.exponential(1.0 / self.rate))
+
+    def sampler(self, rng: np.random.Generator) -> Callable[[], float]:
+        # The very draw interarrival() makes, with no frame around it.
+        return partial(rng.exponential, 1.0 / self.rate)
 
     def mean_rate(self) -> float:
         return self.rate

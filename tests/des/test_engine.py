@@ -103,6 +103,27 @@ class TestRunLimits:
         sim.run(until=10.0)
         assert sim.now == 10.0
 
+    def test_until_before_now_rejected(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(6.0, lambda: fired.append(6))
+        sim.schedule(10.0, lambda: fired.append(10))
+        sim.run(until=6.0)
+        with pytest.raises(ValueError, match=r"until 3.*already at 6\.0"):
+            sim.run(until=3)
+        assert sim.now == 6.0
+        assert fired == [6]
+        assert sim.run() == 1  # the pending event is untouched
+
+    def test_int_until_leaves_a_float_clock(self):
+        for pending in (True, False):
+            sim = Simulator()
+            if pending:
+                sim.schedule(10.0, lambda: None)
+            sim.run(until=6)
+            assert sim.now == 6.0
+            assert type(sim.now) is float
+
     def test_max_events_limits_this_call(self):
         sim = Simulator()
         fired = []

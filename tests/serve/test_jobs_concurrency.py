@@ -4,12 +4,19 @@ The run lock must keep two submitted campaigns from ever simulating at
 the same time; cancellation must be honoured both while queued (the
 job never starts) and mid-campaign (the progress hook aborts between
 replication jobs, and nothing is ledger-recorded).
+
+Tests that need a job still active when they act on it hold it there
+with :class:`BoundaryGate` instead of racing the simulation.
 """
 
+import threading
 import time
+
+import pytest
 
 from repro.obs.ledger import Ledger
 from repro.obs.sentinel import ScheduleSpec, Scheduler
+from repro.serve import jobs as serve_jobs
 from repro.serve.jobs import (
     CANCELLED,
     DONE,
@@ -31,13 +38,41 @@ QUICK = {
 LONG = dict(QUICK, replications=6, horizon=900)
 
 
-def wait_for(predicate, timeout_s=60.0):
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.01)
-    return False
+class BoundaryGate:
+    """Holds every campaign at its first job boundary until released.
+
+    The boundary is where the manager's progress hook checks for a
+    cancel, so a job held there is ``RUNNING`` and a cancel issued
+    before :meth:`release` is certain to land.
+    """
+
+    def __init__(self):
+        self.reached = threading.Event()
+        self.released = threading.Event()
+
+    def hold(self, progress):
+        def held(event):
+            self.reached.set()
+            assert self.released.wait(timeout=180.0), "gate never released"
+            progress(event)
+
+        return held
+
+    def release(self):
+        self.released.set()
+
+
+@pytest.fixture
+def gate(monkeypatch):
+    gate = BoundaryGate()
+    run_request = serve_jobs.run_request
+
+    def gated(request, *, progress, **kwargs):
+        return run_request(request, progress=gate.hold(progress), **kwargs)
+
+    monkeypatch.setattr(serve_jobs, "run_request", gated)
+    yield gate
+    gate.release()  # never leave a runner thread parked
 
 
 class TestSerialisation:
@@ -74,13 +109,15 @@ class TestSerialisation:
 
 
 class TestCancellation:
-    def test_cancel_queued_job_never_runs(self):
+    def test_cancel_queued_job_never_runs(self, gate):
         manager = JobManager()
         blocker = manager.submit_campaign(dict(LONG))
         queued = manager.submit_campaign(dict(QUICK, seed=9))
         assert queued["status"] == QUEUED
+        assert gate.reached.wait(timeout=60.0)
         snapshot = manager.cancel(queued["id"])
         assert snapshot["status"] in (QUEUED, CANCELLED)
+        gate.release()
         final = manager.wait(queued["id"], timeout_s=180.0)
         assert final["status"] == CANCELLED
         assert final["entry_id"] is None
@@ -88,13 +125,13 @@ class TestCancellation:
         manager.cancel(blocker["id"])
         manager.wait(blocker["id"], timeout_s=180.0)
 
-    def test_cancel_running_campaign_discards_results(self):
+    def test_cancel_running_campaign_discards_results(self, gate):
         manager = JobManager()
         job = manager.submit_campaign(dict(LONG))
-        assert wait_for(
-            lambda: manager.get(job["id"])["status"] == RUNNING
-        )
+        assert gate.reached.wait(timeout=60.0)
+        assert manager.get(job["id"])["status"] == RUNNING
         manager.cancel(job["id"])
+        gate.release()
         final = manager.wait(job["id"], timeout_s=180.0)
         assert final["status"] == CANCELLED
         assert final["entry_id"] is None
@@ -103,8 +140,6 @@ class TestCancellation:
         assert Ledger().entries() == []
 
     def test_cancel_unknown_job_raises(self):
-        import pytest
-
         with pytest.raises(LookupError):
             JobManager().cancel("job-9999")
 
@@ -116,7 +151,7 @@ class TestCancellation:
         snapshot = manager.cancel(job["id"])
         assert snapshot["status"] == DONE  # terminal states stay put
 
-    def test_job_finished_event_for_cancelled_job_has_no_entry(self):
+    def test_job_finished_event_for_cancelled_job_has_no_entry(self, gate):
         from repro.serve.broker import EventBroker
 
         broker = EventBroker()
@@ -124,8 +159,10 @@ class TestCancellation:
         manager = JobManager(broker=broker)
         blocker = manager.submit_campaign(dict(LONG))
         victim = manager.submit_campaign(dict(QUICK, seed=9))
+        assert gate.reached.wait(timeout=60.0)
         manager.cancel(victim["id"])
         manager.cancel(blocker["id"])
+        gate.release()
         manager.wait(victim["id"], timeout_s=180.0)
         manager.wait(blocker["id"], timeout_s=180.0)
         finished = []
@@ -152,22 +189,25 @@ class TestTicksDuringRunningJobs:
             on_overlap=on_overlap,
         )
 
-    def test_skip_policy_skips_while_previous_job_is_active(self):
+    def test_skip_policy_skips_while_previous_job_is_active(self, gate):
         manager = JobManager()
         scheduler = Scheduler(manager)
         scheduler.add(self.schedule("skip"), now=0.0)
         launched = scheduler.tick(10.0)
         assert len(launched) == 1
-        # The campaign is far from done; the next two due ticks skip.
+        # The campaign is held at a job boundary; the next two due
+        # ticks skip.
+        assert gate.reached.wait(timeout=60.0)
         assert scheduler.tick(20.0) == []
         assert scheduler.tick(30.0) == []
         state = scheduler.get("recurring")
         assert state["skipped"] == 2
         assert state["runs"] == 1
         manager.cancel(launched[0]["id"])
+        gate.release()
         manager.wait(launched[0]["id"], timeout_s=180.0)
 
-    def test_queue_policy_lets_the_run_lock_serialise(self):
+    def test_queue_policy_lets_the_run_lock_serialise(self, gate):
         manager = JobManager()
         scheduler = Scheduler(manager)
         scheduler.add(self.schedule("queue"), now=0.0)
@@ -179,8 +219,11 @@ class TestTicksDuringRunningJobs:
         state = scheduler.get("recurring")
         assert state["runs"] == 2
         assert state["skipped"] == 0
+        assert gate.reached.wait(timeout=60.0)
         for job in first + second:
             manager.cancel(job["id"])
+        gate.release()
+        for job in first + second:
             assert manager.wait(job["id"], timeout_s=180.0)["status"] == (
                 CANCELLED
             )
