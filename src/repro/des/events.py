@@ -33,6 +33,10 @@ class Event:
         Free-form tag used for introspection and tracing (e.g. ``"arrival"``).
     payload:
         Arbitrary data carried by the event; not interpreted by the kernel.
+
+    :meth:`Simulator.schedule <repro.des.engine.Simulator.schedule>` and
+    ``schedule_at`` build events without calling ``__init__`` and set
+    every slot themselves: a new slot must be set there as well.
     """
 
     __slots__ = ("time", "action", "kind", "payload", "sequence", "cancelled")

@@ -11,9 +11,10 @@ exact bytes both doors produced:
 * ``runs list`` (text and ``--json``) and ``GET /api/runs`` over a
   fixed three-entry ledger, for ``last`` unset, 1 and 3 -- the JSON
   bytes are the same from both doors;
-* ``runs bench --dir ci/bench`` and ``GET /api/bench`` served with
-  ``--bench-dir ci/bench`` (a new point committed to ``ci/bench``
-  changes both listings, and so these two digests);
+* ``runs bench --dir`` and ``GET /api/bench`` served with
+  ``--bench-dir`` over ``ci/bench`` as it stood when the digests were
+  captured: points appended since are dropped from a copy, so a new
+  trajectory point leaves both digests alone;
 * the manifest hash of one small ``faults run`` campaign.
 """
 
@@ -78,6 +79,8 @@ BENCH_TEXT_DIGEST = (
 BENCH_API_DIGEST = (
     "d07b6ee6b9c1edddae765321082b281cf70bd81e5cf6eef3c5a0d654b5967fd0"
 )
+#: When the two bench digests were captured (the commit that added them).
+BENCH_CAPTURED_UTC = "2026-10-17T11:34:11+00:00"
 
 CAMPAIGN = [
     "faults", "run", "aging_onset",
@@ -181,11 +184,31 @@ def test_runs_listing(last, ledger_dir, capsys):
     assert served == cli_json.encode("utf-8")
 
 
-def test_bench_listing(capsys):
-    code, text = _cli_out(["runs", "bench", "--dir", BENCH_DIR], capsys)
+@pytest.fixture
+def bench_dir(tmp_path):
+    """A copy of ``ci/bench`` holding only the points recorded by
+    :data:`BENCH_CAPTURED_UTC`."""
+    directory = tmp_path / "bench"
+    directory.mkdir()
+    for name in sorted(os.listdir(BENCH_DIR)):
+        with open(os.path.join(BENCH_DIR, name), encoding="utf-8") as handle:
+            trajectory = json.load(handle)
+        trajectory["points"] = [
+            point
+            for point in trajectory["points"]
+            if point["timestamp"] <= BENCH_CAPTURED_UTC
+        ]
+        with open(directory / name, "w", encoding="utf-8") as handle:
+            json.dump(trajectory, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    return str(directory)
+
+
+def test_bench_listing(capsys, bench_dir):
+    code, text = _cli_out(["runs", "bench", "--dir", bench_dir], capsys)
     assert code == 0
     assert _sha(text) == BENCH_TEXT_DIGEST, text
-    served = _served_bytes("/api/bench", bench_dir=BENCH_DIR)
+    served = _served_bytes("/api/bench", bench_dir=bench_dir)
     assert _sha(served) == BENCH_API_DIGEST, served
 
 
