@@ -17,6 +17,7 @@ from repro.faults.campaign import score_records
 from repro.obs.columnar.io import write_columnar
 from repro.obs.columnar.query import load_query
 from repro.obs.columnar.synth import synth_campaign_trace
+from repro.obs.exporters import write_jsonl_lines
 from repro.obs.ledger import record_bench_point
 from repro.obs.live.report import render_report
 
@@ -55,9 +56,7 @@ def test_columnar_query_speedup(benchmark, tmp_path):
     )
 
     jsonl = str(tmp_path / "trace.jsonl")
-    with open(jsonl, "w", encoding="utf-8") as handle:
-        for line in trace.to_jsonl_lines():
-            handle.write(line + "\n")
+    write_jsonl_lines(jsonl, trace.to_jsonl_lines())
     rcol = str(tmp_path / "trace.rcol")
     write_columnar(trace, rcol)
 

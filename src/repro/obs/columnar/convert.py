@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.obs.exporters import write_jsonl
+from repro.obs.exporters import write_jsonl_lines
 
 from .io import read_trace, sniff_format, write_columnar
 
@@ -61,4 +61,6 @@ def convert_trace(
     if out_format == "columnar":
         write_columnar(trace, out_path)
         return in_format, out_format, len(trace)
-    return in_format, out_format, write_jsonl(out_path, trace.iter_records())
+    return in_format, out_format, write_jsonl_lines(
+        out_path, trace.to_jsonl_lines()
+    )

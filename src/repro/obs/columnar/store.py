@@ -153,9 +153,10 @@ class ShapeTable:
     def meta(self, shape_id: int) -> dict:
         """Per-shape pool consumption counts and key positions.
 
-        ``counts`` maps tag -> values consumed; ``slots`` maps key ->
-        ``(tag, position-within-that-tag's-pool-run)`` (bools share the
-        int pool) -- what the vectorized field gather in
+        ``counts`` maps tag -> values consumed; ``columns`` holds one
+        ``(tag, position-within-that-tag's-pool-run)`` per field, in
+        field order (bools share the int pool), and ``slots`` maps key
+        -> column -- what the vectorized field gather in
         :meth:`ColumnarTrace.field_float` uses to find, say,
         ``response_time`` for every event of a shape in one
         fancy-indexing step.
@@ -180,6 +181,7 @@ class ShapeTable:
             "floats": counts[TAG_FLOAT],
             "strs": counts[TAG_STR],
             "jsons": counts[TAG_JSON],
+            "columns": columns,
             "slots": {
                 key: column for (key, _tag), column in zip(fields, columns)
             },
@@ -846,9 +848,159 @@ class ColumnarTrace:
         }
 
     def to_jsonl_lines(self) -> Iterator[str]:
-        """Every record as its compact JSON line (no newline)."""
-        for record in self.iter_records():
-            yield compact_json(record)
+        """Every record as its compact JSON line (no newline).
+
+        The lines are the bytes ``compact_json`` gives for each record
+        of :meth:`iter_records`, written straight from the columns
+        without decoding a record (see :class:`_JsonlLines`).  This is
+        the one JSONL trace writer: ``--trace x.jsonl`` and ``repro
+        trace convert`` both write through it.
+        """
+        lines = _JsonlLines(self)
+        n = len(self)
+        for start in range(0, n, _DECODE_CHUNK):
+            yield from lines.chunk(start, min(start + _DECODE_CHUNK, n))
+
+
+def _float_text(values: np.ndarray) -> List[Any]:
+    """A float column as ``%s`` arguments: the floats themselves
+    (``str`` is their JSON text), and json's names for NaN and ±inf."""
+    out = values.tolist()
+    finite = np.isfinite(values)
+    if not finite.all():
+        for index in np.flatnonzero(~finite).tolist():
+            value = out[index]
+            out[index] = (
+                "NaN"
+                if value != value
+                else "Infinity" if value > 0 else "-Infinity"
+            )
+    return out
+
+
+def _template(
+    items: Iterable[Tuple[str, Any]], columns: List[Tuple[str, int]]
+) -> str:
+    """The ``%``-template of one JSON object; appends its value columns.
+
+    ``items`` are ``(key, column)`` pairs, where a column is a ``(tag,
+    position)`` pair or a nested ``{key: column}`` object.  Keys are
+    encoded by :func:`compact_json` (json's own coercion and escaping)
+    with every ``%`` doubled; a null value is constant text.
+    """
+    parts = []
+    for key, column in items:
+        if isinstance(column, dict):
+            value = _template(column.items(), columns)
+        elif column[0] == TAG_NULL:
+            value = "null"
+        else:
+            value = "%s"
+            columns.append(column)
+        parts.append(compact_json(key).replace("%", "%%") + ":" + value)
+    return "{" + ",".join(parts) + "}"
+
+
+class _JsonlLines:
+    """JSONL text of a :class:`ColumnarTrace`, formatted column-wise.
+
+    Each shape gets one ``%``-template, built once from its envelope
+    and keys, plus the value columns it fills in.  A chunk of rows is
+    formatted shape by shape: every column's values are gathered with
+    one fancy index and turned into JSON text in one step, each line is
+    ``template % row``, and the lines are scattered back into row
+    order.  Dictionary entries (types, sources, strings, fragments) are
+    JSON-encoded once each; a fragment is re-encoded from its parsed
+    value, which is the normalisation :meth:`ColumnarTrace.iter_records`
+    plus ``compact_json`` apply.
+    """
+
+    def __init__(self, trace: ColumnarTrace) -> None:
+        def encoded(values: Iterable[Any]) -> np.ndarray:
+            return np.asarray([compact_json(v) for v in values], dtype=object)
+
+        self.trace = trace
+        self.table = trace.shape_table
+        self.texts = {
+            "type": encoded(trace.types),
+            "source": encoded(trace.sources),
+            TAG_STR: encoded(trace.strings),
+            TAG_JSON: encoded(map(json.loads, trace.fragments)),
+        }
+        self.pools = {
+            TAG_INT: (trace.ints, trace.ints_off),
+            TAG_BOOL: (trace.ints, trace.ints_off),
+            TAG_FLOAT: (trace.floats, trace.floats_off),
+            TAG_STR: (trace.strs, trace.strs_off),
+            TAG_JSON: (trace.jsons, trace.jsons_off),
+        }
+        self.plans: Dict[int, Tuple[str, List[Tuple[str, int]]]] = {}
+
+    def chunk(self, start: int, stop: int) -> List[str]:
+        """The lines of rows ``start:stop``, in row order."""
+        shape_ids = self.trace.shape_id[start:stop]
+        present = np.unique(shape_ids).tolist()
+        if len(present) == 1:
+            return self._lines(present[0], slice(start, stop))
+        out = np.empty(stop - start, dtype=object)
+        for shape_id in present:
+            where = np.flatnonzero(shape_ids == shape_id)
+            out[where] = self._lines(shape_id, where + start)
+        return out.tolist()
+
+    def _lines(self, shape_id: int, rows: Any) -> List[str]:
+        template, columns = self._plan(shape_id)
+        texts = [self._text(column, rows) for column in columns]
+        return list(map(template.__mod__, zip(*texts)))
+
+    def _plan(self, shape_id: int) -> Tuple[str, List[Tuple[str, int]]]:
+        plan = self.plans.get(shape_id)
+        if plan is None:
+            meta = self.table.meta(shape_id)
+            kind, columns = meta["kind"], meta["columns"]
+            keys = [key for key, _tag in meta["fields"]]
+            value_columns: List[Tuple[str, int]] = []
+            if kind == ENV_OPAQUE:  # the record is its one __raw fragment
+                template = "%s"
+                value_columns.append(columns[0])
+            else:
+                head = 2 if kind == ENV_META else 0  # __tag, __seed
+                # The envelope columns are pseudo-columns (name, 0).
+                envelope: Dict[str, Any] = {
+                    name: (name, 0) for name in ("run", "ts", "type", "source")
+                }
+                envelope["data"] = dict(zip(keys[head:], columns[head:]))
+                order = _EVENT_KEYS
+                if kind == ENV_META:
+                    envelope["tag"], envelope["seed"] = columns[:2]
+                    order = _META_KEYS
+                template = _template(
+                    ((key, envelope[key]) for key in order), value_columns
+                )
+            plan = self.plans[shape_id] = (template, value_columns)
+        return plan
+
+    def _text(self, column: Tuple[str, int], rows: Any) -> List[Any]:
+        """One column's ``%s`` arguments over ``rows``."""
+        tag, position = column
+        trace = self.trace
+        if tag == "ts":
+            return _float_text(trace.ts[rows])
+        if tag == "run":
+            return trace.run[rows].tolist()
+        if tag == "type":
+            return self.texts[tag][trace.type_id[rows]].tolist()
+        if tag == "source":
+            return self.texts[tag][trace.source_id[rows]].tolist()
+        pool, offsets = self.pools[tag]
+        values = pool[offsets[rows].astype(np.int64) + position]
+        if tag == TAG_FLOAT:
+            return _float_text(values)
+        if tag == TAG_INT:
+            return values.tolist()
+        if tag == TAG_BOOL:
+            return np.where(values != 0, "true", "false").tolist()
+        return self.texts[tag][values].tolist()
 
 
 class ColumnarRun:

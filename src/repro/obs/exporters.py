@@ -22,7 +22,9 @@ convention: a point-in-time snapshot of a
 from __future__ import annotations
 
 import gzip
+import io
 import json
+from itertools import islice
 from typing import Any, Dict, Iterable, Iterator, List
 
 from repro.obs.events import REQUEST_COMPLETE, RUN_META, compact_json
@@ -31,6 +33,10 @@ from repro.obs.metrics import MetricsRegistry
 #: Microseconds per simulated second (trace_event timestamps are in us).
 _US = 1_000_000.0
 
+#: Lines per ``write`` call of :func:`write_jsonl_lines`.
+_BLOCK_LINES = 4096
+
+
 def _open_text(path: str, mode: str):
     """Text-mode open that is gzip-transparent on a ``.gz`` suffix.
 
@@ -38,25 +44,44 @@ def _open_text(path: str, mode: str):
     job does); every JSONL reader and writer here accepts both forms,
     so ``repro explain``, ``repro faults score`` and ``repro report``
     work on ``.jsonl.gz`` without an explicit decompression step.
+    Writes stamp ``mtime=0`` into the gzip header, so writing the same
+    lines twice gives the same bytes (as ``.rcol.gz`` writes do).
     """
-    if path.endswith(".gz"):
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
+    if not path.endswith(".gz"):
+        return open(path, mode, encoding="utf-8")
+    if mode == "w":
+        return io.TextIOWrapper(
+            gzip.GzipFile(path, "wb", mtime=0), encoding="utf-8"
+        )
+    return gzip.open(path, mode + "t", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
 # JSONL
 # ---------------------------------------------------------------------------
-def write_jsonl(path: str, records: Iterable[Dict[str, Any]]) -> int:
-    """Write one JSON object per line (gzipped on a ``.gz`` path);
-    return the number of lines."""
+def write_jsonl_lines(path: str, lines: Iterable[str]) -> int:
+    """Write JSONL lines (gzipped on a ``.gz`` path), a block of lines
+    per ``write``; return the number of lines."""
+    lines = iter(lines)
     count = 0
     with _open_text(path, "w") as handle:
-        for record in records:
-            handle.write(compact_json(record))
+        while True:
+            block = list(islice(lines, _BLOCK_LINES))
+            if not block:
+                return count
+            handle.write("\n".join(block))
             handle.write("\n")
-            count += 1
-    return count
+            count += len(block)
+
+
+def write_jsonl(path: str, records: Iterable[Dict[str, Any]]) -> int:
+    """Write one JSON object per line (gzipped on a ``.gz`` path);
+    return the number of lines.
+
+    For plain record iterables; a trace is written from its columns
+    (:meth:`~repro.obs.columnar.store.ColumnarTrace.to_jsonl_lines`).
+    """
+    return write_jsonl_lines(path, map(compact_json, records))
 
 
 def iter_jsonl(path: str) -> Iterable[Dict[str, Any]]:

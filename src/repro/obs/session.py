@@ -36,7 +36,7 @@ from repro.obs.columnar.store import (
 from repro.obs.events import RUN_META
 from repro.obs.exporters import (
     write_chrome_trace,
-    write_jsonl,
+    write_jsonl_lines,
     write_prometheus,
 )
 from repro.obs.metrics import MetricsRegistry, registry_for_runs
@@ -209,8 +209,12 @@ class TraceSession:
         return registry
 
     def write_jsonl(self, path: str) -> int:
-        """Write the JSONL trace; return the line count."""
-        return write_jsonl(path, self.records())
+        """Write the JSONL trace; return the line count.
+
+        The lines are those of :meth:`records`, written from the
+        consolidated :meth:`columnar_trace`.
+        """
+        return write_jsonl_lines(path, self.columnar_trace().to_jsonl_lines())
 
     def write_columnar(self, path: str) -> int:
         """Write the columnar trace container; return the record count."""

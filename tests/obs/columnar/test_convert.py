@@ -7,6 +7,7 @@ matter which format they read.
 """
 
 import gzip
+import time
 
 import pytest
 
@@ -51,6 +52,20 @@ class TestConvertCli:
         assert main(["trace", "convert", rcol_gz, back_gz]) == 0
         with open(jsonl_trace, "rb") as a, gzip.open(back_gz, "rb") as b:
             assert a.read() == b.read()
+
+    def test_gzip_output_does_not_depend_on_the_clock(
+        self, jsonl_trace, tmp_path, monkeypatch
+    ):
+        rcol = str(tmp_path / "run.rcol")
+        convert_trace(jsonl_trace, rcol)
+        written = []
+        for now in (1_000_000_000.0, 2_000_000_000.0):
+            monkeypatch.setattr(time, "time", lambda: now)
+            out = tmp_path / str(now) / "x.jsonl.gz"
+            out.parent.mkdir()
+            convert_trace(rcol, str(out))
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
     def test_missing_input_exits_with_message(self, tmp_path):
         with pytest.raises(SystemExit, match="no such trace file"):

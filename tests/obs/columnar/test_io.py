@@ -144,3 +144,81 @@ class TestCorruption:
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises((ValueError, EOFError, OSError)):
             read_columnar(str(path))
+
+
+def _with_footer(path, edit):
+    """Rewrite the footer of the ``.rcol`` file at ``path`` with
+    ``edit(footer)``'s result, keeping valid magic and trailer."""
+    data = path.read_bytes()
+    footer_len = int.from_bytes(data[-16:-8], "little")
+    body = data[: len(data) - 16 - footer_len]
+    footer = json.loads(data[len(body) : len(data) - 16])
+    encoded = json.dumps(edit(footer)).encode("utf-8")
+    path.write_bytes(
+        body + encoded + len(encoded).to_bytes(8, "little") + data[-8:]
+    )
+
+
+def _set_dtype(footer, dtype):
+    footer["arrays"][1]["dtype"] = dtype
+    return footer
+
+
+class TestCorruptFooter:
+    """A footer with valid magic and trailer but the wrong content is
+    one ``ValueError`` naming the file, never a crash or a misread."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda footer: {"version": FORMAT_VERSION},
+            lambda footer: [1, 2],
+            lambda footer: _set_dtype(footer, "zz"),
+            lambda footer: _set_dtype(footer, "<i8"),
+            lambda footer: dict(footer, arrays=footer["arrays"][1:]),
+            lambda footer: dict(footer, arrays={"ts": 1}),
+            lambda footer: dict(footer, types="request.complete"),
+            lambda footer: dict(footer, shapes=[["event"]]),
+            lambda footer: dict(footer, shapes=[["event", [["k", "zz"]]]]),
+            lambda footer: dict(footer, segments=[{"rows": [0]}]),
+        ],
+        ids=[
+            "no-arrays-key",
+            "not-an-object",
+            "unknown-dtype",
+            "wrong-dtype",
+            "missing-array",
+            "arrays-not-a-list",
+            "types-not-a-list",
+            "bad-shape",
+            "unknown-tag",
+            "bad-segment",
+        ],
+    )
+    def test_rejected_with_one_message(self, tmp_path, edit):
+        path = tmp_path / "t.rcol"
+        _write(path, RECORDS)
+        _with_footer(path, edit)
+        with pytest.raises(ValueError) as error:
+            read_columnar(str(path))
+        assert str(error.value).startswith(
+            f"{path}: corrupt columnar trace ("
+        )
+
+    def test_unedited_footer_still_reads(self, tmp_path):
+        path = tmp_path / "t.rcol"
+        _write(path, RECORDS)
+        _with_footer(path, lambda footer: footer)
+        assert list(read_columnar(str(path)).iter_records()) == RECORDS
+
+    def test_cli_prints_one_line(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "t.rcol"
+        _write(path, RECORDS)
+        _with_footer(path, lambda footer: _set_dtype(footer, "zz"))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["report", str(path), "-o", str(tmp_path / "r.html")])
+        message = str(exit_info.value.code)
+        assert message.startswith(f"{path}: corrupt columnar trace (")
+        assert "\n" not in message

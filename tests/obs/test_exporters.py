@@ -1,6 +1,7 @@
 """JSONL, Chrome trace_event, and Prometheus file outputs."""
 
 import json
+import time
 
 import pytest
 
@@ -69,6 +70,19 @@ class TestJsonl:
         path = tmp_path / "gaps.jsonl"
         path.write_text('{"a": 1}\n\n{"b": 2}\n')
         assert read_jsonl(str(path)) == [{"a": 1}, {"b": 2}]
+
+    def test_gzip_bytes_do_not_depend_on_the_clock(
+        self, tmp_path, monkeypatch
+    ):
+        # gzip stamps the write time into its header unless told not to.
+        path = tmp_path / "trace.jsonl.gz"
+        written = []
+        for now in (1_000_000_000.0, 2_000_000_000.0):
+            monkeypatch.setattr(time, "time", lambda: now)
+            assert write_jsonl(str(path), RECORDS) == len(RECORDS)
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+        assert read_jsonl(str(path)) == RECORDS
 
 
 class TestChromeTrace:

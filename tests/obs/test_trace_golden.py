@@ -7,7 +7,9 @@ the columnar collection path is pinned to the exact bytes the dict path
 wrote.  The same digests must come out of the serial and the 2-worker
 process-pool backend, with and without the ``--live`` tap riding along
 (the ``TeeTracer`` path), and from a sharded fleet campaign whose shard
-traces are merged by simulated time.
+traces are merged by simulated time.  ``repro trace convert`` must
+give the same JSONL bytes back, from a JSONL trace taken through
+``.rcol`` and from a trace written as ``.rcol`` in the first place.
 """
 
 import hashlib
@@ -94,3 +96,19 @@ def test_fleet_campaign_jsonl_matches_golden(tmp_path, capsys, backend):
     trace = tmp_path / "fleet.jsonl"
     assert main(FLEET + BACKENDS[backend] + ["--trace", str(trace)]) == 0
     assert sha256(trace) == FLEET_JSONL_DIGEST
+
+
+def test_converted_trace_matches_golden(tmp_path, capsys):
+    jsonl, rcol = str(tmp_path / "trace.jsonl"), str(tmp_path / "t.rcol")
+    converted = {
+        "via-rcol": str(tmp_path / "via-rcol.jsonl"),
+        "from-rcol": str(tmp_path / "from-rcol.jsonl"),
+    }
+    assert main(SIMULATE + BACKENDS["serial"] + ["--trace", jsonl]) == 0
+    assert main(["trace", "convert", jsonl, rcol]) == 0
+    assert main(["trace", "convert", rcol, converted["via-rcol"]]) == 0
+    assert main(SIMULATE + BACKENDS["serial"] + ["--trace", rcol]) == 0
+    assert main(["trace", "convert", rcol, converted["from-rcol"]]) == 0
+    assert {name: sha256(path) for name, path in converted.items()} == {
+        name: SIMULATE_DIGESTS["trace.jsonl"] for name in converted
+    }

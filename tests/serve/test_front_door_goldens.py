@@ -187,7 +187,8 @@ def test_runs_listing(last, ledger_dir, capsys):
 @pytest.fixture
 def bench_dir(tmp_path):
     """A copy of ``ci/bench`` holding only the points recorded by
-    :data:`BENCH_CAPTURED_UTC`."""
+    :data:`BENCH_CAPTURED_UTC` (a trajectory started later is left
+    out whole)."""
     directory = tmp_path / "bench"
     directory.mkdir()
     for name in sorted(os.listdir(BENCH_DIR)):
@@ -198,6 +199,8 @@ def bench_dir(tmp_path):
             for point in trajectory["points"]
             if point["timestamp"] <= BENCH_CAPTURED_UTC
         ]
+        if not trajectory["points"]:
+            continue
         with open(directory / name, "w", encoding="utf-8") as handle:
             json.dump(trajectory, handle, indent=2, sort_keys=True)
             handle.write("\n")
