@@ -57,8 +57,11 @@ class RiskBasedThreshold(RejuvenationPolicy):
     soft_limit, hard_limit:
         The degradation band.
     rng:
-        Random generator for the Bernoulli draw (seeded for
-    reproducibility; defaults to a fresh default generator).
+        Random generator for the Bernoulli draw.  Without one, a
+        simulated system hands the policy a named stream of its run
+        (``policy``, or ``policy.<i>`` on node ``i`` of many), so seeded
+        runs reproduce; a policy used on its own draws from a fresh
+        unseeded generator.
     """
 
     name = "risk-threshold"
@@ -73,7 +76,7 @@ class RiskBasedThreshold(RejuvenationPolicy):
             raise ValueError("hard limit must exceed soft limit")
         self.soft_limit = float(soft_limit)
         self.hard_limit = float(hard_limit)
-        self.rng = rng if rng is not None else np.random.default_rng()
+        self.rng = rng
 
     def risk(self, value: float) -> float:
         """The trigger probability assigned to an observation."""
@@ -89,6 +92,8 @@ class RiskBasedThreshold(RejuvenationPolicy):
             return False
         if probability >= 1.0:
             return True
+        if self.rng is None:
+            self.rng = np.random.default_rng()
         return bool(self.rng.random() < probability)
 
     def reset(self) -> None:

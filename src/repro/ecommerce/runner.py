@@ -61,7 +61,6 @@ def replication_jobs(
     replications: int,
     seed: int = 0,
     warmup: int = 0,
-    trace_level: Optional[str] = None,
     telemetry_interval_s: Optional[float] = None,
     live: Optional[Any] = None,
     profile: bool = False,
@@ -73,7 +72,7 @@ def replication_jobs(
     ``seed + i`` as its own master seed, giving independent streams
     (pinned by ``tests/experiments/test_seed_protocol.py``).
 
-    ``trace_level`` defaults to the level of the installed
+    Jobs take the trace level of the installed
     :class:`~repro.obs.session.TraceSession` (if any), so wrapping a run
     in :func:`repro.obs.use_tracing` is enough to trace it;
     ``telemetry_interval_s`` installs a fixed-interval probe per
@@ -86,8 +85,7 @@ def replication_jobs(
         raise ValueError("need at least one replication")
     if n_transactions < 1:
         raise ValueError("need at least one transaction")
-    if trace_level is None:
-        trace_level = active_trace_level()
+    trace_level = active_trace_level()
     spec = None
     if system is not None:
         from repro.systems import resolve_system

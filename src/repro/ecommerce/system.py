@@ -278,6 +278,12 @@ class ECommerceSystem:
             )
             for i in range(n_nodes)
         ]
+        for i, node_policy in enumerate(policies):
+            # A drawing policy given no generator draws from this run.
+            if getattr(node_policy, "rng", False) is None:
+                node_policy.rng = self.streams[
+                    "policy" if single else f"policy.{i}"
+                ]
         if tracer is not None and tracer.decisions:
             # Deferred import: repro.obs is optional machinery on top of
             # the simulator, not a dependency of the model itself.

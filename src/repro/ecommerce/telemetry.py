@@ -37,7 +37,7 @@ class TelemetrySample:
 #: The canonical telemetry column order -- the CSV header, and the
 #: vocabulary the metrics snapshot reuses (a counter column ``completed``
 #: becomes the metric ``repro_completed_total``; see
-#: :data:`repro.obs.metrics.TELEMETRY_COUNTER_COLUMNS`).
+#: :meth:`repro.obs.metrics.MetricsRegistry.add_run`).
 TELEMETRY_COLUMNS: Tuple[str, ...] = tuple(
     f.name for f in fields(TelemetrySample)
 )

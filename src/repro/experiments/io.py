@@ -11,13 +11,13 @@ EXPERIMENTS.md.
 from __future__ import annotations
 
 import csv
-import gzip
 import json
 import os
 import re
 from typing import Any, Dict, List
 
 from repro.experiments.tables import ExperimentResult, Series, Table
+from repro.obs.exporters import open_text
 
 #: Schema version written into every JSON file.
 SCHEMA_VERSION = 1
@@ -85,23 +85,16 @@ def result_from_dict(payload: Dict[str, Any]) -> ExperimentResult:
     )
 
 
-def _open_text(path: str, mode: str):
-    """Text handle, transparently gzipped for ``.gz`` paths."""
-    if path.endswith(".gz"):
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
-
-
 def save_json(result: ExperimentResult, path: str) -> None:
     """Write one experiment result as JSON (gzipped for ``.gz`` paths)."""
-    with _open_text(path, "w") as handle:
+    with open_text(path, "w") as handle:
         json.dump(result_to_dict(result), handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
 def load_json(path: str) -> ExperimentResult:
     """Reload a result written by :func:`save_json` (plain or ``.gz``)."""
-    with _open_text(path, "r") as handle:
+    with open_text(path, "r") as handle:
         return result_from_dict(json.load(handle))
 
 

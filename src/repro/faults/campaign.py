@@ -230,7 +230,6 @@ def campaign_jobs(
     policies: Mapping[str, PolicySpec],
     replications: int,
     seed: int = 0,
-    trace_level: Optional[str] = None,
     live: Optional[object] = None,
     profile: bool = False,
     system: Optional[object] = None,
@@ -258,8 +257,7 @@ def campaign_jobs(
         raise ValueError("need at least one scenario")
     if not policies:
         raise ValueError("need at least one policy")
-    if trace_level is None:
-        trace_level = active_trace_level()
+    trace_level = active_trace_level()
     spec = None
     if system is not None:
         from repro.systems import resolve_system

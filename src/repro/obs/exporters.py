@@ -37,13 +37,14 @@ _US = 1_000_000.0
 _BLOCK_LINES = 4096
 
 
-def _open_text(path: str, mode: str):
+def open_text(path: str, mode: str):
     """Text-mode open that is gzip-transparent on a ``.gz`` suffix.
 
     Campaign traces are routinely gzipped for archiving (the CI fault
     job does); every JSONL reader and writer here accepts both forms,
     so ``repro explain``, ``repro faults score`` and ``repro report``
-    work on ``.jsonl.gz`` without an explicit decompression step.
+    work on ``.jsonl.gz`` without an explicit decompression step; the
+    experiment-result JSON (``--json x.json.gz``) goes through it too.
     Writes stamp ``mtime=0`` into the gzip header, so writing the same
     lines twice gives the same bytes (as ``.rcol.gz`` writes do).
     """
@@ -64,7 +65,7 @@ def write_jsonl_lines(path: str, lines: Iterable[str]) -> int:
     per ``write``; return the number of lines."""
     lines = iter(lines)
     count = 0
-    with _open_text(path, "w") as handle:
+    with open_text(path, "w") as handle:
         while True:
             block = list(islice(lines, _BLOCK_LINES))
             if not block:
@@ -86,7 +87,7 @@ def write_jsonl(path: str, records: Iterable[Dict[str, Any]]) -> int:
 
 def iter_jsonl(path: str) -> Iterable[Dict[str, Any]]:
     """Stream the records of a JSONL trace file (plain or ``.gz``)."""
-    with _open_text(path, "r") as handle:
+    with open_text(path, "r") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:

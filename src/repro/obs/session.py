@@ -39,7 +39,7 @@ from repro.obs.exporters import (
     write_jsonl_lines,
     write_prometheus,
 )
-from repro.obs.metrics import MetricsRegistry, registry_for_runs
+from repro.obs.metrics import MetricsRegistry, registry_for_runs, run_summary
 from repro.obs.tracer import validate_level
 
 
@@ -71,20 +71,6 @@ class TracedRun:
     seed: Optional[int]
     summary: Dict[str, Any]
     events: ColumnarRun
-
-
-def _run_summary(run: Any) -> Dict[str, Any]:
-    """The ``run.meta`` payload for one RunResult."""
-    return {
-        "arrivals": run.arrivals,
-        "completed": run.completed,
-        "lost": run.lost,
-        "avg_response_time": run.avg_response_time,
-        "loss_fraction": run.loss_fraction,
-        "gc_count": run.gc_count,
-        "rejuvenations": run.rejuvenations,
-        "sim_duration_s": run.sim_duration_s,
-    }
 
 
 class TraceSession:
@@ -136,7 +122,7 @@ class TraceSession:
                     index=len(self.runs),
                     tag=tuple(getattr(job, "tag", ())),
                     seed=getattr(job, "seed", None),
-                    summary=_run_summary(run),
+                    summary=run_summary(run),
                     events=events,
                 )
             )
@@ -191,17 +177,7 @@ class TraceSession:
         registry = MetricsRegistry()
         for run in self.runs:
             per_run = MetricsRegistry()
-            per_run.counter("repro_replications_total").inc()
-            for key, value in run.summary.items():
-                if key in ("avg_response_time", "loss_fraction"):
-                    continue
-                if key == "sim_duration_s":
-                    per_run.gauge("repro_sim_duration_seconds").set(value)
-                    continue
-                per_run.counter(f"repro_{key}_total").inc(value)
-            per_run.histogram(
-                "repro_replication_avg_response_time_seconds"
-            ).observe(run.summary["avg_response_time"])
+            per_run.add_run(run.summary)
             per_run.add_events(run.events)
             registry.merge(per_run)
         for profile in self.profiles:

@@ -2,6 +2,8 @@
 results.  Serial and process-pool runs of the same seeded scenario must
 be bit-identical (the ISSUE's acceptance criterion)."""
 
+import pytest
+
 from repro.core.spec import PolicySpec
 from repro.ecommerce.config import PAPER_CONFIG
 from repro.ecommerce.runner import run_replications
@@ -31,6 +33,36 @@ class TestRunReplicationsDeterminism:
 
     def test_serial_is_reproducible(self):
         assert _replicate(SerialBackend()) == _replicate(SerialBackend())
+
+
+class TestRiskThresholdDeterminism:
+    """``risk-threshold`` draws its Bernoulli trials from a named stream
+    of the run, so a seeded run reproduces on any backend, on one node
+    and on many."""
+
+    def _replicate(self, backend, system=None):
+        return run_replications(
+            PAPER_CONFIG,
+            arrival=ArrivalSpec.poisson(
+                PAPER_CONFIG.arrival_rate_for_load(9.0)
+            ),
+            policy=PolicySpec("risk-threshold"),
+            n_transactions=3000,
+            replications=2,
+            seed=7,
+            backend=backend,
+            system=system,
+        )
+
+    @pytest.mark.parametrize("system", [None, "cluster"])
+    def test_serial_is_reproducible(self, system):
+        first = self._replicate(SerialBackend(), system)
+        assert all(run.rejuvenations > 0 for run in first.runs)
+        assert first == self._replicate(SerialBackend(), system)
+
+    def test_serial_and_pool_bit_identical(self):
+        serial = self._replicate(SerialBackend())
+        assert serial == self._replicate(ProcessPoolBackend(workers=2))
 
 
 class TestWithoutDegradationRoundTrip:

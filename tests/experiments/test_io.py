@@ -98,6 +98,18 @@ class TestGzipRoundTrip:
         save_json(result, str(packed))
         assert packed.stat().st_size < plain.stat().st_size
 
+    def test_gz_bytes_ignore_the_clock(self, tmp_path, monkeypatch):
+        import time
+
+        written = []
+        for stamp in (1_000_000_000.0, 1_500_000_000.0):
+            monkeypatch.setattr(time, "time", lambda: stamp)
+            path = tmp_path / str(int(stamp)) / "result.json.gz"
+            path.parent.mkdir()
+            save_json(make_result(), str(path))
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+
     def test_plain_json_is_not_gzip(self, tmp_path):
         path = tmp_path / "result.json"
         save_json(make_result(), str(path))
