@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from repro.ctmc.chain import CTMC
 
@@ -166,6 +165,7 @@ class HuangRejuvenationModel:
         """
         if max_rate <= 0:
             raise ValueError("max rate must be positive")
+        from scipy.optimize import minimize_scalar
 
         def objective(rate: float) -> float:
             return self.downtime_cost_rate(

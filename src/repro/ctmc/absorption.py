@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import solve
 
 from repro.ctmc.chain import CTMC
 
@@ -87,6 +86,8 @@ class AbsorbingCTMC:
 
     def mean_time_to_absorption(self) -> float:
         """Expected absorption time: ``-alpha T^{-1} 1``."""
+        from scipy.linalg import solve
+
         ones = np.ones(len(self.transient_states))
         return float(-self._alpha @ solve(self._T, ones))
 
@@ -96,6 +97,8 @@ class AbsorbingCTMC:
             raise ValueError("moment order must be non-negative")
         if k == 0:
             return 1.0
+        from scipy.linalg import solve
+
         vec = np.ones(len(self.transient_states))
         factorial = 1.0
         for j in range(1, k + 1):

@@ -23,7 +23,6 @@ import math
 from typing import Tuple
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.ctmc.absorption import AbsorbingCTMC
 from repro.ctmc.chain import CTMC
@@ -135,6 +134,8 @@ class SampleMeanChain:
 
     def normal_pdf(self, x: float) -> float:
         """Density of the approximating normal at ``x``."""
+        from scipy.stats import norm
+
         mu, sigma = self.normal_parameters()
         return float(norm.pdf(x, loc=mu, scale=sigma))
 
@@ -142,6 +143,8 @@ class SampleMeanChain:
         """``mu_X + z_q sigma_X / sqrt(n)`` -- the CLTA decision threshold."""
         if not 0.0 < q < 1.0:
             raise ValueError("quantile level must lie in (0, 1)")
+        from scipy.stats import norm
+
         mu, sigma = self.normal_parameters()
         return float(norm.ppf(q, loc=mu, scale=sigma))
 

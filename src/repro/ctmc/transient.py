@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 #: Natural log of the smallest positive normal double; weights below this
 #: underflow to zero and are skipped (their mass is still tracked in log
@@ -31,6 +30,8 @@ def transient_expm(Q: np.ndarray, p0: np.ndarray, t: float) -> np.ndarray:
     """Transient distribution via the dense matrix exponential."""
     if t < 0:
         raise ValueError("time must be non-negative")
+    from scipy.linalg import expm
+
     return np.asarray(p0, dtype=float) @ expm(np.asarray(Q, dtype=float) * t)
 
 

@@ -102,10 +102,11 @@ def write_columnar(trace: ColumnarTrace, path: str) -> None:
     _write_stream(trace, buffer)
     payload = buffer.getvalue()
     if _is_gz(path):
-        # mtime=0 keeps repeated writes of the same trace byte-identical.
+        # mtime=0 and no file name keep writes of the same trace
+        # byte-identical, whenever and under whatever name they are made.
         with open(path, "wb") as handle:
             with gzip.GzipFile(
-                fileobj=handle, mode="wb", mtime=0
+                filename="", fileobj=handle, mode="wb", mtime=0
             ) as zipped:
                 zipped.write(payload)
     else:

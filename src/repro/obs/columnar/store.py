@@ -126,6 +126,14 @@ class _Dict:
         return found
 
 
+def _json_key(key: Any) -> str:
+    """``key`` as ``json`` writes a dict key (``True`` -> ``"true"``)."""
+    if type(key) is str:
+        return key
+    (text,) = json.loads(compact_json({key: None}))
+    return text
+
+
 class ShapeTable:
     """The shape dictionary plus per-shape decode/query metadata."""
 
@@ -146,7 +154,12 @@ class ShapeTable:
         if found is None:
             found = len(self.shapes)
             self.ids[shape] = found
-            self.shapes.append(shape)
+            # Payload keys are stored as JSON writes them, so a
+            # non-string key decodes as ``json.loads`` would read it.
+            kind, fields = shape
+            self.shapes.append(
+                (kind, tuple((_json_key(key), tag) for key, tag in fields))
+            )
             self._meta.append(None)
         return found
 

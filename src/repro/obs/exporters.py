@@ -45,15 +45,17 @@ def open_text(path: str, mode: str):
     so ``repro explain``, ``repro faults score`` and ``repro report``
     work on ``.jsonl.gz`` without an explicit decompression step; the
     experiment-result JSON (``--json x.json.gz``) goes through it too.
-    Writes stamp ``mtime=0`` into the gzip header, so writing the same
-    lines twice gives the same bytes (as ``.rcol.gz`` writes do).
+    Writes stamp ``mtime=0`` and an empty file name into the gzip
+    header, so the same lines give the same bytes whenever and under
+    whatever name they are written (as ``.rcol.gz`` writes do).
     """
     if not path.endswith(".gz"):
         return open(path, mode, encoding="utf-8")
     if mode == "w":
-        return io.TextIOWrapper(
-            gzip.GzipFile(path, "wb", mtime=0), encoding="utf-8"
-        )
+        raw = open(path, "wb")
+        zipped = gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0)
+        zipped.myfileobj = raw  # close the file with the stream
+        return io.TextIOWrapper(zipped, encoding="utf-8")
     return gzip.open(path, mode + "t", encoding="utf-8")
 
 

@@ -28,7 +28,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm, solve
 
 
 def _as_probability_vector(alpha: Sequence[float]) -> np.ndarray:
@@ -111,6 +110,8 @@ class PhaseType:
             return 1.0
         # E[X^k] = (-1)^k k! alpha T^{-k} 1, computed by repeated solves to
         # avoid forming the inverse explicitly.
+        from scipy.linalg import solve
+
         vec = np.ones(self.order)
         for _ in range(k):
             vec = solve(self.T, vec)
@@ -149,6 +150,8 @@ class PhaseType:
         """Survival function ``P(X > x)``."""
         if x < 0:
             return 1.0
+        from scipy.linalg import expm
+
         return float(self.alpha @ expm(self.T * x) @ np.ones(self.order))
 
     def cdf(self, x: float) -> float:
@@ -159,6 +162,8 @@ class PhaseType:
         """Density of the absolutely continuous part at ``x >= 0``."""
         if x < 0:
             return 0.0
+        from scipy.linalg import expm
+
         return float(self.alpha @ expm(self.T * x) @ self.t0)
 
     # ------------------------------------------------------------------

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.ctmc.sample_mean import SampleMeanChain
 from repro.queueing.mmc import MMcModel
@@ -69,6 +68,8 @@ class CLTDiagnostics:
 
     def report(self, n: int) -> CLTReport:
         """Compare the exact law of ``X̄n`` with ``N(mu_X, sigma_X^2/n)``."""
+        from scipy.stats import norm
+
         chain = SampleMeanChain(self.model, n)
         mu, sigma = chain.normal_parameters()
         low = max(0.0, mu - self.span_sigmas * sigma)

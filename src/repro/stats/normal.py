@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from scipy.stats import norm
-
 
 def normal_quantile(q: float) -> float:
     """The standard-normal quantile ``z_q`` (e.g. ``z_0.975 = 1.96``)."""
     if not 0.0 < q < 1.0:
         raise ValueError("quantile level must lie in (0, 1)")
-    return float(norm.ppf(q))
+    from scipy.special import ndtri  # the kernel of scipy.stats.norm.ppf
+
+    return float(ndtri(q))
 
 
 def two_sided_z(confidence: float) -> float:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.stats import norm
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,9 @@ def mann_kendall(values: Sequence[float]) -> TrendResult:
         z = (s + 1.0) / math.sqrt(variance)
     else:
         z = 0.0
-    p = 2.0 * (1.0 - float(norm.cdf(abs(z))))
+    from scipy.special import ndtr  # the kernel of scipy.stats.norm.cdf
+
+    p = 2.0 * (1.0 - float(ndtr(abs(z))))
     return TrendResult(
         statistic=s, z_score=z, p_value=p, slope=theil_sen_slope(x)
     )

@@ -110,6 +110,15 @@ class TestGzipRoundTrip:
             written.append(path.read_bytes())
         assert written[0] == written[1]
 
+    def test_gz_bytes_ignore_the_file_name(self, tmp_path):
+        written = []
+        for name in ("a/x.json.gz", "b/y.json.gz"):
+            path = tmp_path / name
+            path.parent.mkdir()
+            save_json(make_result(), str(path))
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+
     def test_plain_json_is_not_gzip(self, tmp_path):
         path = tmp_path / "result.json"
         save_json(make_result(), str(path))

@@ -68,6 +68,15 @@ class TestWriteRead:
         _write(b, RECORDS)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_gz_bytes_ignore_the_file_name(self, tmp_path):
+        # gzip stores the file's basename in its header unless told not to.
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        a, b = tmp_path / "a" / "x.rcol.gz", tmp_path / "b" / "y.rcol.gz"
+        _write(a, RECORDS)
+        _write(b, RECORDS)
+        assert a.read_bytes() == b.read_bytes()
+
     def test_magic_leads_the_file(self, tmp_path):
         path = tmp_path / "t.rcol"
         _write(path, RECORDS)

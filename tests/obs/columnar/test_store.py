@@ -358,6 +358,25 @@ class TestJsonlWriter:
                     '"data":{"1":"last","x":2},"run":0}']
         )
 
+    def test_bool_and_none_keys_read_back_as_json_writes_them(
+        self, tmp_path
+    ):
+        from repro.obs.columnar.io import (
+            read_columnar,
+            read_trace,
+            write_columnar,
+        )
+        from repro.obs.exporters import write_jsonl_lines
+
+        record = _event(1.0, {True: 1, None: 2, 3: 4, False: 0.5})
+        expected = [json.loads(compact_json(record))]
+        trace = ColumnarTrace.from_records([record])
+        rcol, jsonl = tmp_path / "t.rcol", tmp_path / "t.jsonl"
+        write_columnar(trace, str(rcol))
+        write_jsonl_lines(str(jsonl), trace.to_jsonl_lines())
+        assert list(read_columnar(str(rcol)).iter_records()) == expected
+        assert list(read_trace(str(jsonl)).iter_records()) == expected
+
     def test_fragments_are_normalised_like_the_decoder(self):
         # A fragment with a non-str key re-encodes from its parsed form.
         records = [_event(1.0, {"payload": {1: "a", "1": "b"}})]

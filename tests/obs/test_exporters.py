@@ -84,6 +84,16 @@ class TestJsonl:
         assert written[0] == written[1]
         assert read_jsonl(str(path)) == RECORDS
 
+    def test_gzip_bytes_do_not_depend_on_the_file_name(self, tmp_path):
+        # gzip stores the file's basename in its header unless told not to.
+        written = []
+        for name in ("a/x.jsonl.gz", "b/y.jsonl.gz"):
+            path = tmp_path / name
+            path.parent.mkdir()
+            write_jsonl(str(path), RECORDS)
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+
 
 class TestChromeTrace:
     def test_required_keys_on_every_record(self):
