@@ -5,7 +5,8 @@ one coordinator class each, so the single coordinator is pinned to
 the exact runs both of them produced:
 
 * ``run_cluster`` and ``run_fleet`` text tables at the tiny scale of
-  ``tests/experiments/test_beyond_paper.py``, seed 0;
+  ``tests/experiments/test_beyond_paper.py``, seed 0, on the serial
+  backend and on a 2-worker pool;
 * the scores CSV and the ledger manifest hash of a small
   ``faults run`` campaign on a cluster (unrestricted and rolling) and
   on a canary-scheduled fleet.
@@ -16,8 +17,8 @@ import hashlib
 import pytest
 
 from repro.cli import main
-from repro.experiments.cluster_exp import run_cluster
-from repro.experiments.fleet_exp import run_fleet
+from repro.exec.backends import ProcessPoolBackend, SerialBackend
+from repro.experiments.registry import run_experiment
 from repro.experiments.scale import Scale
 from repro.obs.ledger import Ledger
 
@@ -25,12 +26,10 @@ TINY = Scale(transactions=600, replications=1, loads=(9.0,), label="tiny")
 
 TABLE_DIGESTS = {
     "cluster": (
-        "6c3e41c97fae01e26bf408d9cba4ce64bb1f82e85ec09e1c1694c30d78f0105c",
-        run_cluster,
+        "6c3e41c97fae01e26bf408d9cba4ce64bb1f82e85ec09e1c1694c30d78f0105c"
     ),
     "fleet": (
-        "bb128fd03d1055156bb06e4cf38805d186df1e8c47f38f62ab46d1fceb30bdce",
-        run_fleet,
+        "bb128fd03d1055156bb06e4cf38805d186df1e8c47f38f62ab46d1fceb30bdce"
     ),
 }
 
@@ -65,11 +64,25 @@ CAMPAIGN_GOLDENS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(TABLE_DIGESTS))
-def test_experiment_table_matches_golden(name):
-    digest, run = TABLE_DIGESTS[name]
-    text = run(TINY, seed=0).format_text()
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+BACKENDS = {"serial": SerialBackend(), "pool": ProcessPoolBackend(2)}
+
+
+@pytest.mark.parametrize(
+    "name, backend",
+    [
+        # The serial cases keep the ids they had before the pool joined.
+        pytest.param(
+            name, backend, id=name if backend == "serial" else f"{name}-pool"
+        )
+        for name in sorted(TABLE_DIGESTS)
+        for backend in sorted(BACKENDS)
+    ],
+)
+def test_experiment_table_matches_golden(name, backend):
+    text = run_experiment(
+        name, TINY, seed=0, backend=BACKENDS[backend]
+    ).format_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(CAMPAIGN_GOLDENS))
