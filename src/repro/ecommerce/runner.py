@@ -22,18 +22,14 @@ from repro.ecommerce.config import SystemConfig
 from repro.ecommerce.metrics import ReplicatedResult, RunResult
 from repro.ecommerce.system import ECommerceSystem
 from repro.ecommerce.workload import ArrivalProcess, PoissonArrivals
-from repro.exec.backends import ExecutionBackend, resolve_backend
+from repro.exec.backends import ExecutionBackend
 from repro.exec.jobs import (
     ArrivalSource,
     PolicySource,
     ReplicationJob,
-    execute_job,
+    run_jobs,
 )
 from repro.exec.progress import ProgressHook
-from repro.obs.session import (
-    active_trace_level,
-    current_session,
-)
 
 def run_once(
     config: SystemConfig,
@@ -72,9 +68,6 @@ def replication_jobs(
     ``seed + i`` as its own master seed, giving independent streams
     (pinned by ``tests/experiments/test_seed_protocol.py``).
 
-    Jobs take the trace level of the installed
-    :class:`~repro.obs.session.TraceSession` (if any), so wrapping a run
-    in :func:`repro.obs.use_tracing` is enough to trace it;
     ``telemetry_interval_s`` installs a fixed-interval probe per
     replication.  ``live`` (a :class:`repro.obs.live.LiveSpec`) and
     ``profile`` stamp every job with live telemetry / DES profiling;
@@ -85,7 +78,6 @@ def replication_jobs(
         raise ValueError("need at least one replication")
     if n_transactions < 1:
         raise ValueError("need at least one transaction")
-    trace_level = active_trace_level()
     spec = None
     if system is not None:
         from repro.systems import resolve_system
@@ -101,7 +93,6 @@ def replication_jobs(
             seed=seed + i,
             warmup=warmup,
             tag=("replication", i),
-            trace_level=trace_level,
             telemetry_interval_s=telemetry_interval_s,
             live=live,
             profile=profile,
@@ -171,9 +162,8 @@ def run_replications(
         replication runs against it, with ``n_transactions`` scaled by
         the substrate's convention (see ``SystemSpec.job_transactions``).
 
-    When a :class:`~repro.obs.session.TraceSession` is installed
-    (:func:`repro.obs.use_tracing`), the jobs are stamped with its
-    trace level and the results ingested into it, in submission order.
+    The jobs run through :func:`repro.exec.jobs.run_jobs`, so an
+    installed :class:`~repro.obs.session.TraceSession` traces them.
     """
     jobs = replication_jobs(
         config,
@@ -188,11 +178,7 @@ def run_replications(
         profile=profile,
         system=system,
     )
-    runs = resolve_backend(backend).map(execute_job, jobs, progress=progress)
-    session = current_session()
-    if session is not None:
-        session.ingest(jobs, runs)
-    return ReplicatedResult(runs=tuple(runs))
+    return ReplicatedResult(runs=tuple(run_jobs(jobs, backend, progress)))
 
 
 def simulate_mmc_response_times(

@@ -33,6 +33,7 @@ from repro.exec.jobs import (
     build_arrival,
     build_policy,
     execute_job,
+    run_jobs,
 )
 from repro.exec.progress import (
     JobEvent,
@@ -59,6 +60,7 @@ __all__ = [
     "execute_job",
     "make_backend",
     "resolve_backend",
+    "run_jobs",
     "use_backend",
     "workers_from_env",
 ]

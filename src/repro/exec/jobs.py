@@ -18,9 +18,21 @@ backends when they are module-level functions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
+from repro.exec.backends import ExecutionBackend, resolve_backend
+from repro.exec.progress import ProgressHook
+from repro.obs.session import current_session
 from repro.systems.protocol import resolve_system
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -181,3 +193,28 @@ def execute_job(job: ReplicationJob) -> "RunResult":
         warmup=job.warmup,
         collect_response_times=job.collect_response_times,
     )
+
+
+def run_jobs(
+    jobs: Sequence[ReplicationJob],
+    backend: Union[ExecutionBackend, str, None] = None,
+    progress: Optional[ProgressHook] = None,
+) -> List["RunResult"]:
+    """Run a job grid; the results come back in submission order.
+
+    The one harness every simulating experiment goes through.  When a
+    :class:`~repro.obs.session.TraceSession` is installed
+    (:func:`repro.obs.use_tracing`), every job is stamped with its
+    trace level and the results are ingested into it in submission
+    order, so serial and process-pool runs write the same trace.
+    ``backend`` is an instance, a name, or ``None`` for the installed
+    default (:func:`repro.exec.use_backend`); ``progress`` is the
+    per-job :class:`~repro.exec.progress.JobEvent` hook.
+    """
+    session = current_session()
+    if session is not None:
+        jobs = [replace(job, trace_level=session.level) for job in jobs]
+    runs = resolve_backend(backend).map(execute_job, jobs, progress=progress)
+    if session is not None:
+        session.ingest(jobs, runs)
+    return runs

@@ -10,8 +10,12 @@ role" even at the maximum load.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.ctmc.birth_death import MMcQueueLengthProcess
-from repro.ecommerce.runner import simulate_mmc_response_times
+from repro.ecommerce.config import PAPER_CONFIG
+from repro.ecommerce.spec import ArrivalSpec
+from repro.exec.jobs import ReplicationJob, run_jobs
 from repro.experiments.scale import Scale
 from repro.experiments.tables import ExperimentResult, Series, Table
 from repro.stats.autocorrelation import (
@@ -43,11 +47,23 @@ def run_autocorrelation(scale: Scale, seed: int = 0) -> ExperimentResult:
     )
     gamma_series = Series(label="gamma_hat")
     threshold_series = Series(label="threshold 1.96/sqrt(N)")
-    significant = 0
-    for rep in range(replications):
-        rts = simulate_mmc_response_times(
-            ARRIVAL_RATE, scale.transactions, seed=seed + rep
+    # The M/M/c reduction of the Section-3 node, as in
+    # repro.ecommerce.runner.simulate_mmc_response_times.
+    jobs = [
+        ReplicationJob(
+            config=PAPER_CONFIG.without_degradation(),
+            arrival=ArrivalSpec.poisson(ARRIVAL_RATE),
+            policy=None,
+            n_transactions=scale.transactions,
+            seed=seed + rep,
+            collect_response_times=True,
+            tag=("replication", rep),
         )
+        for rep in range(replications)
+    ]
+    significant = 0
+    for rep, run in enumerate(run_jobs(jobs)):
+        rts = np.asarray(run.response_times)
         gamma = lag1_autocorrelation(rts, warmup=warmup)
         gamma_series.add(rep, gamma)
         threshold_series.add(rep, threshold)

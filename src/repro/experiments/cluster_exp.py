@@ -11,61 +11,64 @@ from the GC-driven soft failure at a few percent transaction loss.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional
 
-from repro.cluster.balancer import JoinShortestQueue, LoadBalancer, RoundRobin
-from repro.cluster.coordinator import RollingCoordinator
-from repro.core.buckets import SRAA
-from repro.core.sla import PAPER_SLO
-from repro.ecommerce.config import PAPER_CONFIG, SystemConfig
-from repro.ecommerce.system import ECommerceSystem
-from repro.ecommerce.workload import PoissonArrivals
+from repro.core.spec import PolicySpec
+from repro.ecommerce.config import PAPER_CONFIG
+from repro.ecommerce.spec import ArrivalSpec
+from repro.exec.jobs import ReplicationJob, run_jobs
 from repro.experiments.scale import Scale
 from repro.experiments.tables import ExperimentResult, Series, Table
+from repro.systems.cluster import ClusterSpec
+from repro.systems.schedulers import SchedulerSpec
 
 N_NODES = 4
 CLUSTER_LOADS = (2.0, 9.0)  # per-node offered load in CPUs
 
 
-def _sraa_factory():
-    return SRAA(PAPER_SLO, sample_size=2, n_buckets=5, depth=3)
-
-
-def _run_scenario(
-    label: str,
-    scale: Scale,
-    seed: int,
-    rt_table: Table,
-    loss_table: Table,
-    config: SystemConfig = PAPER_CONFIG,
-    policy_factory: Callable = _sraa_factory,
-    balancer_factory: Callable[[], Optional[LoadBalancer]] = lambda: None,
-    coordinator_factory: Callable[[], Optional[RollingCoordinator]] = (
-        lambda: None
-    ),
-) -> None:
-    rt_series = Series(label=label)
-    loss_series = Series(label=label)
-    for load in CLUSTER_LOADS:
-        rate = N_NODES * config.arrival_rate_for_load(load)
-        cluster = ECommerceSystem(
-            config,
-            PoissonArrivals(rate),
-            policy=policy_factory,
-            seed=seed,
-            n_nodes=N_NODES,
-            balancer=balancer_factory(),
-            coordinator=coordinator_factory(),
-        )
-        result = cluster.run(scale.transactions)
-        rt_series.add(load, result.avg_response_time)
-        loss_series.add(load, result.loss_fraction)
-    rt_table.add_series(rt_series)
-    loss_table.add_series(loss_series)
+def _scenarios():
+    """(label, per-node config, policy, balancer, scheduler) per curve."""
+    sraa = PolicySpec.sraa(2, 5, 3)
+    downtime = dataclasses.replace(
+        PAPER_CONFIG, rejuvenation_downtime_s=30.0
+    )
+    rolling = SchedulerSpec.rolling(min_gap_s=30.0, max_nodes_down=1)
+    return [
+        ("no rejuvenation / RR", PAPER_CONFIG, PolicySpec.none(),
+         "round_robin", None),
+        ("SRAA(2,5,3) / RR", PAPER_CONFIG, sraa, "round_robin", None),
+        ("SRAA(2,5,3) / JSQ", PAPER_CONFIG, sraa, "jsq", None),
+        ("SRAA + 30s downtime / rolling", downtime, sraa, "round_robin",
+         rolling),
+    ]
 
 
 def run_cluster(scale: Scale, seed: int = 0) -> ExperimentResult:
     """The cluster scenario grid at the scale's transaction budget."""
+    scenarios = _scenarios()
+    # The whole cluster sees N_NODES times the per-node load and runs
+    # scale.transactions in total, so the spec scales neither.
+    jobs = [
+        ReplicationJob(
+            config=config,
+            arrival=ArrivalSpec.poisson(
+                N_NODES * config.arrival_rate_for_load(load)
+            ),
+            policy=policy,
+            n_transactions=scale.transactions,
+            seed=seed,
+            tag=(label, load),
+            system=ClusterSpec(
+                n_nodes=N_NODES,
+                balancer=balancer,
+                scheduler=scheduler,
+                scale_arrivals=False,
+                scale_transactions=False,
+            ),
+        )
+        for label, config, policy, balancer, scheduler in scenarios
+        for load in CLUSTER_LOADS
+    ]
+    runs = iter(run_jobs(jobs))
     rt_table = Table(
         title=f"{N_NODES}-node cluster: average response time",
         x_label="load_per_node_cpus",
@@ -76,46 +79,15 @@ def run_cluster(scale: Scale, seed: int = 0) -> ExperimentResult:
         x_label="load_per_node_cpus",
         y_label="loss_fraction",
     )
-    _run_scenario(
-        "no rejuvenation / RR",
-        scale,
-        seed,
-        rt_table,
-        loss_table,
-        policy_factory=lambda: None,
-        balancer_factory=RoundRobin,
-    )
-    _run_scenario(
-        "SRAA(2,5,3) / RR",
-        scale,
-        seed,
-        rt_table,
-        loss_table,
-        balancer_factory=RoundRobin,
-    )
-    _run_scenario(
-        "SRAA(2,5,3) / JSQ",
-        scale,
-        seed,
-        rt_table,
-        loss_table,
-        balancer_factory=JoinShortestQueue,
-    )
-    downtime = dataclasses.replace(
-        PAPER_CONFIG, rejuvenation_downtime_s=30.0
-    )
-    _run_scenario(
-        "SRAA + 30s downtime / rolling",
-        scale,
-        seed,
-        rt_table,
-        loss_table,
-        config=downtime,
-        balancer_factory=RoundRobin,
-        coordinator_factory=lambda: RollingCoordinator(
-            min_gap_s=30.0, max_nodes_down=1
-        ),
-    )
+    for label, *_ in scenarios:
+        rt_series = Series(label=label)
+        loss_series = Series(label=label)
+        for load in CLUSTER_LOADS:
+            result = next(runs)
+            rt_series.add(load, result.avg_response_time)
+            loss_series.add(load, result.loss_fraction)
+        rt_table.add_series(rt_series)
+        loss_table.add_series(loss_series)
     return ExperimentResult(
         experiment_id="cluster",
         description=(

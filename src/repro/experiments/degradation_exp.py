@@ -18,12 +18,10 @@ from repro.core.sla import ServiceLevelObjective
 from repro.core.spec import PolicySpec
 from repro.ecommerce.config import SystemConfig
 from repro.ecommerce.spec import ArrivalSpec
-from repro.exec.backends import current_backend
-from repro.exec.jobs import ReplicationJob, execute_job
+from repro.exec.jobs import ReplicationJob, run_jobs
 from repro.experiments.scale import Scale
 from repro.experiments.tables import ExperimentResult, Series, Table
 from repro.faults.injectors import CapacityErosion
-from repro.obs.session import active_trace_level, current_session
 
 #: The degrading exchange: 8 workers, mean service 2 s, load 4 Erlangs.
 CONFIG = SystemConfig(cpus=8, service_rate=0.5).without_degradation()
@@ -48,7 +46,6 @@ def detector_families() -> List[Tuple[str, PolicySpec]]:
 def run_degradation(scale: Scale, seed: int = 0) -> ExperimentResult:
     """Sweep erosion speed x detector family."""
     families = detector_families()
-    trace_level = active_trace_level()
     jobs = [
         ReplicationJob(
             config=CONFIG,
@@ -57,17 +54,13 @@ def run_degradation(scale: Scale, seed: int = 0) -> ExperimentResult:
             n_transactions=scale.transactions,
             seed=seed + replication,
             tag=(label, period, replication),
-            trace_level=trace_level,
             faults=(CapacityErosion(1.0 / period, MIN_CAPACITY),),
         )
         for label, policy in families
         for period in EROSION_PERIODS_S
         for replication in range(scale.replications)
     ]
-    runs = current_backend().map(execute_job, jobs)
-    session = current_session()
-    if session is not None:
-        session.ingest(jobs, runs)
+    runs = run_jobs(jobs)
     rt_table = Table(
         title="Degradable system: average response time vs erosion period",
         x_label="erosion_period_s",

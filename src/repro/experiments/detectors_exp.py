@@ -16,92 +16,34 @@ along the drift and keeps a clean record for the genuine onset.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.detect import head_to_head_policies
-from repro.experiments.faults_exp import horizon_for_scale
+from repro.experiments.faults_exp import (
+    FALSE_ALARMS,
+    LATENCY,
+    MISSED,
+    RECOVERY_COST,
+    campaign_tables,
+)
 from repro.experiments.scale import Scale
-from repro.experiments.tables import ExperimentResult, Series, Table
-from repro.faults.campaign import CampaignResult, run_campaign
-from repro.faults.zoo import builtin_scenarios
-
-
-def run_detectors_campaign(
-    scale: Scale, seed: int = 0
-) -> CampaignResult:
-    """The raw zoo x six-policy campaign behind the experiment."""
-    horizon_s = horizon_for_scale(scale)
-    scenarios = list(builtin_scenarios(horizon_s).values())
-    return run_campaign(
-        scenarios=scenarios,
-        policies=head_to_head_policies(),
-        replications=scale.replications,
-        seed=seed,
-    )
+from repro.experiments.tables import ExperimentResult
 
 
 def run_detectors(scale: Scale, seed: int = 0) -> ExperimentResult:
     """The detector head-to-head as a registry experiment."""
-    horizon_s = horizon_for_scale(scale)
-    scenarios = list(builtin_scenarios(horizon_s).values())
-    campaign = run_detectors_campaign(scale, seed)
-    index_of = {s.name: float(i) for i, s in enumerate(scenarios)}
-    notes = [
-        f"x = {i:g}: {s.name} -- {s.description}"
-        for i, s in enumerate(scenarios)
-    ] + [
-        f"horizon {horizon_s:g} s, {scale.replications} replication(s) "
-        f"per cell, CRN seeds from {seed}"
-    ]
-    latency = Table(
-        title="Detector head-to-head: mean detection latency (s)",
-        x_label="scenario",
-        y_label="latency_s",
-        notes=list(notes),
+    tables = campaign_tables(
+        scale,
+        seed,
+        head_to_head_policies(),
+        "Detector head-to-head",
+        (LATENCY, MISSED, FALSE_ALARMS, RECOVERY_COST),
     )
-    misses = Table(
-        title="Detector head-to-head: missed-detection rate",
-        x_label="scenario",
-        y_label="missed_rate",
-        notes=list(notes),
-    )
-    alarms = Table(
-        title="Detector head-to-head: false alarms per healthy hour",
-        x_label="scenario",
-        y_label="false_alarms_per_healthy_hour",
-        notes=list(notes),
-    )
-    cost = Table(
-        title="Detector head-to-head: recovery cost (loss fraction)",
-        x_label="scenario",
-        y_label="loss_fraction",
-        notes=list(notes),
-    )
-    series: Dict[str, Dict[str, Series]] = {}
-    for score in campaign.scores:
-        per_policy = series.setdefault(score.policy, {})
-        if not per_policy:
-            for key, table in (
-                ("latency", latency),
-                ("misses", misses),
-                ("alarms", alarms),
-                ("cost", cost),
-            ):
-                per_policy[key] = Series(label=score.policy)
-                table.add_series(per_policy[key])
-        x = index_of[score.scenario]
-        if score.mean_detection_latency_s is not None:
-            per_policy["latency"].add(x, score.mean_detection_latency_s)
-        per_policy["misses"].add(x, score.missed_rate)
-        per_policy["alarms"].add(x, score.false_alarms_per_healthy_hour)
-        per_policy["cost"].add(x, score.mean_loss_fraction)
     return ExperimentResult(
         experiment_id="detectors",
         description=(
             "Adaptive/entropy/trend detectors vs SRAA/SARAA/CLTA "
             "across the adversarial scenario zoo"
         ),
-        tables=[latency, misses, alarms, cost],
+        tables=tables,
         paper_expectations=[
             "on the saturation ramp the static baselines read the "
             "healthy drift as aging (SRAA pays tens of false alarms "

@@ -11,8 +11,9 @@ quick: 15, paper: a full hour).
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.spec import PolicySpec
 from repro.experiments.scale import Scale
 from repro.experiments.tables import ExperimentResult, Series, Table
 from repro.faults.campaign import run_campaign
@@ -25,18 +26,48 @@ _HORIZONS: Dict[str, float] = {
     "paper": 3600.0,
 }
 
+#: A robustness metric as a table: (PolicyScore attribute, title, y label).
+Metric = Tuple[str, str, str]
+
+LATENCY: Metric = (
+    "mean_detection_latency_s", "mean detection latency (s)", "latency_s"
+)
+MISSED: Metric = (
+    "missed_rate", "missed-detection rate", "missed_rate"
+)
+FALSE_ALARMS: Metric = (
+    "false_alarms_per_healthy_hour",
+    "false alarms per healthy hour",
+    "false_alarms_per_healthy_hour",
+)
+RECOVERY_COST: Metric = (
+    "mean_loss_fraction", "recovery cost (loss fraction)", "loss_fraction"
+)
+
 
 def horizon_for_scale(scale: Scale) -> float:
     """The scenario horizon matching an experiment scale."""
     return _HORIZONS.get(scale.label, _HORIZONS["quick"])
 
 
-def run_faults(scale: Scale, seed: int = 0) -> ExperimentResult:
-    """The robustness campaign as a registry experiment."""
+def campaign_tables(
+    scale: Scale,
+    seed: int,
+    policies: Optional[Mapping[str, PolicySpec]],
+    title_prefix: str,
+    metrics: Sequence[Metric],
+) -> List[Table]:
+    """Run the zoo campaign at the scale; one table per metric.
+
+    Each table has a series per policy over x = the scenario's index in
+    the zoo.  ``policies`` of ``None`` runs the paper's three
+    contenders.  A latency of ``None`` (nothing detected) is left out.
+    """
     horizon_s = horizon_for_scale(scale)
     scenarios = list(builtin_scenarios(horizon_s).values())
     campaign = run_campaign(
         scenarios=scenarios,
+        policies=policies,
         replications=scale.replications,
         seed=seed,
     )
@@ -48,46 +79,45 @@ def run_faults(scale: Scale, seed: int = 0) -> ExperimentResult:
         f"horizon {horizon_s:g} s, {scale.replications} replication(s) "
         f"per cell, CRN seeds from {seed}"
     ]
-    latency = Table(
-        title="Fault campaign: mean detection latency (s)",
-        x_label="scenario",
-        y_label="latency_s",
-        notes=list(notes),
-    )
-    alarms = Table(
-        title="Fault campaign: false alarms per healthy hour",
-        x_label="scenario",
-        y_label="false_alarms_per_healthy_hour",
-        notes=list(notes),
-    )
-    cost = Table(
-        title="Fault campaign: recovery cost (loss fraction)",
-        x_label="scenario",
-        y_label="loss_fraction",
-        notes=list(notes),
-    )
-    series: Dict[str, Dict[str, Series]] = {}
+    tables = [
+        Table(
+            title=f"{title_prefix}: {title}",
+            x_label="scenario",
+            y_label=y_label,
+            notes=list(notes),
+        )
+        for _, title, y_label in metrics
+    ]
+    series: Dict[str, List[Series]] = {}
     for score in campaign.scores:
-        per_policy = series.setdefault(score.policy, {})
-        if not per_policy:
-            per_policy["latency"] = Series(label=score.policy)
-            per_policy["alarms"] = Series(label=score.policy)
-            per_policy["cost"] = Series(label=score.policy)
-            latency.add_series(per_policy["latency"])
-            alarms.add_series(per_policy["alarms"])
-            cost.add_series(per_policy["cost"])
+        if score.policy not in series:
+            series[score.policy] = [Series(label=score.policy) for _ in tables]
+            for table, curve in zip(tables, series[score.policy]):
+                table.add_series(curve)
         x = index_of[score.scenario]
-        if score.mean_detection_latency_s is not None:
-            per_policy["latency"].add(x, score.mean_detection_latency_s)
-        per_policy["alarms"].add(x, score.false_alarms_per_healthy_hour)
-        per_policy["cost"].add(x, score.mean_loss_fraction)
+        for (attribute, _, _), curve in zip(metrics, series[score.policy]):
+            value = getattr(score, attribute)
+            if value is not None:
+                curve.add(x, value)
+    return tables
+
+
+def run_faults(scale: Scale, seed: int = 0) -> ExperimentResult:
+    """The robustness campaign as a registry experiment."""
+    tables = campaign_tables(
+        scale,
+        seed,
+        None,
+        "Fault campaign",
+        (LATENCY, FALSE_ALARMS, RECOVERY_COST),
+    )
     return ExperimentResult(
         experiment_id="faults",
         description=(
             "Robustness of SRAA/SARAA/CLTA across the adversarial "
             "scenario zoo"
         ),
-        tables=[latency, alarms, cost],
+        tables=tables,
         paper_expectations=[
             "SRAA and SARAA ride out the false-aging blips, the "
             "traffic surge and the workload shift without false "

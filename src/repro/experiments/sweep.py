@@ -22,15 +22,11 @@ from repro.core.spec import PolicySpec
 from repro.ecommerce.config import PAPER_CONFIG, SystemConfig
 from repro.ecommerce.metrics import ReplicatedResult
 from repro.ecommerce.spec import ArrivalSpec
-from repro.exec.backends import ExecutionBackend, resolve_backend
-from repro.exec.jobs import PolicySource, ReplicationJob, execute_job
+from repro.exec.backends import ExecutionBackend
+from repro.exec.jobs import PolicySource, ReplicationJob, run_jobs
 from repro.exec.progress import ProgressHook
 from repro.experiments.scale import Scale
 from repro.experiments.tables import Series, Table
-from repro.obs.session import (
-    active_trace_level,
-    current_session,
-)
 
 
 @dataclass(frozen=True)
@@ -106,11 +102,7 @@ def sweep_jobs(
     load index ``j`` uses master seed ``seed + 1000*j + i`` for *every*
     configuration -- common random numbers, so that curve differences
     reflect the policies and not the draws.
-
-    When a :class:`~repro.obs.session.TraceSession` is installed, every
-    job is stamped with its trace level so the whole grid is traced.
     """
-    trace_level = active_trace_level()
     jobs: List[ReplicationJob] = []
     for config in configs:
         for load_index, load in enumerate(scale.loads):
@@ -125,7 +117,6 @@ def sweep_jobs(
                         seed=seed + 1_000 * load_index + i,
                         warmup=warmup,
                         tag=(config.label, load, i),
-                        trace_level=trace_level,
                     )
                 )
     return jobs
@@ -151,10 +142,7 @@ def sweep_policies(
     jobs = sweep_jobs(
         configs, scale, system_config=system_config, seed=seed, warmup=warmup
     )
-    runs = resolve_backend(backend).map(execute_job, jobs, progress=progress)
-    session = current_session()
-    if session is not None:
-        session.ingest(jobs, runs)
+    runs = run_jobs(jobs, backend, progress)
     results: Dict[str, Dict[float, ReplicatedResult]] = {}
     cursor = 0
     for config in configs:

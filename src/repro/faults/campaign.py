@@ -30,8 +30,8 @@ from typing import (
 
 from repro.core.spec import PolicySpec
 from repro.ecommerce.metrics import RunResult
-from repro.exec.backends import ExecutionBackend, resolve_backend
-from repro.exec.jobs import ReplicationJob, execute_job
+from repro.exec.backends import ExecutionBackend
+from repro.exec.jobs import ReplicationJob, run_jobs
 from repro.exec.progress import ProgressHook
 from repro.faults.scenario import FaultScenario
 from repro.faults.score import PolicyScore, format_scores, score_policy
@@ -41,10 +41,6 @@ from repro.faults.zoo import (
     check_scenario_name,
     get_scenario,
     scenario_names,
-)
-from repro.obs.session import (
-    active_trace_level,
-    current_session,
 )
 
 #: The paper's three contenders at their Section-5.6 parameters.
@@ -257,7 +253,6 @@ def campaign_jobs(
         raise ValueError("need at least one scenario")
     if not policies:
         raise ValueError("need at least one policy")
-    trace_level = active_trace_level()
     spec = None
     if system is not None:
         from repro.systems import resolve_system
@@ -278,7 +273,6 @@ def campaign_jobs(
                         n_transactions=n_transactions,
                         seed=seed + 1000 * s_index + i,
                         tag=("faults", scenario.name, label, i),
-                        trace_level=trace_level,
                         faults=scenario,
                         live=live,
                         profile=profile,
@@ -323,9 +317,10 @@ def run_campaign(
         configured spec -- the campaign, the CRN protocol, and the
         robustness scoring are substrate-polymorphic.
 
-    When a :class:`~repro.obs.session.TraceSession` is installed, the
-    jobs are stamped with its level and the results ingested, so
-    ``repro faults run --trace`` produces a narratable JSONL file.
+    The jobs run through :func:`repro.exec.jobs.run_jobs`: under an
+    installed :class:`~repro.obs.session.TraceSession` they are traced
+    and ingested, so ``repro faults run --trace`` produces a narratable
+    JSONL file.
     """
     if scenarios is None:
         scenarios = list(builtin_scenarios().values())
@@ -340,10 +335,7 @@ def run_campaign(
         profile=profile,
         system=system,
     )
-    runs = resolve_backend(backend).map(execute_job, jobs, progress=progress)
-    session = current_session()
-    if session is not None:
-        session.ingest(jobs, runs)
+    runs = run_jobs(jobs, backend, progress)
     scores: List[PolicyScore] = []
     cells: List[Tuple[Tuple[str, str], Tuple[RunResult, ...]]] = []
     cursor = 0

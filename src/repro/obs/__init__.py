@@ -42,12 +42,10 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    registry_for_runs,
 )
 from repro.obs.session import (
     TraceSession,
     TracedRun,
-    active_trace_level,
     current_session,
     use_tracing,
 )
@@ -64,7 +62,6 @@ __all__ = [
     "TracedRun",
     "Tracer",
     "TracingDecisionListener",
-    "active_trace_level",
     "category_of",
     "chrome_trace_records",
     "current_session",
@@ -72,7 +69,6 @@ __all__ = [
     "explain_trace",
     "make_tracer",
     "read_jsonl",
-    "registry_for_runs",
     "use_tracing",
     "write_chrome_trace",
     "write_jsonl",

@@ -6,16 +6,15 @@ the parent.  The contract is therefore:
 
 1. The CLI (or any caller) installs a :class:`TraceSession` with
    :func:`use_tracing` around the work.
-2. Job builders (:func:`repro.ecommerce.runner.replication_jobs`,
-   :func:`repro.experiments.sweep.sweep_jobs`) consult
-   :func:`current_session` and stamp the session's trace level onto
+2. The one job runner, :func:`repro.exec.jobs.run_jobs`, consults
+   :func:`current_session` and stamps the session's trace level onto
    each :class:`~repro.exec.jobs.ReplicationJob` -- a picklable string.
 3. :func:`~repro.exec.jobs.execute_job` builds a worker-local
    :class:`~repro.obs.tracer.Tracer` and returns its events, encoded as
    one column batch, *inside* the
    :class:`~repro.ecommerce.metrics.RunResult`, which already crosses
    the process boundary.
-4. Back in the parent, the harness calls :meth:`TraceSession.ingest`
+4. Back in the parent, ``run_jobs`` calls :meth:`TraceSession.ingest`
    with the jobs and results **in submission order** -- the same order
    for every backend, so trace files and metrics snapshots are
    bit-identical between serial and process-pool runs.
@@ -39,7 +38,7 @@ from repro.obs.exporters import (
     write_jsonl_lines,
     write_prometheus,
 )
-from repro.obs.metrics import MetricsRegistry, registry_for_runs, run_summary
+from repro.obs.metrics import MetricsRegistry, run_summary
 from repro.obs.tracer import validate_level
 
 
@@ -79,7 +78,7 @@ class TraceSession:
     Parameters
     ----------
     level:
-        Trace level stamped onto jobs built while this session is
+        Trace level stamped onto jobs run while this session is
         installed (``spans`` / ``decisions`` / ``all``).
     trace_format:
         The file :meth:`write_trace` writes: ``jsonl`` or the
@@ -236,19 +235,11 @@ def current_session() -> Optional[TraceSession]:
     return _SESSION_STACK[-1] if _SESSION_STACK else None
 
 
-def active_trace_level() -> Optional[str]:
-    """The level jobs should be stamped with, or ``None``."""
-    session = current_session()
-    return session.level if session is not None else None
-
-
 __all__ = [
     "TRACE_FORMATS",
     "TraceSession",
     "TracedRun",
-    "active_trace_level",
     "current_session",
-    "registry_for_runs",
     "use_tracing",
     "validate_format",
 ]

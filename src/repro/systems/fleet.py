@@ -98,9 +98,7 @@ class _ShardTask:
     arrival_scale: float
     faults: Any
     collect: bool
-    trace_level: Optional[str]
-    live: Any
-    profile: bool
+    obs: ObsSpec
 
 
 @dataclass(frozen=True)
@@ -126,11 +124,7 @@ def _run_shard(task: _ShardTask) -> ShardOutcome:
         task.arrival,
         task.policy,
         task.seed,
-        ObsSpec(
-            trace_level=task.trace_level,
-            live=task.live,
-            profile=task.profile,
-        ),
+        task.obs,
         task.faults,
         n_nodes=task.n_nodes,
         balancer=make_balancer(task.balancer),
@@ -337,9 +331,7 @@ class FleetSystem:
                     ),
                     faults=self.faults,
                     collect=collect,
-                    trace_level=self.obs.trace_level,
-                    live=self.obs.live,
-                    profile=self.obs.profile,
+                    obs=self.obs,
                 )
             )
         return tasks

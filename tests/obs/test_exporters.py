@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +144,6 @@ class TestPrometheusFile:
         registry.counter("repro_completed_total").inc(5)
         path = str(tmp_path / "metrics.prom")
         write_prometheus(path, registry)
-        content = open(path).read()
+        content = Path(path).read_text()
         assert "repro_completed_total 5" in content
         assert content.endswith("\n")

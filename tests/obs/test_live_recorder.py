@@ -2,6 +2,7 @@
 
 import json
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -119,7 +120,9 @@ class TestSerialisation:
             path, [recorder.dumps, None, recorder.dumps]
         )
         assert lines == 2
-        records = [json.loads(l) for l in open(path)]
+        records = [
+            json.loads(l) for l in Path(path).read_text().splitlines()
+        ]
         assert [r["run"] for r in records] == [0, 2]
         assert records[0]["reason"] == "system.rejuvenation"
         assert records[0]["events"][-1]["type"] == "system.rejuvenation"

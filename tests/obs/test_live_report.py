@@ -1,6 +1,7 @@
 """The HTML report renderer: self-containment and content."""
 
 import re
+from pathlib import Path
 
 from repro.obs.live.report import render_report, write_report
 
@@ -161,7 +162,7 @@ class TestWriteReport:
             out = str(tmp_path / (name + ".html"))
             count = write_report(trace, out)
             assert count == len(records)
-            document = open(out, encoding="utf-8").read()
+            document = Path(out).read_text(encoding="utf-8")
             assert "<!DOCTYPE html>" in document
             assert "run 0" in document
 
@@ -172,7 +173,7 @@ class TestWriteReport:
         write_jsonl(trace, trace_records())
         out = str(tmp_path / "t.html")
         write_report(trace, out)
-        content = open(out, encoding="utf-8").read()
+        content = Path(out).read_text(encoding="utf-8")
         assert re.search(r"<title>.*t\.jsonl</title>", content)
 
 

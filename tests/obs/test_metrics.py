@@ -8,7 +8,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    registry_for_runs,
 )
 from repro.obs.tracer import Tracer
 
@@ -293,11 +292,15 @@ class TestRegistryForRuns:
         from repro.ecommerce.runner import run_once
         from repro.ecommerce.workload import PoissonArrivals
 
+        from repro.obs.session import TraceSession
+
         runs = [
             run_once(paper_config, PoissonArrivals(1.0), None, 500, seed=s)
             for s in (0, 1)
         ]
-        snapshot = registry_for_runs(runs).snapshot()
+        session = TraceSession()
+        session.ingest([None] * len(runs), runs)
+        snapshot = session.registry().snapshot()
         assert snapshot["repro_replications_total"] == 2
         # Names mirror the telemetry column schema.
         assert snapshot["repro_completed_total"] == sum(

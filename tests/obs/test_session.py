@@ -15,6 +15,8 @@ from repro.ecommerce.config import PAPER_CONFIG
 from repro.ecommerce.runner import run_replications
 from repro.ecommerce.spec import ArrivalSpec
 from repro.exec.backends import ProcessPoolBackend, SerialBackend
+from repro.experiments.registry import run_experiment
+from repro.experiments.scale import Scale
 from repro.obs.events import (
     DES_EVENT,
     POLICY_BATCH,
@@ -25,7 +27,6 @@ from repro.obs.events import (
 )
 from repro.obs.session import (
     TraceSession,
-    active_trace_level,
     current_session,
     use_tracing,
 )
@@ -54,9 +55,7 @@ class TestSessionInstallation:
         session = TraceSession("spans")
         with use_tracing(session):
             assert current_session() is session
-            assert active_trace_level() == "spans"
         assert current_session() is None
-        assert active_trace_level() is None
 
     def test_rejects_bad_level(self):
         with pytest.raises(ValueError):
@@ -80,6 +79,19 @@ class TestSessionCollection:
         assert [run.index for run in session.runs] == [0, 1, 2]
         assert [run.seed for run in session.runs] == [5, 6, 7]
         assert all(run.events for run in session.runs)
+
+    @pytest.mark.parametrize(
+        "name, n_jobs", [("autocorr", 5), ("cluster", 8), ("fleet", 6)]
+    )
+    def test_multi_node_and_autocorr_experiments_are_traced(
+        self, name, n_jobs
+    ):
+        tiny = Scale(transactions=600, replications=1, loads=(9.0,))
+        session = TraceSession("spans")
+        with use_tracing(session):
+            run_experiment(name, tiny, seed=0, backend=SerialBackend())
+        assert len(session.runs) == n_jobs
+        assert all(len(run.events) for run in session.runs)
 
     def test_levels_filter_event_categories(self):
         spans_session, _ = _traced_run(level="spans")

@@ -3,6 +3,7 @@
 
 import gzip
 import json
+from pathlib import Path
 
 import pytest
 
@@ -39,7 +40,9 @@ class TestSimulateLive:
         path = str(tmp_path / "flight.jsonl")
         assert main(SIMULATE + ["--flight", path, "--slo", "20"]) == 0
         assert "flight dumps" in capsys.readouterr().out
-        records = [json.loads(l) for l in open(path)]
+        records = [
+            json.loads(l) for l in Path(path).read_text().splitlines()
+        ]
         assert records  # degraded 9-CPU load rejuvenates within 2000 tx
         reasons = {r["reason"] for r in records}
         assert reasons <= {
@@ -85,7 +88,7 @@ class TestReportCommand:
         out = capsys.readouterr().out
         html_path = str(tmp_path / "campaign.html")
         assert f"wrote {html_path}" in out
-        document = open(html_path, encoding="utf-8").read()
+        document = Path(html_path).read_text(encoding="utf-8")
         assert document.startswith("<!DOCTYPE html>")
         assert "http://" not in document and "https://" not in document
         assert "<script" not in document
@@ -109,7 +112,7 @@ class TestReportCommand:
             ["report", trace, "-o", out_path, "--title", "my dash"]
         ) == 0
         capsys.readouterr()
-        assert "<title>my dash</title>" in open(out_path).read()
+        assert "<title>my dash</title>" in Path(out_path).read_text()
 
     def test_missing_trace_exits(self):
         with pytest.raises(SystemExit):
@@ -168,7 +171,7 @@ class TestGzipTraces:
         out = capsys.readouterr().out
         html_path = str(tmp_path / "trace.html")
         assert f"wrote {html_path}" in out
-        assert "<svg" in open(html_path, encoding="utf-8").read()
+        assert "<svg" in Path(html_path).read_text(encoding="utf-8")
 
     def test_write_jsonl_gz_round_trip(self, tmp_path):
         records = [{"ts": float(i), "type": "x"} for i in range(5)]

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,7 +65,7 @@ class TestSimulateTrace:
     def test_metrics_snapshot(self, tmp_path):
         metrics = str(tmp_path / "metrics.prom")
         assert main(SIMULATE + ["--metrics", metrics]) == 0
-        content = open(metrics).read()
+        content = Path(metrics).read_text()
         assert "# TYPE repro_completed_total counter" in content
         assert "repro_response_time_seconds_bucket" in content
 
