@@ -19,7 +19,8 @@ segments on a time-range or kind filter without touching their bytes.
 
 Plain files are mapped with ``numpy.memmap`` so loading a trace costs
 one footer parse regardless of size; ``.gz`` paths are transparently
-(de)compressed whole -- the same convention as the JSONL exporters.
+compressed as the columns stream out and decompressed whole on read
+-- the same convention as the JSONL exporters.
 The arrays are written in fixed little-endian dtypes, so the bytes a
 given trace produces are platform-independent (and serial vs
 process-pool runs of the same campaign produce byte-identical files).
@@ -32,7 +33,6 @@ boundary by streaming its lines straight into the columnar encoder.
 from __future__ import annotations
 
 import gzip
-import io as _io
 import json
 import os
 from typing import Any, BinaryIO, Dict, List, Tuple
@@ -91,27 +91,32 @@ _TAGS = (
 
 _ALIGN = 8
 
+#: Bytes per write of a column: bounds what the gzip stream compresses,
+#: and holds as output, in one call.
+_WRITE_CHUNK = 1 << 18
+
 
 def _is_gz(path: str) -> bool:
     return str(path).endswith(".gz")
 
 
 def write_columnar(trace: ColumnarTrace, path: str) -> None:
-    """Write ``trace`` to ``path`` (gzip-compressed on a ``.gz`` suffix)."""
-    buffer = _io.BytesIO()
-    _write_stream(trace, buffer)
-    payload = buffer.getvalue()
-    if _is_gz(path):
-        # mtime=0 and no file name keep writes of the same trace
-        # byte-identical, whenever and under whatever name they are made.
-        with open(path, "wb") as handle:
+    """Write ``trace`` to ``path`` (gzip-compressed on a ``.gz`` suffix).
+
+    The columns stream straight into the file, or into the gzip stream
+    over it, so a write holds no copy of the trace.
+    """
+    with open(path, "wb") as handle:
+        if _is_gz(path):
+            # mtime=0 and no file name keep writes of the same trace
+            # byte-identical, whenever and under whatever name they are
+            # made.
             with gzip.GzipFile(
                 filename="", fileobj=handle, mode="wb", mtime=0
             ) as zipped:
-                zipped.write(payload)
-    else:
-        with open(path, "wb") as handle:
-            handle.write(payload)
+                _write_stream(trace, zipped)
+        else:
+            _write_stream(trace, handle)
 
 
 def _write_stream(trace: ColumnarTrace, out: BinaryIO) -> None:
@@ -126,7 +131,6 @@ def _write_stream(trace: ColumnarTrace, out: BinaryIO) -> None:
         array = np.ascontiguousarray(
             getattr(trace, name), dtype=np.dtype(dtype)
         )
-        raw = array.tobytes()
         table.append(
             {
                 "name": name,
@@ -135,7 +139,9 @@ def _write_stream(trace: ColumnarTrace, out: BinaryIO) -> None:
                 "count": int(array.shape[0]),
             }
         )
-        out.write(raw)
+        raw = memoryview(array).cast("B")
+        for start in range(0, len(raw), _WRITE_CHUNK):
+            out.write(raw[start : start + _WRITE_CHUNK])
         position += len(raw)
     footer = {
         "version": FORMAT_VERSION,

@@ -81,8 +81,35 @@ _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 #: and ``__seed``; the opaque shape holds one ``__raw`` fragment.
 Shape = Tuple[str, Tuple[Tuple[str, str], ...]]
 
-#: Rows per decode chunk (see :meth:`ColumnarTrace.iter_records`).
+#: Rows per decode chunk (see :meth:`ColumnarTrace.iter_records`), and
+#: per encoder flush (see :class:`_BatchBuilder`).
 _DECODE_CHUNK = 4096
+
+#: The per-row columns of a batch or trace, with their dtypes.
+_ROW_COLUMNS = (
+    ("run", np.int64),
+    ("ts", np.float64),
+    ("type_id", np.uint32),
+    ("source_id", np.uint32),
+    ("shape_id", np.uint32),
+)
+
+#: Each value pool: its name, its per-row offset column, and its dtype.
+#: A batch's offsets are uint32; a trace's are uint64, since a merged
+#: pool can pass 2**32 values.
+_POOLS = (
+    ("ints", "ints_off", np.int64),
+    ("floats", "floats_off", np.float64),
+    ("strs", "strs_off", np.uint32),
+    ("jsons", "jsons_off", np.uint32),
+)
+
+#: Every array column of an :class:`EventBatch`, with its dtype.
+_BATCH_COLUMNS = {
+    **dict(_ROW_COLUMNS),
+    **{off: np.uint32 for _pool, off, _dtype in _POOLS},
+    **{pool: dtype for pool, _off, dtype in _POOLS},
+}
 
 
 def _tag_of(value: Any) -> str:
@@ -152,15 +179,22 @@ class ShapeTable:
     def id_of(self, shape: Shape) -> int:
         found = self.ids.get(shape)
         if found is None:
-            found = len(self.shapes)
-            self.ids[shape] = found
             # Payload keys are stored as JSON writes them, so a
             # non-string key decodes as ``json.loads`` would read it.
+            # Non-string keys can be equal yet write differently (True,
+            # 1 and 1.0), so a shape with one is looked up by its
+            # stored form only, never by its raw keys; a shape of string
+            # keys is its own stored form.
             kind, fields = shape
-            self.shapes.append(
-                (kind, tuple((_json_key(key), tag) for key, tag in fields))
+            stored = (
+                kind, tuple((_json_key(key), tag) for key, tag in fields)
             )
-            self._meta.append(None)
+            found = self.ids.get(stored)
+            if found is None:
+                found = len(self.shapes)
+                self.ids[stored] = found
+                self.shapes.append(stored)
+                self._meta.append(None)
         return found
 
     def meta(self, shape_id: int) -> dict:
@@ -267,9 +301,20 @@ class EventBatch:
 
 
 class _BatchBuilder:
-    """Append-side state while encoding records into an EventBatch."""
+    """Append-side state while encoding records into an EventBatch.
+
+    Rows and pool values collect in lists, which move into numpy arrays
+    every :data:`_DECODE_CHUNK` rows, so a long stream is never held as
+    boxed Python values.  The dictionaries are builder-wide: a value's
+    id does not depend on the chunk it first shows up in.
+    """
 
     def __init__(self) -> None:
+        self._chunks: Dict[str, List[np.ndarray]] = {
+            name: [] for name in _BATCH_COLUMNS
+        }
+        #: Values of each pool the flushed rows consumed.
+        self._pool_base = np.zeros(4, dtype=np.int64)
         self.run: List[int] = []
         self.ts: List[float] = []
         self.type_id: List[int] = []
@@ -311,6 +356,8 @@ class _BatchBuilder:
         return tuple(fields)
 
     def _begin(self, run: int, ts: float, etype: str, source: str) -> None:
+        if len(self.run) >= _DECODE_CHUNK:
+            self._flush()
         self.run.append(run)
         self.ts.append(ts)
         self.type_id.append(self.types.id_of(etype))
@@ -361,31 +408,43 @@ class _BatchBuilder:
         )
 
     # ------------------------------------------------------------------
-    def finish(self) -> EventBatch:
-        # Each event's pool offsets are the running totals of the values
+    def _flush(self) -> None:
+        """Move the listed rows and pool values into the chunk arrays."""
+        if not self.run:
+            return
+        # Each row's pool offsets are the running totals of the values
         # its predecessors' shapes consumed.
         shape_id = np.asarray(self.shape_id, dtype=np.uint32)
-        per_event = self.shapes.pool_counts()[shape_id]
-        starts = np.cumsum(per_event, axis=0) - per_event
+        per_row = self.shapes.pool_counts()[shape_id]
+        totals = np.cumsum(per_row, axis=0)
+        starts = totals - per_row + self._pool_base
+        self._pool_base += totals[-1]
+        chunks = self._chunks
+        for name, dtype in _ROW_COLUMNS:
+            chunks[name].append(np.asarray(getattr(self, name), dtype=dtype))
+            getattr(self, name).clear()
+        for column, (pool, off, dtype) in enumerate(_POOLS):
+            chunks[off].append(starts[:, column].astype(np.uint32))
+            chunks[pool].append(np.asarray(getattr(self, pool), dtype=dtype))
+            getattr(self, pool).clear()
+
+    def finish(self) -> EventBatch:
+        self._flush()
+        arrays: Dict[str, Any] = {}
+        for name, parts in self._chunks.items():
+            arrays[name] = (
+                np.concatenate(parts)
+                if parts
+                else np.zeros(0, dtype=_BATCH_COLUMNS[name])
+            )
+            parts.clear()  # each column's chunks go once it is joined
         return EventBatch(
-            run=np.asarray(self.run, dtype=np.int64),
-            ts=np.asarray(self.ts, dtype=np.float64),
-            type_id=np.asarray(self.type_id, dtype=np.uint32),
-            source_id=np.asarray(self.source_id, dtype=np.uint32),
-            shape_id=shape_id,
-            ints_off=starts[:, 0].astype(np.uint32),
-            floats_off=starts[:, 1].astype(np.uint32),
-            strs_off=starts[:, 2].astype(np.uint32),
-            jsons_off=starts[:, 3].astype(np.uint32),
-            ints=np.asarray(self.ints, dtype=np.int64),
-            floats=np.asarray(self.floats, dtype=np.float64),
-            strs=np.asarray(self.strs, dtype=np.uint32),
-            jsons=np.asarray(self.jsons, dtype=np.uint32),
             types=self.types.values,
             sources=self.sources.values,
             strings=self.strings.values,
             fragments=self.fragments.values,
             shapes=self.shapes.shapes,
+            **arrays,
         )
 
 
@@ -454,6 +513,23 @@ def encode_events(
     return builder.finish()
 
 
+def _global_ids(
+    local: np.ndarray, table: Any, values: Sequence[Any]
+) -> np.ndarray:
+    """A batch's ``local`` dictionary ids as ids of ``table``, the
+    global dictionary its own ``values`` register with, in order.
+
+    Ids that are already global (always so in the first batch) come
+    back as they are.  A fancy index holds one output-sized temporary;
+    ``np.take(..., out=...)`` would hold three (its intp indices and its
+    buffered output).
+    """
+    mapping = [table.id_of(value) for value in values]
+    if mapping == list(range(len(mapping))):
+        return local
+    return np.asarray(mapping, dtype=np.uint32)[local]
+
+
 # ---------------------------------------------------------------------------
 # The consolidated store
 # ---------------------------------------------------------------------------
@@ -461,11 +537,12 @@ class ColumnarTrace:
     """A whole trace: consolidated columns, global dictionaries, and a
     segment index.
 
-    Built from batches (:meth:`from_batches`) by concatenating columns
-    and remapping each batch's local dictionary ids onto the global
-    dictionaries with one ``np.take`` per column -- no record is
-    re-parsed, which is what makes the submission-order merge across
-    process-pool workers effectively free.  ``segments`` keeps one
+    Built from batches (:meth:`from_batches`) by copying each batch
+    into its slice of columns allocated once, remapping its local
+    dictionary ids onto the global dictionaries with one fancy index
+    per column -- no record is re-parsed, which is what makes the
+    submission-order merge across process-pool workers effectively
+    free.  ``segments`` keeps one
     ``(start, stop, ts_min, ts_max, kind_mask)`` row per source batch:
     the on-disk footer index serializes it so readers can skip whole
     segments on time-range or kind filters.
@@ -519,135 +596,106 @@ class ColumnarTrace:
     def from_batches(
         cls, batches: Sequence[EventBatch]
     ) -> "ColumnarTrace":
-        """Consolidate batches (in submission order) into one trace."""
+        """Consolidate batches (in submission order) into one trace.
+
+        Each column is allocated once, sized from the batch totals, and
+        each batch fills its own slice of it -- except where one batch
+        holds the whole column already (as a single batch does): its
+        array becomes the trace's.
+        """
         types = _Dict()
         sources = _Dict()
         strings = _Dict()
         fragments = _Dict()
         shapes = ShapeTable()
 
-        columns: Dict[str, List[np.ndarray]] = {
-            name: []
-            for name in (
-                "run",
-                "ts",
-                "type_id",
-                "source_id",
-                "shape_id",
-                "ints_off",
-                "floats_off",
-                "strs_off",
-                "jsons_off",
-                "ints",
-                "floats",
-                "strs",
-                "jsons",
+        n_rows = sum(len(batch) for batch in batches)
+        sizes = dict.fromkeys(_BATCH_COLUMNS, n_rows)
+        dtypes = dict(_BATCH_COLUMNS)
+        columns: Dict[str, np.ndarray] = {}
+        for pool, off, _dtype in _POOLS:
+            sizes[pool] = sum(
+                int(getattr(batch, pool).shape[0]) for batch in batches
             )
-        }
+            dtypes[off] = np.uint64
+            columns[off] = np.empty(n_rows, dtype=np.uint64)
+
+        def put(name: str, at: int, part: np.ndarray) -> None:
+            """Copy ``part`` into column ``name`` from ``at`` on.  A part
+            that is the whole column, in its dtype, is used as is."""
+            if part.shape[0] == sizes[name] and part.dtype == dtypes[name]:
+                columns[name] = part
+                return
+            if name not in columns:
+                columns[name] = np.empty(sizes[name], dtype=dtypes[name])
+            columns[name][at : at + part.shape[0]] = part
+
         segments: List[Tuple[int, int, float, float, int]] = []
         start = 0
-        pool_base = {"ints": 0, "floats": 0, "strs": 0, "jsons": 0}
+        pool_base = {pool: 0 for pool, _off, _dtype in _POOLS}
         for batch in batches:
-            n = len(batch)
-            # Dictionary id remaps: local id -> global id, vectorized.
-            type_map = np.asarray(
-                [types.id_of(v) for v in batch.types], dtype=np.uint32
+            stop = start + len(batch)
+            type_id = _global_ids(batch.type_id, types, batch.types)
+            put("run", start, batch.run)
+            put("ts", start, batch.ts)
+            put("type_id", start, type_id)
+            put(
+                "source_id",
+                start,
+                _global_ids(batch.source_id, sources, batch.sources),
             )
-            source_map = np.asarray(
-                [sources.id_of(v) for v in batch.sources], dtype=np.uint32
-            )
-            string_map = np.asarray(
-                [strings.id_of(v) for v in batch.strings], dtype=np.uint32
-            )
-            fragment_map = np.asarray(
-                [fragments.id_of(v) for v in batch.fragments],
-                dtype=np.uint32,
-            )
-            # Shapes remap through the dictionary-reconciled signature:
-            # a shape's identity is its (envelope, fields), which is
+            # A shape's identity is its (envelope, fields), which is
             # dictionary-independent, so the table merges directly.
-            shape_map = np.asarray(
-                [shapes.id_of(shape) for shape in batch.shapes],
-                dtype=np.uint32,
+            put(
+                "shape_id",
+                start,
+                _global_ids(batch.shape_id, shapes, batch.shapes),
             )
-            columns["run"].append(batch.run)
-            columns["ts"].append(batch.ts)
-            columns["type_id"].append(
-                type_map[batch.type_id] if len(type_map) else batch.type_id
+            put("ints", pool_base["ints"], batch.ints)
+            put("floats", pool_base["floats"], batch.floats)
+            put(
+                "strs",
+                pool_base["strs"],
+                _global_ids(batch.strs, strings, batch.strings),
             )
-            columns["source_id"].append(
-                source_map[batch.source_id]
-                if len(source_map)
-                else batch.source_id
+            put(
+                "jsons",
+                pool_base["jsons"],
+                _global_ids(batch.jsons, fragments, batch.fragments),
             )
-            columns["shape_id"].append(
-                shape_map[batch.shape_id]
-                if len(shape_map)
-                else batch.shape_id
-            )
-            for pool, off in (
-                ("ints", "ints_off"),
-                ("floats", "floats_off"),
-                ("strs", "strs_off"),
-                ("jsons", "jsons_off"),
-            ):
-                base = pool_base[pool]
-                offsets = getattr(batch, off)
-                columns[off].append(
-                    (offsets.astype(np.uint64) + base).astype(np.uint64)
+            for pool, off, _dtype in _POOLS:
+                # uint64 arithmetic: a merged pool can pass 2**32 values.
+                np.add(
+                    getattr(batch, off),
+                    pool_base[pool],
+                    out=columns[off][start:stop],
+                    dtype=np.uint64,
                 )
                 pool_base[pool] += int(getattr(batch, pool).shape[0])
-            columns["ints"].append(batch.ints)
-            columns["floats"].append(batch.floats)
-            columns["strs"].append(
-                string_map[batch.strs] if len(string_map) else batch.strs
-            )
-            columns["jsons"].append(
-                fragment_map[batch.jsons]
-                if len(fragment_map)
-                else batch.jsons
-            )
             mask = 0
-            if n:
-                for tid in np.unique(
-                    type_map[batch.type_id]
-                    if len(type_map)
-                    else batch.type_id
-                ):
-                    mask |= 1 << int(tid)
+            if stop > start:
+                present = np.zeros(len(types.values), dtype=bool)
+                present[type_id] = True
+                for tid in np.flatnonzero(present).tolist():
+                    mask |= 1 << tid
                 ts_min = float(batch.ts.min())
                 ts_max = float(batch.ts.max())
             else:
                 ts_min = ts_max = 0.0
-            segments.append((start, start + n, ts_min, ts_max, mask))
-            start += n
-
-        def cat(name: str, dtype) -> np.ndarray:
-            parts = columns[name]
-            if not parts:
-                return np.zeros(0, dtype=dtype)
-            return np.concatenate(parts).astype(dtype, copy=False)
+            segments.append((start, stop, ts_min, ts_max, mask))
+            start = stop
+        for name, dtype in dtypes.items():
+            if name not in columns:  # no batches
+                columns[name] = np.empty(0, dtype=dtype)
 
         return cls(
-            run=cat("run", np.int64),
-            ts=cat("ts", np.float64),
-            type_id=cat("type_id", np.uint32),
-            source_id=cat("source_id", np.uint32),
-            shape_id=cat("shape_id", np.uint32),
-            ints_off=cat("ints_off", np.uint64),
-            floats_off=cat("floats_off", np.uint64),
-            strs_off=cat("strs_off", np.uint64),
-            jsons_off=cat("jsons_off", np.uint64),
-            ints=cat("ints", np.int64),
-            floats=cat("floats", np.float64),
-            strs=cat("strs", np.uint32),
-            jsons=cat("jsons", np.uint32),
             types=types.values,
             sources=sources.values,
             strings=strings.values,
             fragments=fragments.values,
             shapes=shapes.shapes,
             segments=segments,
+            **columns,
         )
 
     @classmethod
@@ -1022,8 +1070,8 @@ class ColumnarRun:
     :meth:`repro.obs.tracer.Tracer.payload` returns one, and it rides
     back on ``RunResult.trace``.  Pickling arrays is a buffer copy, so
     a million-event replication returns from a pool worker without a
-    million object serializations, and the parent merges runs by
-    array concatenation (:meth:`ColumnarTrace.from_batches`).
+    million object serializations, and the parent merges runs column
+    by column (:meth:`ColumnarTrace.from_batches`).
     Iterating yields :class:`~repro.obs.events.TraceEvent` (decoded on
     demand); exporters read :attr:`trace` and stay columnar.
     """

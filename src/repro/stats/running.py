@@ -49,9 +49,22 @@ class OnlineMoments:
             self.maximum = value
 
     def extend(self, values: Iterable[float]) -> None:
-        """Fold many observations."""
+        """Fold many observations: :meth:`push`'s update, operation for
+        operation, in one loop over locals (no call per value)."""
+        count, mean, m2 = self.count, self.mean, self._m2
+        minimum, maximum = self.minimum, self.maximum
         for value in values:
-            self.push(value)
+            value = float(value)
+            count += 1
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+            if value < minimum:
+                minimum = value
+            if value > maximum:
+                maximum = value
+        self.count, self.mean, self._m2 = count, mean, m2
+        self.minimum, self.maximum = minimum, maximum
 
     @property
     def variance(self) -> float:

@@ -377,6 +377,17 @@ class TestJsonlWriter:
         assert list(read_columnar(str(rcol)).iter_records()) == expected
         assert list(read_trace(str(jsonl)).iter_records()) == expected
 
+    def test_equal_non_str_keys_keep_their_own_json_keys(self):
+        # True == 1 == 1.0 (one hash), but json writes three keys.
+        records = [_event(1.0, {key: 5}) for key in (True, 1, 1.0)]
+        trace = ColumnarTrace.from_records(records)
+        assert [r["data"] for r in trace.iter_records()] == [
+            {"true": 5},
+            {"1": 5},
+            {"1.0": 5},
+        ]
+        _assert_writer_matches(trace, [_line(r) for r in records])
+
     def test_fragments_are_normalised_like_the_decoder(self):
         # A fragment with a non-str key re-encodes from its parsed form.
         records = [_event(1.0, {"payload": {1: "a", "1": "b"}})]

@@ -48,6 +48,19 @@ class TestBasics:
         m.extend([offset + x for x in (4.0, 7.0, 13.0, 16.0)])
         assert m.variance == pytest.approx(30.0, rel=1e-6)
 
+    @given(st.lists(floats, max_size=3), st.lists(floats, max_size=50))
+    @settings(max_examples=50, deadline=None)
+    def test_extend_is_push_bit_for_bit(self, head, values):
+        pushed, extended = OnlineMoments(), OnlineMoments()
+        for value in head:
+            pushed.push(value)
+            extended.push(value)
+        for value in values:
+            pushed.push(value)
+        extended.extend(values)
+        for name in OnlineMoments.__slots__:
+            assert getattr(extended, name) == getattr(pushed, name)
+
     @given(st.lists(floats, min_size=2, max_size=200))
     @settings(max_examples=50, deadline=None)
     def test_property_matches_numpy(self, values):
