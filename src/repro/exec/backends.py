@@ -14,6 +14,7 @@ Selection: pass a backend (or its name) explicitly, or set the
 from __future__ import annotations
 
 import abc
+import gc
 import os
 import pickle
 import time
@@ -111,9 +112,14 @@ def _timed_call(fn: Callable[[Any], Any], item: Any) -> tuple:
 
 
 def _init_worker() -> None:
-    """Pool workers run their own jobs serially (no nested pools)."""
+    """Pool workers run their own jobs serially (no nested pools).
+
+    A worker also freezes the heap it inherited from the parent: its
+    collections then skip those objects, and leave their pages shared.
+    """
     os.environ["REPRO_WORKERS"] = "1"
     os.environ["REPRO_BACKEND"] = "serial"
+    gc.freeze()
 
 
 def _is_picklable(payload: Any) -> bool:

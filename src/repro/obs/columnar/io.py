@@ -249,7 +249,7 @@ def _trace_from_bytes(data: Any) -> ColumnarTrace:
             raise ValueError(
                 "corrupt columnar trace (unknown shape kind or payload tag)"
             )
-    return ColumnarTrace(
+    trace = ColumnarTrace(
         types=list(footer["types"]),
         sources=list(footer["sources"]),
         strings=list(footer["strings"]),
@@ -258,6 +258,62 @@ def _trace_from_bytes(data: Any) -> ColumnarTrace:
         segments=segments,
         **arrays,
     )
+    _check_columns(trace)
+    return trace
+
+
+#: Each dictionary-id column, with the dictionary its values index.
+_ID_COLUMNS = (
+    ("type_id", "types"),
+    ("source_id", "sources"),
+    ("shape_id", "shapes"),
+    ("strs", "strings"),
+    ("jsons", "fragments"),
+)
+
+
+def _check_columns(trace: ColumnarTrace) -> None:
+    """Reject column values that point past what they index.
+
+    Every dictionary id must be below its dictionary's length, and each
+    row's offset into a pool plus the values its shape takes from that
+    pool must stay within the pool.  Offsets are pointers, not running
+    totals -- a merged, re-sorted batch interleaves them -- so only
+    their bounds are checked.  The columns are read
+    ``_DECODE_CHUNK`` values at a time, so the temporaries stay small.
+    An in-range wrong value is not detectable this way.
+    """
+    rows = len(trace)
+    row_columns = [name for name, _dtype in store._ROW_COLUMNS] + [
+        off for _pool, off, _dtype in store._POOLS
+    ]
+    if any(getattr(trace, name).shape[0] != rows for name in row_columns):
+        raise ValueError(
+            "corrupt columnar trace (row columns differ in length)"
+        )
+    chunk = store._DECODE_CHUNK
+    for name, dictionary in _ID_COLUMNS:
+        column = getattr(trace, name)
+        size = len(getattr(trace, dictionary))
+        for start in range(0, column.shape[0], chunk):
+            if column[start : start + chunk].max() >= size:
+                raise ValueError(
+                    f"corrupt columnar trace ({name} past the "
+                    f"{dictionary} dictionary)"
+                )
+    per_shape = trace.shape_table.pool_counts().astype(np.uint64)
+    for start in range(0, rows, chunk):
+        counts = per_shape[trace.shape_id[start : start + chunk]]
+        for column, (pool, off, _dtype) in enumerate(store._POOLS):
+            size = np.uint64(getattr(trace, pool).shape[0])
+            offsets = getattr(trace, off)[start : start + chunk]
+            # The first test keeps the sum in the second from wrapping.
+            if (offsets > size).any() or (
+                offsets + counts[:, column] > size
+            ).any():
+                raise ValueError(
+                    f"corrupt columnar trace ({off} past the {pool} pool)"
+                )
 
 
 def _is_array_entry(entry: Any) -> bool:

@@ -94,8 +94,8 @@ class ColumnarRunView:
 
     def _type_rows(self, types: Sequence[str]) -> np.ndarray:
         trace = self._trace
-        mask = trace.mask_of_types(types)[self._rows]
-        return self._rows[mask]
+        keep = trace.type_table(types)
+        return self._rows[keep[trace.type_id[self._rows]]]
 
     def counts(self) -> Dict[str, int]:
         counts = self._trace.counts_by_type(self._rows)

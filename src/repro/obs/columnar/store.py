@@ -128,10 +128,6 @@ def _tag_of(value: Any) -> str:
     return TAG_JSON
 
 
-#: Pool tags of the exact value types that need no range check.
-_EXACT_TAGS = {float: TAG_FLOAT, str: TAG_STR, bool: TAG_BOOL}
-
-
 class _Dict:
     """An order-preserving string dictionary (value -> dense id)."""
 
@@ -331,29 +327,27 @@ class _BatchBuilder:
         self.shapes = ShapeTable()
 
     # ------------------------------------------------------------------
+    def _pool_value(self, value: Any) -> str:
+        """Append one payload value of any type to its pool; return its
+        tag."""
+        tag = _tag_of(value)
+        if tag == TAG_FLOAT:
+            self.floats.append(value)
+        elif tag == TAG_INT:
+            self.ints.append(value)
+        elif tag == TAG_STR:
+            self.strs.append(self.strings.id_of(value))
+        elif tag == TAG_BOOL:
+            self.ints.append(1 if value else 0)
+        elif tag == TAG_JSON:
+            self.jsons.append(self.fragments.id_of(compact_json(value)))
+        return tag
+
     def _payload(self, data: Dict[str, Any]) -> Tuple[Tuple[str, str], ...]:
         """Append one payload's values to the pools; return its fields."""
-        fields = []
-        ints, floats, strs, jsons = (
-            self.ints,
-            self.floats,
-            self.strs,
-            self.jsons,
+        return tuple(
+            (key, self._pool_value(value)) for key, value in data.items()
         )
-        for key, value in data.items():
-            tag = _EXACT_TAGS.get(type(value)) or _tag_of(value)
-            fields.append((key, tag))
-            if tag == TAG_FLOAT:
-                floats.append(value)
-            elif tag == TAG_INT:
-                ints.append(value)
-            elif tag == TAG_STR:
-                strs.append(self.strings.id_of(value))
-            elif tag == TAG_BOOL:
-                ints.append(1 if value else 0)
-            elif tag == TAG_JSON:
-                jsons.append(self.fragments.id_of(compact_json(value)))
-        return tuple(fields)
 
     def _begin(self, run: int, ts: float, etype: str, source: str) -> None:
         if len(self.run) >= _DECODE_CHUNK:
@@ -363,12 +357,58 @@ class _BatchBuilder:
         self.type_id.append(self.types.id_of(etype))
         self.source_id.append(self.sources.id_of(source))
 
-    def add_event(
-        self, run: int, ts: float, etype: str, source: str, data: Dict
+    def add_events(
+        self, rows: Iterable[Tuple[int, float, str, str, Dict[str, Any]]]
     ) -> None:
-        self._begin(run, ts, etype, source)
-        fields = self._payload(data)
-        self.shape_id.append(self.shapes.id_of((ENV_EVENT, fields)))
+        """Append event-envelope rows ``(run, ts, type, source, data)``.
+
+        The one encode loop: it runs once per traced event, so its
+        common path calls no Python function.  Appends are bound once,
+        a dictionary id is looked up before :meth:`_Dict.id_of` adds
+        one, ``float``, in-range ``int`` and ``str`` values are tagged
+        by their exact type, and a shape is looked up as built before
+        :meth:`ShapeTable.id_of` stores a new one.  Every other value
+        goes through :meth:`_pool_value`.
+        """
+        run_ids = self.run
+        add_run, add_ts = run_ids.append, self.ts.append
+        add_type, add_source = self.type_id.append, self.source_id.append
+        add_shape = self.shape_id.append
+        add_int, add_float = self.ints.append, self.floats.append
+        add_str = self.strs.append
+        types, sources = self.types, self.sources
+        strings, shapes = self.strings, self.shapes
+        type_of, source_of = types.ids.get, sources.ids.get
+        string_of, shape_of = strings.ids.get, shapes.ids.get
+        pool_value = self._pool_value
+        for run, ts, etype, source, data in rows:
+            if len(run_ids) >= _DECODE_CHUNK:
+                self._flush()  # clears the lists, so the appends hold
+            add_run(run)
+            add_ts(ts)
+            found = type_of(etype)
+            add_type(types.id_of(etype) if found is None else found)
+            found = source_of(source)
+            add_source(sources.id_of(source) if found is None else found)
+            fields = []
+            add_field = fields.append
+            for key, value in data.items():
+                kind = type(value)
+                if kind is float:
+                    add_float(value)
+                    add_field((key, TAG_FLOAT))
+                elif kind is int and _I64_MIN <= value <= _I64_MAX:
+                    add_int(value)
+                    add_field((key, TAG_INT))
+                elif kind is str:
+                    found = string_of(value)
+                    add_str(strings.id_of(value) if found is None else found)
+                    add_field((key, TAG_STR))
+                else:
+                    add_field((key, pool_value(value)))
+            shape = (ENV_EVENT, tuple(fields))
+            found = shape_of(shape)
+            add_shape(shapes.id_of(shape) if found is None else found)
 
     def add_meta(self, record: Dict[str, Any]) -> None:
         self._begin(
@@ -376,18 +416,7 @@ class _BatchBuilder:
         )
         tag_fragment = self.fragments.id_of(compact_json(record["tag"]))
         self.jsons.append(tag_fragment)
-        seed = record["seed"]
-        seed_tag = _tag_of(seed)
-        if seed_tag == TAG_INT:
-            self.ints.append(seed)
-        elif seed_tag == TAG_FLOAT:
-            self.floats.append(seed)
-        elif seed_tag == TAG_STR:
-            self.strs.append(self.strings.id_of(seed))
-        elif seed_tag == TAG_BOOL:
-            self.ints.append(1 if seed else 0)
-        elif seed_tag == TAG_JSON:
-            self.jsons.append(self.fragments.id_of(compact_json(seed)))
+        seed_tag = self._pool_value(record["seed"])
         fields = (("__tag", TAG_JSON), ("__seed", seed_tag))
         fields += self._payload(record["data"])
         self.shape_id.append(self.shapes.id_of((ENV_META, fields)))
@@ -396,8 +425,13 @@ class _BatchBuilder:
         run = record.get("run")
         ts = record.get("ts")
         etype = record.get("type")
+        in_range = (
+            isinstance(run, int)
+            and not isinstance(run, bool)
+            and _I64_MIN <= run <= _I64_MAX
+        )
         self._begin(
-            run if isinstance(run, int) and not isinstance(run, bool) else 0,
+            run if in_range else 0,
             float(ts) if isinstance(ts, (int, float)) else 0.0,
             etype if isinstance(etype, str) else "",
             "",
@@ -448,57 +482,50 @@ class _BatchBuilder:
         )
 
 
-def _classify(record: Dict[str, Any]) -> str:
-    """Which envelope a parsed JSONL record matches."""
-    keys = tuple(record)
-    if keys == _EVENT_KEYS:
-        ts, etype, source, data, run = (
-            record["ts"],
-            record["type"],
-            record["source"],
-            record["data"],
-            record["run"],
-        )
-        if (
-            type(ts) is float
-            and isinstance(etype, str)
-            and isinstance(source, str)
-            and isinstance(data, dict)
-            and type(run) is int
-            and _I64_MIN <= run <= _I64_MAX
-        ):
-            return ENV_EVENT
-    elif keys == _META_KEYS:
-        if (
-            type(record["run"]) is int
-            and isinstance(record["tag"], list)
-            and type(record["ts"]) is float
-            and isinstance(record["type"], str)
-            and isinstance(record["source"], str)
-            and isinstance(record["data"], dict)
-        ):
-            return ENV_META
-    return ENV_OPAQUE
+def _is_meta(record: Dict[str, Any]) -> bool:
+    """Whether a parsed JSONL record is a writer's ``run.meta`` line."""
+    return (
+        tuple(record) == _META_KEYS
+        and type(record["run"]) is int
+        and _I64_MIN <= record["run"] <= _I64_MAX
+        and isinstance(record["tag"], list)
+        and type(record["ts"]) is float
+        and isinstance(record["type"], str)
+        and isinstance(record["source"], str)
+        and isinstance(record["data"], dict)
+    )
 
 
 def encode_records(records: Iterable[Dict[str, Any]]) -> EventBatch:
     """Encode parsed JSONL records (in order, streamed) into one batch."""
     builder = _BatchBuilder()
-    for record in records:
-        kind = _classify(record)
-        if kind == ENV_EVENT:
-            builder.add_event(
-                record["run"],
-                record["ts"],
-                record["type"],
-                record["source"],
-                record["data"],
-            )
-        elif kind == ENV_META:
-            builder.add_meta(record)
-        else:
-            builder.add_opaque(record)
+    builder.add_events(_event_rows(records, builder))
     return builder.finish()
+
+
+def _event_rows(
+    records: Iterable[Dict[str, Any]], builder: _BatchBuilder
+) -> Iterator[Tuple[int, float, str, str, Dict[str, Any]]]:
+    """The event-envelope records as :meth:`_BatchBuilder.add_events`
+    rows.  Meta and opaque records go to ``builder`` as they come, so
+    every record keeps its place."""
+    for record in records:
+        if tuple(record) == _EVENT_KEYS:
+            ts, etype, source, data, run = record.values()
+            if (
+                type(ts) is float
+                and isinstance(etype, str)
+                and isinstance(source, str)
+                and isinstance(data, dict)
+                and type(run) is int
+                and _I64_MIN <= run <= _I64_MAX
+            ):
+                yield run, ts, etype, source, data
+                continue
+        elif _is_meta(record):
+            builder.add_meta(record)
+            continue
+        builder.add_opaque(record)
 
 
 def encode_events(
@@ -508,8 +535,9 @@ def encode_events(
     """Encode raw emit tuples (the :class:`~repro.obs.tracer.Tracer`
     buffer)."""
     builder = _BatchBuilder()
-    for ts, etype, source, data in events:
-        builder.add_event(run, ts, etype, source, data)
+    builder.add_events(
+        (run, ts, etype, source, data) for ts, etype, source, data in events
+    )
     return builder.finish()
 
 
@@ -823,16 +851,20 @@ class ColumnarTrace:
         except ValueError:
             return None
 
+    def type_table(self, etypes: Sequence[str]) -> np.ndarray:
+        """Boolean table over type ids: which are of the given types.
+
+        Indexed by a ``type_id`` selection, it masks just those rows.
+        """
+        keep = np.zeros(len(self.types), dtype=bool)
+        for tid in map(self.type_id_of, etypes):
+            if tid is not None:
+                keep[tid] = True
+        return keep
+
     def mask_of_types(self, etypes: Sequence[str]) -> np.ndarray:
         """Boolean row mask for any of the given event types."""
-        ids = [
-            tid
-            for tid in (self.type_id_of(t) for t in etypes)
-            if tid is not None
-        ]
-        if not ids:
-            return np.zeros(len(self), dtype=bool)
-        return np.isin(self.type_id, np.asarray(ids, dtype=np.uint32))
+        return self.type_table(etypes)[self.type_id]
 
     def field_float(
         self, key: str, rows: np.ndarray

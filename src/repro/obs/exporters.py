@@ -87,10 +87,27 @@ def write_jsonl(path: str, records: Iterable[Dict[str, Any]]) -> int:
     return write_jsonl_lines(path, map(compact_json, records))
 
 
+#: The C scanner behind ``json.loads``, called straight on each line.
+_scan_once = json.decoder.JSONDecoder().scan_once
+
+
 def iter_jsonl(path: str) -> Iterable[Dict[str, Any]]:
-    """Stream the records of a JSONL trace file (plain or ``.gz``)."""
+    """Stream the records of a JSONL trace file (plain or ``.gz``).
+
+    A line that is one JSON object ending exactly at its newline -- what
+    every writer here produces -- is parsed by the C scanner alone.  Any
+    other line takes the full ``json.loads(line.strip())`` path, which
+    skips blank lines and names the line of a malformed one.
+    """
     with open_text(path, "r") as handle:
         for line_no, line in enumerate(handle, start=1):
+            try:
+                record, end = _scan_once(line, 0)
+            except (StopIteration, ValueError):
+                record = end = None
+            if type(record) is dict and line[end:] == "\n":
+                yield record
+                continue
             line = line.strip()
             if not line:
                 continue

@@ -1,5 +1,6 @@
 """The execution backends: selection, env resolution, progress, order."""
 
+import gc
 import pickle
 
 import pytest
@@ -19,6 +20,10 @@ from repro.exec.progress import JobEvent, ProgressPrinter, StageTimer
 
 def _square(x):
     return x * x
+
+
+def _freeze_count(_item):
+    return gc.get_freeze_count()
 
 
 class _Unpicklable:
@@ -90,6 +95,12 @@ class TestProcessPoolBackend:
         backend.map(_square, [1, 2, 3, 4])
         assert [e.done for e in events] == [1, 2, 3, 4]
         assert all(e.total == 4 for e in events)
+
+    def test_workers_freeze_the_inherited_heap(self):
+        # A worker's collections skip what it inherited, so those pages
+        # stay shared with the parent.
+        counts = ProcessPoolBackend(workers=2).map(_freeze_count, [0, 1])
+        assert all(count > 0 for count in counts), counts
 
 
 class TestMakeBackend:

@@ -3,6 +3,7 @@
 import gzip
 import json
 
+import numpy as np
 import pytest
 
 from repro.obs.columnar.io import (
@@ -14,6 +15,7 @@ from repro.obs.columnar.io import (
     write_columnar,
 )
 from repro.obs.columnar.store import ColumnarTrace
+from repro.obs.columnar.synth import synth_campaign_trace
 from repro.obs.events import compact_json
 
 RECORDS = [
@@ -231,3 +233,98 @@ class TestCorruptFooter:
         message = str(exit_info.value.code)
         assert message.startswith(f"{path}: corrupt columnar trace (")
         assert "\n" not in message
+
+
+def _poke(path, name, index, value):
+    """Overwrite value ``index`` of column ``name`` in the ``.rcol`` file
+    at ``path``, leaving its footer as it is."""
+    data = bytearray(path.read_bytes())
+    footer_len = int.from_bytes(data[-16:-8], "little")
+    footer = json.loads(bytes(data[len(data) - 16 - footer_len : -16]))
+    (entry,) = [a for a in footer["arrays"] if a["name"] == name]
+    assert index < entry["count"]
+    dtype = np.dtype(entry["dtype"])
+    at = entry["offset"] + index * dtype.itemsize
+    data[at : at + dtype.itemsize] = np.asarray([value], dtype).tobytes()
+    path.write_bytes(bytes(data))
+
+
+@pytest.fixture(scope="module")
+def campaign():
+    """A small campaign trace; its runs are merged by timestamp, so its
+    pool offsets interleave rather than run in order."""
+    return synth_campaign_trace(
+        runs=4,
+        events_per_run=100,
+        scenarios=("aging_onset", "leak"),
+        false_alarms_per_run=2,
+    )
+
+
+class TestCorruptColumns:
+    """Column values that point past their dictionary or pool are one
+    ``ValueError`` naming the file, never an ``IndexError`` or a
+    misread."""
+
+    @pytest.mark.parametrize(
+        "name, index, value",
+        [
+            ("type_id", 10, 999),
+            ("source_id", 10, 999),
+            ("shape_id", 10, 999),
+            ("strs", 3, 99999),
+            ("jsons", 3, 99999),
+            ("floats_off", 10, 10**12),
+            ("ints_off", 10, 2**64 - 1),  # would wrap if added first
+            ("strs_off", 10, 10**6),
+            ("jsons_off", 0, 4),  # the pool's end, and row 0 takes one
+        ],
+    )
+    @pytest.mark.parametrize("suffix", [".rcol", ".rcol.gz"])
+    def test_rejected_with_one_message(
+        self, tmp_path, campaign, suffix, name, index, value
+    ):
+        plain = tmp_path / "t.rcol"
+        write_columnar(campaign, str(plain))
+        _poke(plain, name, index, value)
+        path = tmp_path / f"t{suffix}"
+        if suffix.endswith(".gz"):
+            path.write_bytes(gzip.compress(plain.read_bytes()))
+        with pytest.raises(ValueError) as error:
+            read_columnar(str(path))
+        assert str(error.value).startswith(
+            f"{path}: corrupt columnar trace ({name} past the "
+        )
+
+    def test_row_columns_of_unequal_length(self, tmp_path):
+        path = tmp_path / "t.rcol"
+        _write(path, RECORDS)
+
+        def shorten(footer):
+            footer["arrays"][0]["count"] -= 1
+            return footer
+
+        _with_footer(path, shorten)
+        with pytest.raises(ValueError, match="row columns differ"):
+            read_columnar(str(path))
+
+    def test_interleaved_offsets_still_read(self, tmp_path, campaign):
+        offsets = campaign.floats_off.astype(np.int64)
+        assert (np.diff(offsets) < 0).any()
+        path = tmp_path / "t.rcol"
+        write_columnar(campaign, str(path))
+        assert read_columnar(str(path)).records() == campaign.records()
+
+    def test_cli_prints_one_line(self, tmp_path, campaign):
+        from repro.cli import main
+
+        path = tmp_path / "t.rcol"
+        write_columnar(campaign, str(path))
+        _poke(path, "type_id", 10, 999)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", "convert", str(path), str(tmp_path / "t.jsonl")])
+        message = str(exit_info.value.code)
+        assert message == (
+            f"{path}: corrupt columnar trace "
+            "(type_id past the types dictionary)"
+        )

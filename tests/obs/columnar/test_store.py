@@ -328,6 +328,19 @@ class TestOpaqueFallback:
             assert trace.decode(index) == record
             assert compact_json(trace.decode(index)) == _line(record)
 
+    def test_runs_past_int64_round_trip(self):
+        # The run column is int64: a larger run is kept in the record's
+        # fragment, in a meta envelope as in any other.
+        big = [
+            dict(_meta(3), run=2**70),
+            {"run": -(2**70), "dump": "flight"},
+        ]
+        trace = ColumnarTrace.from_records(big)
+        assert [_line(r) for r in trace.iter_records()] == [
+            _line(r) for r in big
+        ]
+        assert trace.run.tolist() == [0, 0]
+
 
 class TestJsonlWriter:
     """``to_jsonl_lines`` writes from the columns the exact bytes of
