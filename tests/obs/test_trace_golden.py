@@ -10,6 +10,10 @@ process-pool backend, with and without the ``--live`` tap riding along
 traces are merged by simulated time.  ``repro trace convert`` must
 give the same JSONL bytes back, from a JSONL trace taken through
 ``.rcol`` and from a trace written as ``.rcol`` in the first place.
+The ``.rcol`` bytes are pinned as well: the run written as ``.rcol``
+on either backend, the fleet campaign written as ``.rcol.gz``, and
+the JSONL trace converted to ``.rcol`` (one segment, since a JSONL
+file is read as one).
 """
 
 import hashlib
@@ -61,6 +65,18 @@ FLEET_JSONL_DIGEST = (
     "cd0d456c0aa3ee7956b608da7769e62c6a4fc051f69282f1a96205289b98e3c6"
 )
 
+SIMULATE_RCOL_DIGEST = (
+    "8d00896b181280d5a761937d6fd923284e57641e93f8d1e17dd11fa204fd585e"
+)
+
+FLEET_RCOL_GZ_DIGEST = (
+    "8a7ee125d4e1757eae59afe01fb3adb9eaa6c52ea0db828a1ca3bf1c8004610a"
+)
+
+CONVERTED_RCOL_DIGEST = (
+    "920f55682b6742cf07bd411f2f0c838a50e0323e7f3e8e89ec1337efd0a1302d"
+)
+
 
 def sha256(path) -> str:
     with open(path, "rb") as handle:
@@ -96,6 +112,27 @@ def test_fleet_campaign_jsonl_matches_golden(tmp_path, capsys, backend):
     trace = tmp_path / "fleet.jsonl"
     assert main(FLEET + BACKENDS[backend] + ["--trace", str(trace)]) == 0
     assert sha256(trace) == FLEET_JSONL_DIGEST
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_simulate_rcol_matches_golden(tmp_path, capsys, backend):
+    trace = tmp_path / "trace.rcol"
+    assert main(SIMULATE + BACKENDS[backend] + ["--trace", str(trace)]) == 0
+    assert sha256(trace) == SIMULATE_RCOL_DIGEST
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_fleet_campaign_rcol_gz_matches_golden(tmp_path, capsys, backend):
+    trace = tmp_path / "fleet.rcol.gz"
+    assert main(FLEET + BACKENDS[backend] + ["--trace", str(trace)]) == 0
+    assert sha256(trace) == FLEET_RCOL_GZ_DIGEST
+
+
+def test_jsonl_converted_to_rcol_matches_golden(tmp_path, capsys):
+    jsonl, rcol = str(tmp_path / "trace.jsonl"), str(tmp_path / "t.rcol")
+    assert main(SIMULATE + BACKENDS["serial"] + ["--trace", jsonl]) == 0
+    assert main(["trace", "convert", jsonl, rcol]) == 0
+    assert sha256(rcol) == CONVERTED_RCOL_DIGEST
 
 
 def test_converted_trace_matches_golden(tmp_path, capsys):
