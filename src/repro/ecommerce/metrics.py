@@ -16,8 +16,9 @@ class RunResult:
     after the warm-up cut; ``loss_fraction`` is lost transactions over all
     measured transactions -- the paper's rejuvenation cost metric.
 
-    ``trace`` carries the run's events, encoded as one
-    :class:`~repro.obs.columnar.store.ColumnarRun`, when tracing was on and
+    ``trace`` carries the run's events, encoded as a one-segment
+    :class:`~repro.obs.columnar.store.ColumnarTrace` (equal to another
+    when both decode to the same records), when tracing was on, and
     ``telemetry`` the fixed-interval
     :class:`~repro.ecommerce.telemetry.TelemetrySample` probes when a
     telemetry probe was installed; both stay ``None`` otherwise.  They

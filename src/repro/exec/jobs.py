@@ -57,8 +57,9 @@ class ReplicationJob:
     ``trace_level`` (one of :data:`repro.obs.tracer.TRACE_LEVELS`, or
     ``None`` for the near-free untraced path) makes the worker build a
     :class:`~repro.obs.tracer.Tracer` whose events ride back, encoded as
-    one column batch, on ``RunResult.trace``; ``telemetry_interval_s``
-    likewise installs a fixed-interval probe whose samples ride back on
+    one :class:`~repro.obs.columnar.store.ColumnarTrace`, on
+    ``RunResult.trace``; ``telemetry_interval_s`` likewise installs a
+    fixed-interval probe whose samples ride back on
     ``RunResult.telemetry``.  Both stay plain data, so the job remains
     picklable.
 
@@ -82,7 +83,7 @@ class ReplicationJob:
     collect_response_times: bool = False
     tag: Tuple[Any, ...] = ()
     trace_level: Optional[str] = None
-    #: Unread: every traced run returns one encoded column batch.  The
+    #: Unread: every traced run returns one encoded trace.  The
     #: field stays only because the repository benchmark's sink probe
     #: still sets it; it goes with the next benchmark change.
     trace_format: Optional[str] = None

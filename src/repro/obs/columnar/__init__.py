@@ -1,9 +1,11 @@
 """``repro.obs.columnar``: the columnar trace pipeline.
 
-Structured-array storage for trace events (:mod:`.store`), an
-mmap/gzip-friendly on-disk container with a footer segment index
-(:mod:`.io`), the :class:`ColumnarRun` payload every traced run ships
-across process pools (:mod:`.store`), the one query engine shared by
+Structured-array storage for trace events (:mod:`.store`): one
+:class:`ColumnarTrace` type carries a trace from the tracer that
+encodes a run's events, across process pools on ``RunResult.trace``,
+through the merge, to the file.  Around it: an mmap/gzip-friendly
+on-disk container with a footer segment index (:mod:`.io`), the one
+query engine shared by
 ``report``/``explain``/re-scoring/``watch``/``serve``
 (:mod:`.query`), lossless format conversion (:mod:`.convert`), and a
 synthetic trace generator for scale testing (:mod:`.synth`).
@@ -28,13 +30,11 @@ from .query import (
     as_query,
     load_query,
 )
-from .store import ColumnarRun, ColumnarTrace, EventBatch, encode_records
+from .store import ColumnarTrace, encode_records
 
 __all__ = [
     "ColumnarQuery",
-    "ColumnarRun",
     "ColumnarTrace",
-    "EventBatch",
     "as_query",
     "encode_records",
     "load_query",

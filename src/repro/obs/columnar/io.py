@@ -13,7 +13,7 @@ the four string dictionaries (event types, sources, payload strings,
 raw JSON fragments), the shape table, an array table (name, dtype,
 byte offset, element count per column) and the *segment index* -- one
 ``{rows: [start, stop], events, ts_min, ts_max, kinds}`` entry per
-source batch, where ``kinds`` is a bitmap over the event-type
+merged trace, where ``kinds`` is a bitmap over the event-type
 dictionary.  Readers parse the footer first and can skip whole
 segments on a time-range or kind filter without touching their bytes.
 
@@ -39,7 +39,7 @@ from typing import Any, BinaryIO, Dict, List, Tuple
 
 import numpy as np
 
-from repro.obs.exporters import iter_jsonl
+from repro.obs.exporters import DAMAGED_FILE_ERRORS, iter_jsonl
 
 from . import store
 from .store import ColumnarTrace, encode_records
@@ -278,16 +278,15 @@ def _check_columns(trace: ColumnarTrace) -> None:
     Every dictionary id must be below its dictionary's length, and each
     row's offset into a pool plus the values its shape takes from that
     pool must stay within the pool.  Offsets are pointers, not running
-    totals -- a merged, re-sorted batch interleaves them -- so only
+    totals -- a merged, re-sorted trace interleaves them -- so only
     their bounds are checked.  The columns are read
     ``_DECODE_CHUNK`` values at a time, so the temporaries stay small.
     An in-range wrong value is not detectable this way.
     """
     rows = len(trace)
-    row_columns = [name for name, _dtype in store._ROW_COLUMNS] + [
-        off for _pool, off, _dtype in store._POOLS
-    ]
-    if any(getattr(trace, name).shape[0] != rows for name in row_columns):
+    if any(
+        getattr(trace, name).shape[0] != rows for name in store._ROW_NAMES
+    ):
         raise ValueError(
             "corrupt columnar trace (row columns differ in length)"
         )
@@ -332,7 +331,8 @@ def _is_array_entry(entry: Any) -> bool:
 def read_columnar(path: str) -> ColumnarTrace:
     """Load a columnar trace (gz-aware; plain files are memory-mapped).
 
-    A malformed file raises ``ValueError("PATH: ...")``.
+    A malformed file or a damaged gzip stream raises
+    ``ValueError("PATH: ...")``.
     """
     try:
         if _is_gz(path):
@@ -340,7 +340,7 @@ def read_columnar(path: str) -> ColumnarTrace:
                 return _trace_from_bytes(handle.read())
         data = np.memmap(path, dtype=np.uint8, mode="r")
         return _trace_from_bytes(data)
-    except ValueError as error:
+    except (ValueError, *DAMAGED_FILE_ERRORS) as error:
         raise ValueError(f"{path}: {error}") from None
 
 
@@ -352,14 +352,17 @@ def read_trace(path: str) -> ColumnarTrace:
     """
     if sniff_format(path) == "columnar":
         return read_columnar(path)
-    return ColumnarTrace.from_batches([encode_records(iter_jsonl(path))])
+    return encode_records(iter_jsonl(path))
 
 
 def read_footer(path: str) -> Dict[str, Any]:
     """Parse only the footer (dictionaries + segment index), cheaply."""
     if _is_gz(path):
-        with gzip.open(path, "rb") as handle:
-            data = handle.read()
+        try:
+            with gzip.open(path, "rb") as handle:
+                data = handle.read()
+        except DAMAGED_FILE_ERRORS as error:
+            raise ValueError(f"{path}: {error}") from None
         size = len(data)
         footer_len = int.from_bytes(data[size - 16 : size - 8], "little")
         return json.loads(data[size - 16 - footer_len : size - 16])
@@ -381,8 +384,11 @@ def sniff_format(path: str) -> str:
         head = handle.read(2)
         if head == b"\x1f\x8b":
             handle.seek(0)
-            with gzip.open(handle, "rb") as zipped:
-                head = zipped.read(len(MAGIC))
+            try:
+                with gzip.open(handle, "rb") as zipped:
+                    head = zipped.read(len(MAGIC))
+            except DAMAGED_FILE_ERRORS as error:
+                raise ValueError(f"{path}: {error}") from None
         else:
             head += handle.read(len(MAGIC) - len(head))
     return "columnar" if head[: len(MAGIC)] == MAGIC else "jsonl"

@@ -5,7 +5,7 @@ watch --tick`` and ``repro serve`` all ask the same questions of a
 trace: which runs does it hold, what does each run's ``run.meta`` say,
 how many events of each kind, where are the completions/faults/
 triggers, what do the response-time percentiles look like over time.
-:class:`ColumnarQuery` (and its per-run :class:`ColumnarRunView`)
+:class:`ColumnarQuery` (and its per-run :class:`RunView`)
 answers them over a :class:`~repro.obs.columnar.store.ColumnarTrace`,
 vectorized: counts are one ``bincount``, run grouping is one stable
 argsort, completions are a per-shape float gather, and windowed
@@ -69,7 +69,7 @@ def is_flight_dump(record: Dict[str, Any]) -> bool:
     )
 
 
-class ColumnarRunView:
+class RunView:
     """One run's rows in a columnar trace, answered vectorized."""
 
     __slots__ = ("run_id", "_trace", "_rows")
@@ -226,7 +226,7 @@ class ColumnarQuery:
         mask |= meta_mask
         return ColumnarQuery(trace, rows[mask])
 
-    def run_views(self) -> List[ColumnarRunView]:
+    def run_views(self) -> List[RunView]:
         rows = self._rows
         runs = self.trace.run[rows]
         order = np.argsort(runs, kind="stable")
@@ -236,7 +236,7 @@ class ColumnarQuery:
         starts = np.searchsorted(sorted_runs, run_ids, side="left")
         stops = np.searchsorted(sorted_runs, run_ids, side="right")
         return [
-            ColumnarRunView(
+            RunView(
                 int(run_id), self.trace, sorted_rows[start:stop]
             )
             for run_id, start, stop in zip(run_ids, starts, stops)

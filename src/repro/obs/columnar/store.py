@@ -24,7 +24,7 @@ shape dictionary
     Python types -- exactly.
 
 Losslessness is what lets JSONL be decoded at the file boundary:
-``records -> EventBatch -> records`` is identity (pinned by tests), so
+``records -> ColumnarTrace -> records`` is identity (pinned by tests), so
 a JSONL trace converted to columnar and back is byte-for-byte the same
 file, and every consumer (``report``, ``explain``, ``faults score``,
 ``watch``, ``serve``) queries this one representation.
@@ -53,7 +53,7 @@ from typing import (
 
 import numpy as np
 
-from repro.obs.events import TraceEvent, compact_json
+from repro.obs.events import compact_json
 
 #: Payload value tags (part of a shape's identity).
 TAG_NULL = "n"
@@ -85,7 +85,7 @@ Shape = Tuple[str, Tuple[Tuple[str, str], ...]]
 #: per encoder flush (see :class:`_BatchBuilder`).
 _DECODE_CHUNK = 4096
 
-#: The per-row columns of a batch or trace, with their dtypes.
+#: The per-row columns of a trace, with their dtypes.
 _ROW_COLUMNS = (
     ("run", np.int64),
     ("ts", np.float64),
@@ -95,8 +95,10 @@ _ROW_COLUMNS = (
 )
 
 #: Each value pool: its name, its per-row offset column, and its dtype.
-#: A batch's offsets are uint32; a trace's are uint64, since a merged
-#: pool can pass 2**32 values.
+#: An encoded trace's offsets are uint32; a merged trace's are uint64,
+#: since a merged pool can pass 2**32 values.  Every reader widens them
+#: with ``astype(np.int64)`` and ``write_columnar`` writes them as
+#: ``<u8``, so neither a file nor a decoded record depends on which.
 _POOLS = (
     ("ints", "ints_off", np.int64),
     ("floats", "floats_off", np.float64),
@@ -104,8 +106,13 @@ _POOLS = (
     ("jsons", "jsons_off", np.uint32),
 )
 
-#: Every array column of an :class:`EventBatch`, with its dtype.
-_BATCH_COLUMNS = {
+#: The columns with one value per row: the row columns and the offsets.
+_ROW_NAMES = tuple(name for name, _dtype in _ROW_COLUMNS) + tuple(
+    off for _pool, off, _dtype in _POOLS
+)
+
+#: Every array column of an encoded trace, with its dtype.
+_COLUMNS = {
     **dict(_ROW_COLUMNS),
     **{off: np.uint32 for _pool, off, _dtype in _POOLS},
     **{pool: dtype for pool, _off, dtype in _POOLS},
@@ -247,57 +254,8 @@ class ShapeTable:
         return len(self.shapes)
 
 
-class EventBatch:
-    """One encoded batch of trace records (a segment's worth).
-
-    All dictionaries are *batch-local*; :class:`ColumnarTrace` owns the
-    cross-batch consolidation.  Arrays are parallel over events:
-    ``run``/``ts``/``type_id``/``source_id``/``shape_id`` plus one
-    offset per pool, with the pools appended in event order.
-    """
-
-    __slots__ = (
-        "run",
-        "ts",
-        "type_id",
-        "source_id",
-        "shape_id",
-        "ints_off",
-        "floats_off",
-        "strs_off",
-        "jsons_off",
-        "ints",
-        "floats",
-        "strs",
-        "jsons",
-        "types",
-        "sources",
-        "strings",
-        "fragments",
-        "shapes",
-    )
-
-    def __init__(self, **arrays: Any) -> None:
-        for name in self.__slots__:
-            setattr(self, name, arrays[name])
-
-    def __len__(self) -> int:
-        return int(self.ts.shape[0])
-
-    def with_run(self, run_index: int) -> "EventBatch":
-        """A copy whose every event belongs to ``run_index``.
-
-        The submission-order ingest in
-        :class:`~repro.obs.session.TraceSession` assigns run indices in
-        the parent; worker-side batches are encoded with run 0.
-        """
-        arrays = {name: getattr(self, name) for name in self.__slots__}
-        arrays["run"] = np.full(len(self), run_index, dtype=np.int64)
-        return EventBatch(**arrays)
-
-
 class _BatchBuilder:
-    """Append-side state while encoding records into an EventBatch.
+    """Append-side state while encoding records into a trace.
 
     Rows and pool values collect in lists, which move into numpy arrays
     every :data:`_DECODE_CHUNK` rows, so a long stream is never held as
@@ -307,7 +265,7 @@ class _BatchBuilder:
 
     def __init__(self) -> None:
         self._chunks: Dict[str, List[np.ndarray]] = {
-            name: [] for name in _BATCH_COLUMNS
+            name: [] for name in _COLUMNS
         }
         #: Values of each pool the flushed rows consumed.
         self._pool_base = np.zeros(4, dtype=np.int64)
@@ -462,24 +420,46 @@ class _BatchBuilder:
             chunks[pool].append(np.asarray(getattr(self, pool), dtype=dtype))
             getattr(self, pool).clear()
 
-    def finish(self) -> EventBatch:
+    def finish(self) -> "ColumnarTrace":
+        """The encoded rows as a one-segment trace: a single source's
+        dictionaries are already the trace's own."""
         self._flush()
         arrays: Dict[str, Any] = {}
         for name, parts in self._chunks.items():
             arrays[name] = (
                 np.concatenate(parts)
                 if parts
-                else np.zeros(0, dtype=_BATCH_COLUMNS[name])
+                else np.zeros(0, dtype=_COLUMNS[name])
             )
             parts.clear()  # each column's chunks go once it is joined
-        return EventBatch(
-            types=self.types.values,
+        ts, types = arrays["ts"], self.types.values
+        return ColumnarTrace(
+            types=types,
             sources=self.sources.values,
             strings=self.strings.values,
             fragments=self.fragments.values,
             shapes=self.shapes.shapes,
+            segments=[
+                _segment(0, len(ts), arrays["type_id"], len(types), ts)
+            ],
             **arrays,
         )
+
+
+def _segment(
+    start: int, stop: int, type_id: np.ndarray, n_types: int, ts: np.ndarray
+) -> Tuple[int, int, float, float, int]:
+    """The segment-index row ``(start, stop, ts_min, ts_max, kind_mask)``
+    of rows ``start:stop``, given their ``type_id`` and ``ts`` values;
+    bit ``t`` of the mask says type id ``t`` (of ``n_types``) occurs."""
+    if stop == start:
+        return (start, stop, 0.0, 0.0, 0)
+    present = np.zeros(n_types, dtype=bool)
+    present[type_id] = True
+    mask = 0
+    for tid in np.flatnonzero(present).tolist():
+        mask |= 1 << tid
+    return (start, stop, float(ts.min()), float(ts.max()), mask)
 
 
 def _is_meta(record: Dict[str, Any]) -> bool:
@@ -496,8 +476,8 @@ def _is_meta(record: Dict[str, Any]) -> bool:
     )
 
 
-def encode_records(records: Iterable[Dict[str, Any]]) -> EventBatch:
-    """Encode parsed JSONL records (in order, streamed) into one batch."""
+def encode_records(records: Iterable[Dict[str, Any]]) -> "ColumnarTrace":
+    """Encode parsed JSONL records (in order, streamed) into a trace."""
     builder = _BatchBuilder()
     builder.add_events(_event_rows(records, builder))
     return builder.finish()
@@ -531,9 +511,9 @@ def _event_rows(
 def encode_events(
     events: Sequence[Tuple[float, str, str, Dict[str, Any]]],
     run: int = 0,
-) -> EventBatch:
+) -> "ColumnarTrace":
     """Encode raw emit tuples (the :class:`~repro.obs.tracer.Tracer`
-    buffer)."""
+    buffer) into a trace."""
     builder = _BatchBuilder()
     builder.add_events(
         (run, ts, etype, source, data) for ts, etype, source, data in events
@@ -544,10 +524,10 @@ def encode_events(
 def _global_ids(
     local: np.ndarray, table: Any, values: Sequence[Any]
 ) -> np.ndarray:
-    """A batch's ``local`` dictionary ids as ids of ``table``, the
+    """A part's ``local`` dictionary ids as ids of ``table``, the
     global dictionary its own ``values`` register with, in order.
 
-    Ids that are already global (always so in the first batch) come
+    Ids that are already global (always so in the first part) come
     back as they are.  A fancy index holds one output-sized temporary;
     ``np.take(..., out=...)`` would hold three (its intp indices and its
     buffered output).
@@ -562,21 +542,28 @@ def _global_ids(
 # The consolidated store
 # ---------------------------------------------------------------------------
 class ColumnarTrace:
-    """A whole trace: consolidated columns, global dictionaries, and a
-    segment index.
+    """A trace: columns, dictionaries, and a segment index.
 
-    Built from batches (:meth:`from_batches`) by copying each batch
-    into its slice of columns allocated once, remapping its local
-    dictionary ids onto the global dictionaries with one fancy index
-    per column -- no record is re-parsed, which is what makes the
-    submission-order merge across process-pool workers effectively
-    free.  ``segments`` keeps one
-    ``(start, stop, ts_min, ts_max, kind_mask)`` row per source batch:
-    the on-disk footer index serializes it so readers can skip whole
-    segments on time-range or kind filters.
+    Columns are parallel over records (``run``/``ts``/``type_id``/
+    ``source_id``/``shape_id`` plus one offset per value pool), with
+    the pools appended in record order.  The encoders
+    (:func:`encode_events`, :func:`encode_records`) return a
+    one-segment trace, and that is what a traced run carries back on
+    ``RunResult.trace``: pickling arrays is a buffer copy, so a
+    million-event replication returns from a pool worker without a
+    million object serializations.  :meth:`from_batches` merges traces
+    by copying each into its slice of columns allocated once,
+    remapping its dictionary ids onto the merged dictionaries with one
+    fancy index per column -- no record is re-parsed.  ``segments``
+    keeps one ``(start, stop, ts_min, ts_max, kind_mask)`` row per
+    merged trace: the on-disk footer index serializes it so readers can
+    skip whole segments on time-range or kind filters.
+
+    Traces are equal when they decode to the same records.
     """
 
-    __slots__ = (
+    #: What a trace stores, and pickles; the shape table is a cache.
+    _STORED = (
         "run",
         "ts",
         "type_id",
@@ -596,14 +583,37 @@ class ColumnarTrace:
         "fragments",
         "shapes",
         "segments",
-        "_shape_table",
     )
+    __slots__ = _STORED + ("_shape_table",)
 
     def __init__(self, **arrays: Any) -> None:
-        for name in self.__slots__:
-            if name != "_shape_table":
-                setattr(self, name, arrays[name])
+        for name in self._STORED:
+            setattr(self, name, arrays[name])
         self._shape_table: Optional[ShapeTable] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {name: getattr(self, name) for name in self._STORED}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__init__(**state)  # type: ignore[misc]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ColumnarTrace):
+            return NotImplemented
+        return self.records() == other.records()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def with_run(self, run_index: int) -> "ColumnarTrace":
+        """A copy whose every record belongs to ``run_index``.
+
+        The submission-order ingest in
+        :class:`~repro.obs.session.TraceSession` assigns run indices in
+        the parent; worker-side traces are encoded with run 0.
+        """
+        state = self.__getstate__()
+        state["run"] = np.full(len(self), run_index, dtype=np.int64)
+        return ColumnarTrace(**state)
 
     # ------------------------------------------------------------------
     @property
@@ -622,14 +632,15 @@ class ColumnarTrace:
     # ------------------------------------------------------------------
     @classmethod
     def from_batches(
-        cls, batches: Sequence[EventBatch]
+        cls, traces: Sequence["ColumnarTrace"]
     ) -> "ColumnarTrace":
-        """Consolidate batches (in submission order) into one trace.
+        """Merge traces (in submission order) into one, with one
+        segment per merged trace.
 
-        Each column is allocated once, sized from the batch totals, and
-        each batch fills its own slice of it -- except where one batch
-        holds the whole column already (as a single batch does): its
-        array becomes the trace's.
+        Each column is allocated once, sized from the totals, and each
+        trace fills its own slice of it -- except where one trace holds
+        the whole column already, in the merged dtype: its array
+        becomes the merged trace's.
         """
         types = _Dict()
         sources = _Dict()
@@ -637,13 +648,13 @@ class ColumnarTrace:
         fragments = _Dict()
         shapes = ShapeTable()
 
-        n_rows = sum(len(batch) for batch in batches)
-        sizes = dict.fromkeys(_BATCH_COLUMNS, n_rows)
-        dtypes = dict(_BATCH_COLUMNS)
+        n_rows = sum(len(trace) for trace in traces)
+        sizes = dict.fromkeys(_COLUMNS, n_rows)
+        dtypes = dict(_COLUMNS)
         columns: Dict[str, np.ndarray] = {}
         for pool, off, _dtype in _POOLS:
             sizes[pool] = sum(
-                int(getattr(batch, pool).shape[0]) for batch in batches
+                int(getattr(trace, pool).shape[0]) for trace in traces
             )
             dtypes[off] = np.uint64
             columns[off] = np.empty(n_rows, dtype=np.uint64)
@@ -661,59 +672,51 @@ class ColumnarTrace:
         segments: List[Tuple[int, int, float, float, int]] = []
         start = 0
         pool_base = {pool: 0 for pool, _off, _dtype in _POOLS}
-        for batch in batches:
-            stop = start + len(batch)
-            type_id = _global_ids(batch.type_id, types, batch.types)
-            put("run", start, batch.run)
-            put("ts", start, batch.ts)
+        for trace in traces:
+            stop = start + len(trace)
+            type_id = _global_ids(trace.type_id, types, trace.types)
+            put("run", start, trace.run)
+            put("ts", start, trace.ts)
             put("type_id", start, type_id)
             put(
                 "source_id",
                 start,
-                _global_ids(batch.source_id, sources, batch.sources),
+                _global_ids(trace.source_id, sources, trace.sources),
             )
             # A shape's identity is its (envelope, fields), which is
             # dictionary-independent, so the table merges directly.
             put(
                 "shape_id",
                 start,
-                _global_ids(batch.shape_id, shapes, batch.shapes),
+                _global_ids(trace.shape_id, shapes, trace.shapes),
             )
-            put("ints", pool_base["ints"], batch.ints)
-            put("floats", pool_base["floats"], batch.floats)
+            put("ints", pool_base["ints"], trace.ints)
+            put("floats", pool_base["floats"], trace.floats)
             put(
                 "strs",
                 pool_base["strs"],
-                _global_ids(batch.strs, strings, batch.strings),
+                _global_ids(trace.strs, strings, trace.strings),
             )
             put(
                 "jsons",
                 pool_base["jsons"],
-                _global_ids(batch.jsons, fragments, batch.fragments),
+                _global_ids(trace.jsons, fragments, trace.fragments),
             )
             for pool, off, _dtype in _POOLS:
                 # uint64 arithmetic: a merged pool can pass 2**32 values.
                 np.add(
-                    getattr(batch, off),
+                    getattr(trace, off),
                     pool_base[pool],
                     out=columns[off][start:stop],
                     dtype=np.uint64,
                 )
-                pool_base[pool] += int(getattr(batch, pool).shape[0])
-            mask = 0
-            if stop > start:
-                present = np.zeros(len(types.values), dtype=bool)
-                present[type_id] = True
-                for tid in np.flatnonzero(present).tolist():
-                    mask |= 1 << tid
-                ts_min = float(batch.ts.min())
-                ts_max = float(batch.ts.max())
-            else:
-                ts_min = ts_max = 0.0
-            segments.append((start, stop, ts_min, ts_max, mask))
+                pool_base[pool] += int(getattr(trace, pool).shape[0])
+            segments.append(
+                _segment(start, stop, type_id, len(types.values), trace.ts)
+            )
             start = stop
         for name, dtype in dtypes.items():
-            if name not in columns:  # no batches
+            if name not in columns:  # no traces
                 columns[name] = np.empty(0, dtype=dtype)
 
         return cls(
@@ -730,8 +733,9 @@ class ColumnarTrace:
     def from_records(
         cls, records: Iterable[Dict[str, Any]]
     ) -> "ColumnarTrace":
-        """Encode already-parsed JSONL records into one-segment store."""
-        return cls.from_batches([encode_records(records)])
+        """Encode already-parsed JSONL records into a one-segment
+        trace."""
+        return encode_records(records)
 
     # ------------------------------------------------------------------
     # Decoding (the lossless inverse)
@@ -1096,84 +1100,21 @@ class _JsonlLines:
         return self.texts[tag][values].tolist()
 
 
-class ColumnarRun:
-    """One run's trace payload: a picklable column batch.
-
-    :meth:`repro.obs.tracer.Tracer.payload` returns one, and it rides
-    back on ``RunResult.trace``.  Pickling arrays is a buffer copy, so
-    a million-event replication returns from a pool worker without a
-    million object serializations, and the parent merges runs column
-    by column (:meth:`ColumnarTrace.from_batches`).
-    Iterating yields :class:`~repro.obs.events.TraceEvent` (decoded on
-    demand); exporters read :attr:`trace` and stay columnar.
-    """
-
-    __slots__ = ("batch", "_trace")
-
-    def __init__(self, batch: EventBatch) -> None:
-        self.batch = batch
-        self._trace: Optional[ColumnarTrace] = None
-
-    def __getstate__(self) -> EventBatch:
-        return self.batch
-
-    def __setstate__(self, batch: EventBatch) -> None:
-        self.batch = batch
-        self._trace = None
-
-    def __len__(self) -> int:
-        return len(self.batch)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ColumnarRun):
-            return NotImplemented
-        return self.trace.records() == other.trace.records()
-
-    __hash__ = None  # type: ignore[assignment]
-
-    @property
-    def trace(self) -> ColumnarTrace:
-        """The batch consolidated into a queryable single-segment trace."""
-        if self._trace is None:
-            self._trace = ColumnarTrace.from_batches([self.batch])
-        return self._trace
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        for record in self.trace.iter_records():
-            yield TraceEvent(
-                record["ts"], record["type"], record["source"], record["data"]
-            )
-
-
 def merge_batches_sorted(
-    batches: Sequence[EventBatch],
-) -> EventBatch:
-    """Batches merged into one, stably re-sorted by timestamp.
+    traces: Sequence[ColumnarTrace],
+) -> ColumnarTrace:
+    """Traces merged into one segment, stably re-sorted by timestamp.
 
     The fleet substrate's per-shard tracers each buffer their own
     events; the merged single-run trace interleaves them by simulated
     time with ties broken by shard order (a stable sort on ``ts``).
     """
-    trace = ColumnarTrace.from_batches(batches)
-    order = np.argsort(trace.ts, kind="stable")
-    arrays = {
-        "run": trace.run[order],
-        "ts": trace.ts[order],
-        "type_id": trace.type_id[order],
-        "source_id": trace.source_id[order],
-        "shape_id": trace.shape_id[order],
-        "ints_off": trace.ints_off[order].astype(np.uint32),
-        "floats_off": trace.floats_off[order].astype(np.uint32),
-        "strs_off": trace.strs_off[order].astype(np.uint32),
-        "jsons_off": trace.jsons_off[order].astype(np.uint32),
-        "ints": trace.ints,
-        "floats": trace.floats,
-        "strs": trace.strs,
-        "jsons": trace.jsons,
-        "types": trace.types,
-        "sources": trace.sources,
-        "strings": trace.strings,
-        "fragments": trace.fragments,
-        "shapes": trace.shapes,
-    }
-    return EventBatch(**arrays)
+    merged = ColumnarTrace.from_batches(traces)
+    order = np.argsort(merged.ts, kind="stable")
+    for name in _ROW_NAMES:
+        setattr(merged, name, getattr(merged, name)[order])
+    n_rows, n_types = len(merged), len(merged.types)
+    merged.segments = [
+        _segment(0, n_rows, merged.type_id, n_types, merged.ts)
+    ]
+    return merged

@@ -33,7 +33,7 @@ from repro.obs.events import (
 
 from .store import (
     ColumnarTrace,
-    EventBatch,
+    _segment,
     encode_records,
     merge_batches_sorted,
 )
@@ -42,16 +42,18 @@ from .store import (
 _COMPLETION_SHAPE = ("event", (("response_time", "f"),))
 
 
-def _completion_batch(
+def _completion_trace(
     run: int, ts: np.ndarray, rt: np.ndarray
-) -> EventBatch:
-    """A dense ``request.complete`` batch built straight from arrays."""
+) -> ColumnarTrace:
+    """A dense ``request.complete`` trace built straight from arrays."""
     n = int(ts.shape[0])
     zero_off = np.zeros(n, dtype=np.uint32)
-    return EventBatch(
+    ts = np.ascontiguousarray(ts, dtype=np.float64)
+    type_id = np.zeros(n, dtype=np.uint32)
+    return ColumnarTrace(
         run=np.full(n, run, dtype=np.int64),
-        ts=np.ascontiguousarray(ts, dtype=np.float64),
-        type_id=np.zeros(n, dtype=np.uint32),
+        ts=ts,
+        type_id=type_id,
         source_id=np.zeros(n, dtype=np.uint32),
         shape_id=np.zeros(n, dtype=np.uint32),
         ints_off=zero_off,
@@ -67,6 +69,7 @@ def _completion_batch(
         strings=[],
         fragments=[],
         shapes=[_COMPLETION_SHAPE],
+        segments=[_segment(0, n, type_id, 1, ts)],
     )
 
 
@@ -95,7 +98,7 @@ def synth_campaign_trace(
         for scenario in scenarios
         for policy in policies
     ]
-    batches: List[EventBatch] = []
+    traces: List[ColumnarTrace] = []
     for run in range(runs):
         scenario, policy = grid[run % len(grid)]
         rep = run // len(grid)
@@ -177,9 +180,9 @@ def synth_campaign_trace(
         events = merge_batches_sorted(
             [
                 encode_records(sparse),
-                _completion_batch(run, ts, rt),
+                _completion_trace(run, ts, rt),
             ]
         )
-        batches.append(encode_records([meta]))
-        batches.append(events)
-    return ColumnarTrace.from_batches(batches)
+        traces.append(encode_records([meta]))
+        traces.append(events)
+    return ColumnarTrace.from_batches(traces)

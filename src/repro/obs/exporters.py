@@ -24,6 +24,7 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import zlib
 from itertools import islice
 from typing import Any, Dict, Iterable, Iterator, List
 
@@ -35,6 +36,17 @@ _US = 1_000_000.0
 
 #: Lines per ``write`` call of :func:`write_jsonl_lines`.
 _BLOCK_LINES = 4096
+
+#: What a damaged trace file raises while its stream is read: bytes
+#: that are not UTF-8, a gzip stream cut short or corrupt, or a ``.gz``
+#: file that is not gzip.  The trace readers report each as
+#: ``ValueError("PATH: ...")``.
+DAMAGED_FILE_ERRORS = (
+    UnicodeDecodeError,
+    EOFError,
+    gzip.BadGzipFile,
+    zlib.error,
+)
 
 
 def open_text(path: str, mode: str):
@@ -97,32 +109,38 @@ def iter_jsonl(path: str) -> Iterable[Dict[str, Any]]:
     A line that is one JSON object ending exactly at its newline -- what
     every writer here produces -- is parsed by the C scanner alone.  Any
     other line takes the full ``json.loads(line.strip())`` path, which
-    skips blank lines and names the line of a malformed one.
+    skips blank lines and names the line of a malformed one.  A damaged
+    stream (:data:`DAMAGED_FILE_ERRORS`) raises ``ValueError("PATH:
+    ...")`` without a line number: the text reader decodes ahead of the
+    line it yields.
     """
-    with open_text(path, "r") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            try:
-                record, end = _scan_once(line, 0)
-            except (StopIteration, ValueError):
-                record = end = None
-            if type(record) is dict and line[end:] == "\n":
+    try:
+        with open_text(path, "r") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                try:
+                    record, end = _scan_once(line, 0)
+                except (StopIteration, ValueError):
+                    record = end = None
+                if type(record) is dict and line[end:] == "\n":
+                    yield record
+                    continue
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(
+                        f"{path}:{line_no}: not valid JSONL ({exc})"
+                    ) from None
+                if not isinstance(record, dict):
+                    raise ValueError(
+                        f"{path}:{line_no}: expected a JSON object, got "
+                        f"{type(record).__name__}"
+                    )
                 yield record
-                continue
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path}:{line_no}: not valid JSONL ({exc})"
-                ) from None
-            if not isinstance(record, dict):
-                raise ValueError(
-                    f"{path}:{line_no}: expected a JSON object, got "
-                    f"{type(record).__name__}"
-                )
-            yield record
+    except DAMAGED_FILE_ERRORS as error:
+        raise ValueError(f"{path}: {error}") from None
 
 
 def read_jsonl(path: str) -> List[Dict[str, Any]]:

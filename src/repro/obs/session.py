@@ -11,7 +11,7 @@ the parent.  The contract is therefore:
    each :class:`~repro.exec.jobs.ReplicationJob` -- a picklable string.
 3. :func:`~repro.exec.jobs.execute_job` builds a worker-local
    :class:`~repro.obs.tracer.Tracer` and returns its events, encoded as
-   one column batch, *inside* the
+   one :class:`~repro.obs.columnar.store.ColumnarTrace`, *inside* the
    :class:`~repro.ecommerce.metrics.RunResult`, which already crosses
    the process boundary.
 4. Back in the parent, ``run_jobs`` calls :meth:`TraceSession.ingest`
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.columnar.store import (
-    ColumnarRun,
     ColumnarTrace,
     encode_events,
     encode_records,
@@ -61,15 +60,16 @@ def validate_format(trace_format: str) -> str:
 class TracedRun:
     """One replication's bookkeeping plus its trace events.
 
-    ``events`` is the run's :class:`~repro.obs.columnar.store.ColumnarRun`
-    (an encoded column batch, iterable as events on demand).
+    ``events`` is the run's one-segment
+    :class:`~repro.obs.columnar.store.ColumnarTrace`, stamped with the
+    run's index.
     """
 
     index: int
     tag: Tuple[Any, ...]
     seed: Optional[int]
     summary: Dict[str, Any]
-    events: ColumnarRun
+    events: ColumnarTrace
 
 
 class TraceSession:
@@ -109,10 +109,10 @@ class TraceSession:
             raise ValueError("jobs and runs must be parallel sequences")
         for job, run in zip(jobs, runs):
             trace = getattr(run, "trace", None)
-            # Worker batches are encoded with run index 0; stamp the
+            # Worker traces are encoded with run index 0; stamp the
             # submission-order index the parent assigns.
-            events = ColumnarRun(
-                trace.batch.with_run(len(self.runs))
+            events = (
+                trace.with_run(len(self.runs))
                 if trace is not None
                 else encode_events(())
             )
@@ -154,22 +154,22 @@ class TraceSession:
         for run in self.runs:
             yield self._meta_record(run)
             # Decoded on demand; run indices were stamped at ingest.
-            yield from run.events.trace.iter_records()
+            yield from run.events.iter_records()
 
     def columnar_trace(self) -> ColumnarTrace:
         """The whole session as one consolidated columnar trace.
 
-        Runs contribute their worker-encoded batches as-is (no
+        Runs contribute their worker-encoded traces as-is (no
         re-parse).  Each run becomes two segments -- its ``run.meta``
         record, then its events -- in submission order, so the segment
         index maps directly onto runs.
         """
-        batches = []
+        traces = []
         for run in self.runs:
-            batches.append(encode_records([self._meta_record(run)]))
+            traces.append(encode_records([self._meta_record(run)]))
             if len(run.events):
-                batches.append(run.events.batch)
-        return ColumnarTrace.from_batches(batches)
+                traces.append(run.events)
+        return ColumnarTrace.from_batches(traces)
 
     def registry(self) -> MetricsRegistry:
         """Metrics over all ingested runs, merged in submission order."""

@@ -1,10 +1,10 @@
 """The event tracer and its near-free disabled path.
 
 A :class:`Tracer` buffers the raw ``(ts, type, source, data)`` emit
-tuples of one replication and hands them back as one encoded column
-batch (:class:`~repro.obs.columnar.store.ColumnarRun`); the session
-layer (:mod:`repro.obs.session`) collects the batches and hands them
-to the exporters.  Tracing is structured in *levels*:
+tuples of one replication and hands them back encoded as one
+:class:`~repro.obs.columnar.store.ColumnarTrace`; the session layer
+(:mod:`repro.obs.session`) collects the traces and hands them to the
+exporters.  Tracing is structured in *levels*:
 
 ``spans``
     request lifecycle + system (GC/rejuvenation) events only.
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.columnar.store import ColumnarRun, encode_events
+from repro.obs.columnar.store import ColumnarTrace, encode_events
 
 #: Accepted trace levels, in increasing verbosity.
 TRACE_LEVELS: Tuple[str, ...] = ("spans", "decisions", "all")
@@ -71,7 +71,8 @@ class Tracer:
     >>> (tracer.spans, tracer.decisions, tracer.engine)
     (False, True, False)
     >>> tracer.emit(1.5, "policy.trigger", "policy:sraa", level=4)
-    >>> [event.data["level"] for event in tracer.payload()]
+    >>> trace = tracer.payload()
+    >>> [record["data"]["level"] for record in trace.iter_records()]
     [4]
     """
 
@@ -104,11 +105,11 @@ class Tracer:
     def __len__(self) -> int:
         return len(self._buffer)
 
-    def payload(self) -> ColumnarRun:
+    def payload(self) -> ColumnarTrace:
         """What this run attaches to ``RunResult.trace``: the buffer
-        encoded into one column batch (run index 0 -- the session
+        encoded into a one-segment trace (run index 0 -- the session
         assigns the real index at ingest)."""
-        return ColumnarRun(encode_events(self._buffer))
+        return encode_events(self._buffer)
 
 
 def make_tracer(level: Optional[str]) -> Optional[Tracer]:

@@ -382,17 +382,12 @@ class FleetSystem:
 
         trace = None
         if self.obs.trace_level is not None:
-            # Shard tracers return encoded batches; merge them without
+            # Shard tracers return encoded traces; merge them without
             # decoding -- concatenate columns (shard submission order)
             # and stably re-sort by simulated time.
-            from repro.obs.columnar.store import (
-                ColumnarRun,
-                merge_batches_sorted,
-            )
+            from repro.obs.columnar.store import merge_batches_sorted
 
-            trace = ColumnarRun(
-                merge_batches_sorted([r.trace.batch for r in results])
-            )
+            trace = merge_batches_sorted([r.trace for r in results])
         response_times = None
         if any(r.response_times is not None for r in results):
             response_times = tuple(

@@ -280,11 +280,11 @@ class TestCapacityErosion:
             tracer=Tracer("spans"),
         )
         faults = [
-            event
-            for event in system.run(500).trace
-            if event.etype == "fault.injected"
+            record
+            for record in system.run(500).trace.iter_records()
+            if record["type"] == "fault.injected"
         ]
-        assert [event.data for event in faults] == [
+        assert [record["data"] for record in faults] == [
             {"kind": "erosion", "rate_per_s": 0.1, "floor": 2}
         ]
 

@@ -2,6 +2,7 @@
 
 import gzip
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repro.obs.columnar.io import (
     MAGIC,
     read_columnar,
     read_footer,
+    read_trace,
     sniff_format,
     write_columnar,
 )
@@ -155,6 +157,33 @@ class TestCorruption:
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises((ValueError, EOFError, OSError)):
             read_columnar(str(path))
+
+    @pytest.mark.parametrize(
+        "reader", [read_columnar, read_trace, read_footer]
+    )
+    def test_truncated_gzip_names_the_file(self, tmp_path, reader):
+        path = tmp_path / "cut.rcol.gz"
+        _write(path, RECORDS)
+        path.write_bytes(path.read_bytes()[:30])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+            reader(str(path))
+
+    @pytest.mark.parametrize(
+        "reader", [read_columnar, read_trace, read_footer]
+    )
+    def test_non_gzip_file_names_the_file(self, tmp_path, reader):
+        path = tmp_path / "plain.rcol.gz"
+        _write(tmp_path / "plain.rcol", RECORDS)
+        path.write_bytes((tmp_path / "plain.rcol").read_bytes())
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+            reader(str(path))
+
+    def test_damaged_gzip_header_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.jsonl.gz"
+        path.write_bytes(b"\x1f\x8b" + b"x" * 30)
+        for reader in (sniff_format, read_trace):
+            with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+                reader(str(path))
 
 
 def _with_footer(path, edit):

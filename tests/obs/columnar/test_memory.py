@@ -4,9 +4,9 @@
 fixed trace these peaks are exact counts, not machine-dependent
 samples.  Each bound states how many copies of a trace one operation
 may hold: a write streams its columns (no copy), and a merge fills its
-output in place (one copy).  A JSONL load encodes one batch whose
-columns become the trace's, so it holds one copy plus the trace's
-wider pool offsets (uint64 where the batch has uint32).
+output in place (one copy).  A JSONL load returns the encoder's trace,
+so it holds one copy plus the encoder's chunks of the column being
+joined.
 """
 
 import gc
@@ -16,7 +16,7 @@ import pytest
 
 from repro.obs.columnar.io import read_trace, write_columnar
 from repro.obs.columnar.store import (
-    _BATCH_COLUMNS,
+    _COLUMNS,
     ColumnarTrace,
     encode_records,
 )
@@ -29,7 +29,7 @@ BATCHES = 12
 
 def trace_bytes(trace):
     """The bytes a trace's columns hold."""
-    return sum(getattr(trace, name).nbytes for name in _BATCH_COLUMNS)
+    return sum(getattr(trace, name).nbytes for name in _COLUMNS)
 
 
 def traced_peak(fn):

@@ -7,10 +7,15 @@ records that match no known envelope (carried as opaque fragments).
 """
 
 import json
+import pickle
 
 import numpy as np
 import pytest
 
+from repro.core.spec import PolicySpec
+from repro.ecommerce.config import PAPER_CONFIG
+from repro.ecommerce.spec import ArrivalSpec
+from repro.exec.jobs import ReplicationJob, execute_job
 from repro.obs.columnar.store import (
     ColumnarTrace,
     encode_events,
@@ -197,16 +202,26 @@ class TestBatches:
             (0.5, "request.complete", "system", {"response_time": 0.1}),
             (1.5, "system.gc", "system", {}),
         ]
-        batch = encode_events(events, run=3)
-        trace = ColumnarTrace.from_batches([batch])
+        trace = encode_events(events, run=3)
         assert [r["run"] for r in trace.iter_records()] == [3, 3]
 
     def test_with_run_rewrites_the_run_column(self):
-        batch = encode_events(
-            [(0.5, "system.gc", "system", {})], run=0
-        )
-        trace = ColumnarTrace.from_batches([batch.with_run(9)])
-        assert trace.decode(0)["run"] == 9
+        trace = encode_events([(0.5, "system.gc", "system", {})], run=0)
+        assert trace.with_run(9).decode(0)["run"] == 9
+        assert trace.decode(0)["run"] == 0
+
+    def test_encoders_return_the_merged_segment(self):
+        # An encoded trace is one segment whose row is the one a merge
+        # of it alone computes.
+        for trace in (
+            encode_records(TRICKY_RECORDS),
+            encode_events([(2.0, "b", "s", {}), (1.0, "a", "s", {})]),
+            encode_events([]),
+        ):
+            merged = ColumnarTrace.from_batches([trace])
+            assert len(trace.segments) == 1
+            assert trace.segments == merged.segments
+            assert trace == merged
 
     def test_from_batches_remaps_dictionaries(self):
         # Two batches with conflicting local dictionary ids must merge
@@ -245,16 +260,12 @@ class TestBatches:
         # tie-break the dict path's stable sort applies.
         a = encode_events([(5.0, "tie.a", "s", {})], run=0)
         b = encode_events([(5.0, "tie.b", "s", {})], run=1)
-        merged = ColumnarTrace.from_batches(
-            [merge_batches_sorted([a, b])]
-        )
+        merged = merge_batches_sorted([a, b])
         assert [r["type"] for r in merged.iter_records()] == [
             "tie.a",
             "tie.b",
         ]
-        merged = ColumnarTrace.from_batches(
-            [merge_batches_sorted([b, a])]
-        )
+        merged = merge_batches_sorted([b, a])
         assert [r["type"] for r in merged.iter_records()] == [
             "tie.b",
             "tie.a",
@@ -265,10 +276,41 @@ class TestBatches:
             [(3.0, "x.a", "s", {}), (9.0, "x.b", "s", {})], run=0
         )
         b = encode_events([(1.0, "x.c", "s", {})], run=0)
-        merged = ColumnarTrace.from_batches(
-            [merge_batches_sorted([a, b])]
-        )
+        merged = merge_batches_sorted([a, b])
         assert [r["ts"] for r in merged.iter_records()] == [1.0, 3.0, 9.0]
+        assert merged.segments == [(0, 3, 1.0, 9.0, 0b111)]
+
+
+class TestPickle:
+    def test_traced_run_result_round_trips(self):
+        run = execute_job(
+            ReplicationJob(
+                config=PAPER_CONFIG,
+                arrival=ArrivalSpec.poisson(
+                    PAPER_CONFIG.arrival_rate_for_load(0.5)
+                ),
+                policy=PolicySpec.sraa(2, 5, 3),
+                n_transactions=200,
+                seed=11,
+                trace_level="all",
+            )
+        )
+        trace = run.trace
+        assert len(trace) > 0
+        trace.shape_table  # fill the cache, which must not be pickled
+        assert set(trace.__getstate__()) == {
+            "run", "ts", "type_id", "source_id", "shape_id",
+            "ints_off", "floats_off", "strs_off", "jsons_off",
+            "ints", "floats", "strs", "jsons",
+            "types", "sources", "strings", "fragments", "shapes",
+            "segments",
+        }
+        blob = pickle.dumps(run)
+        assert b"ShapeTable" not in blob
+        restored = pickle.loads(blob)
+        assert restored.trace._shape_table is None
+        assert restored.trace.segments == trace.segments
+        assert restored == run
 
 
 class TestColumns:

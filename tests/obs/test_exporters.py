@@ -1,6 +1,7 @@
 """JSONL, Chrome trace_event, and Prometheus file outputs."""
 
 import json
+import re
 import time
 from pathlib import Path
 
@@ -65,6 +66,25 @@ class TestJsonl:
             ValueError,
             match=rf"bad\.jsonl:2: expected a JSON object, got {kind}",
         ):
+            read_jsonl(str(path))
+
+    def test_non_utf8_byte_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"ok": 1}\n\xff\n')
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+            read_jsonl(str(path))
+
+    def test_truncated_gzip_names_the_file(self, tmp_path):
+        path = tmp_path / "cut.jsonl.gz"
+        write_jsonl(str(path), RECORDS * 50)
+        path.write_bytes(path.read_bytes()[:30])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+            read_jsonl(str(path))
+
+    def test_non_gzip_file_names_the_file(self, tmp_path):
+        path = tmp_path / "plain.jsonl.gz"
+        path.write_text('{"ok": 1}\n')
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
             read_jsonl(str(path))
 
     def test_blank_lines_are_skipped(self, tmp_path):

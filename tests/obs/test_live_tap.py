@@ -103,9 +103,9 @@ class TestTeeTracer:
         tee = TeeTracer([spans_only, tap])
         tee.emit(1.0, "request.complete", "system", response_time=2.0)
         tee.emit(2.0, "policy.trigger", "policy:sraa", level=1)
-        assert [e.etype for e in spans_only.payload()] == [
-            "request.complete"
-        ]
+        assert [
+            r["type"] for r in spans_only.payload().iter_records()
+        ] == ["request.complete"]
         snapshot = tap.aggregator.snapshot()
         assert snapshot["completed"] == 1 and snapshot["triggers"] == 1
 
@@ -114,7 +114,9 @@ class TestTeeTracer:
         tap = make_tap()
         tee = TeeTracer([tap, tracer])  # tap first: buffers nothing
         tee.emit(1.0, "request.complete", "system", response_time=2.0)
-        assert [e.etype for e in tee.payload()] == ["request.complete"]
+        assert [r["type"] for r in tee.payload().iter_records()] == [
+            "request.complete"
+        ]
 
     def test_compose_tracers(self):
         tap = make_tap()

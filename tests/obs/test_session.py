@@ -95,21 +95,31 @@ class TestSessionCollection:
 
     def test_levels_filter_event_categories(self):
         spans_session, _ = _traced_run(level="spans")
-        types = {e.etype for run in spans_session.runs for e in run.events}
+        types = {
+            r["type"]
+            for run in spans_session.runs
+            for r in run.events.iter_records()
+        }
         assert REQUEST_ARRIVAL in types
         assert POLICY_BATCH not in types
         assert DES_EVENT not in types
 
         decisions_session, _ = _traced_run(level="decisions")
         types = {
-            e.etype for run in decisions_session.runs for e in run.events
+            r["type"]
+            for run in decisions_session.runs
+            for r in run.events.iter_records()
         }
         assert POLICY_BATCH in types
         assert REQUEST_ARRIVAL not in types
         assert DES_EVENT not in types
 
         all_session, _ = _traced_run(level="all")
-        types = {e.etype for run in all_session.runs for e in run.events}
+        types = {
+            r["type"]
+            for run in all_session.runs
+            for r in run.events.iter_records()
+        }
         assert {REQUEST_ARRIVAL, POLICY_BATCH, DES_EVENT} <= types
 
     def test_records_start_each_run_with_meta(self):

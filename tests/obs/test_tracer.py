@@ -68,10 +68,10 @@ class TestTracerBuffer:
         tracer = Tracer("all")
         tracer.emit(1.0, REQUEST_COMPLETE, "system", index=7, response_time=2.5)
         assert len(tracer) == 1
-        (event,) = tracer.payload()
-        assert event.ts == 1.0
-        assert event.etype == REQUEST_COMPLETE
-        assert event.data == {"index": 7, "response_time": 2.5}
+        (record,) = tracer.payload().iter_records()
+        assert record["ts"] == 1.0
+        assert record["type"] == REQUEST_COMPLETE
+        assert record["data"] == {"index": 7, "response_time": 2.5}
 
     def test_clear(self):
         tracer = Tracer("all")
@@ -88,9 +88,11 @@ class TestTracerBuffer:
         tracer.emit(4.0, POLICY_TRIGGER, "policy:sraa", level=2, ok=True)
         payload = tracer.payload()
         restored = pickle.loads(pickle.dumps(payload))
-        assert list(restored) == list(payload) == [
-            TraceEvent(3.0, REQUEST_COMPLETE, "system", {"index": 1}),
-            TraceEvent(
-                4.0, POLICY_TRIGGER, "policy:sraa", {"level": 2, "ok": True}
-            ),
+        assert restored == payload
+        assert [
+            (r["ts"], r["type"], r["source"], r["data"])
+            for r in restored.iter_records()
+        ] == [
+            (3.0, REQUEST_COMPLETE, "system", {"index": 1}),
+            (4.0, POLICY_TRIGGER, "policy:sraa", {"level": 2, "ok": True}),
         ]
