@@ -14,6 +14,11 @@ holds the remembered last line (plus its ``\\n``) just before it;
 otherwise -- rotated, truncated, rewritten in place -- it starts over
 from byte 0.  Only ``\\n``-terminated lines are consumed, so a reader
 racing an append sees the state before it instead of half a record.
+
+``generation`` counts the changes to what :meth:`AppendLog.records`
+returns: it rises when a read consumes new records or drops a
+non-empty state, and never otherwise, so a reader can key anything it
+derives from the records on it.
 """
 
 from __future__ import annotations
@@ -38,10 +43,15 @@ class AppendLog:
     def __init__(self, path: str) -> None:
         self.path = path
         self.lock = threading.RLock()
+        #: Bumped each time the parsed records change (module docstring).
+        self.generation = 0
+        self._records: List[Dict[str, Any]] = []
         self._reset(None)
 
     def _reset(self, identity: Optional[Tuple[int, int]]) -> None:
-        self._records: List[Dict[str, Any]] = []
+        if self._records:
+            self.generation += 1
+        self._records = []
         self._offset = 0
         self._lineno = 0
         self._last_line = b""
@@ -50,9 +60,13 @@ class AppendLog:
     # ------------------------------------------------------------------
     def records(self) -> List[Dict[str, Any]]:
         """Every record, in file order (a fresh list; records shared)."""
+        return self.snapshot()[1]
+
+    def snapshot(self) -> Tuple[int, List[Dict[str, Any]]]:
+        """``(generation, records)`` as of one read of the file."""
         with self.lock:
             self._refresh()
-            return list(self._records)
+            return self.generation, list(self._records)
 
     def append(self, line: str) -> None:
         """Write ``line`` plus its ``\\n`` in one write, at end of file."""
@@ -112,7 +126,9 @@ class AppendLog:
                 ) from None
         if last_line is None:
             return
-        self._records.extend(fresh)
+        if fresh:
+            self._records.extend(fresh)
+            self.generation += 1
         self._offset, self._lineno, self._last_line = (
             offset,
             lineno,

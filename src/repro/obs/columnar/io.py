@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import gzip
 import json
-import os
-from typing import Any, BinaryIO, Dict, List, Tuple
+from typing import Any, BinaryIO, Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -173,8 +172,12 @@ def _write_stream(trace: ColumnarTrace, out: BinaryIO) -> None:
     out.write(TRAILER)
 
 
-def _trace_from_bytes(data: Any) -> ColumnarTrace:
-    """Build a trace over a bytes-like buffer (mmap or decompressed)."""
+def _parse_footer(data: Any) -> Tuple[Dict[str, Any], int]:
+    """The validated footer of a whole-file buffer, and its start.
+
+    Checks the magic, the trailer, the footer length and the footer's
+    version and list-valued keys; reads no column bytes.
+    """
     size = len(data)
     if size < len(MAGIC) + 16 or bytes(data[: len(MAGIC)]) != MAGIC:
         raise ValueError("not a columnar trace (bad magic)")
@@ -205,6 +208,12 @@ def _trace_from_bytes(data: Any) -> ColumnarTrace:
             "corrupt columnar trace (footer lacks a list of %s)"
             % ", ".join(missing)
         )
+    return footer, footer_start
+
+
+def _trace_from_bytes(data: Any) -> ColumnarTrace:
+    """Build a trace over a bytes-like buffer (mmap or decompressed)."""
+    footer, footer_start = _parse_footer(data)
     arrays: Dict[str, np.ndarray] = {}
     for index, entry in enumerate(footer["arrays"]):
         if not _is_array_entry(entry):
@@ -328,8 +337,9 @@ def _is_array_entry(entry: Any) -> bool:
     )
 
 
-def read_columnar(path: str) -> ColumnarTrace:
-    """Load a columnar trace (gz-aware; plain files are memory-mapped).
+def _parse_file(path: str, parse: Callable[[Any], Any]) -> Any:
+    """``parse`` over the file's bytes: decompressed whole for ``.gz``,
+    memory-mapped otherwise.
 
     A malformed file or a damaged gzip stream raises
     ``ValueError("PATH: ...")``.
@@ -337,11 +347,15 @@ def read_columnar(path: str) -> ColumnarTrace:
     try:
         if _is_gz(path):
             with gzip.open(path, "rb") as handle:
-                return _trace_from_bytes(handle.read())
-        data = np.memmap(path, dtype=np.uint8, mode="r")
-        return _trace_from_bytes(data)
+                return parse(handle.read())
+        return parse(np.memmap(path, dtype=np.uint8, mode="r"))
     except (ValueError, *DAMAGED_FILE_ERRORS) as error:
         raise ValueError(f"{path}: {error}") from None
+
+
+def read_columnar(path: str) -> ColumnarTrace:
+    """Load a columnar trace (gz-aware; plain files are memory-mapped)."""
+    return _parse_file(path, _trace_from_bytes)
 
 
 def read_trace(path: str) -> ColumnarTrace:
@@ -356,26 +370,9 @@ def read_trace(path: str) -> ColumnarTrace:
 
 
 def read_footer(path: str) -> Dict[str, Any]:
-    """Parse only the footer (dictionaries + segment index), cheaply."""
-    if _is_gz(path):
-        try:
-            with gzip.open(path, "rb") as handle:
-                data = handle.read()
-        except DAMAGED_FILE_ERRORS as error:
-            raise ValueError(f"{path}: {error}") from None
-        size = len(data)
-        footer_len = int.from_bytes(data[size - 16 : size - 8], "little")
-        return json.loads(data[size - 16 - footer_len : size - 16])
-    with open(path, "rb") as handle:
-        handle.seek(0, os.SEEK_END)
-        size = handle.tell()
-        handle.seek(size - 16)
-        tail = handle.read(16)
-        if tail[8:] != TRAILER:
-            raise ValueError("truncated columnar trace (bad trailer)")
-        footer_len = int.from_bytes(tail[:8], "little")
-        handle.seek(size - 16 - footer_len)
-        return json.loads(handle.read(footer_len))
+    """Parse only the footer (dictionaries + segment index), cheaply:
+    a plain file's column bytes are mapped but never read."""
+    return _parse_file(path, lambda data: _parse_footer(data)[0])
 
 
 def sniff_format(path: str) -> str:

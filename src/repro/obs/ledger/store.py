@@ -26,7 +26,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.appendlog import AppendLog
 from repro.obs.ledger.manifest import RunManifest
@@ -96,6 +96,15 @@ class Ledger:
         """
         return self._runs.records()
 
+    def snapshot(self) -> Tuple[int, List[Dict[str, Any]]]:
+        """``(generation, entries)`` from one read of ``runs.jsonl``.
+
+        The generation changes exactly when the entries do (see
+        :class:`~repro.obs.appendlog.AppendLog`), so anything rendered
+        from these entries stays valid while it is unchanged.
+        """
+        return self._runs.snapshot()
+
     def append(
         self,
         manifest: RunManifest,
@@ -136,7 +145,12 @@ class Ledger:
 
     def get(self, ref: str) -> Dict[str, Any]:
         """Resolve ``ref``: an id, a unique id prefix, or ``latest``."""
-        entries = self.entries()
+        return self.resolve(ref, self.entries())
+
+    def resolve(
+        self, ref: str, entries: Sequence[Dict[str, Any]]
+    ) -> Dict[str, Any]:
+        """Resolve ``ref`` (as :meth:`get`) among ``entries``."""
         if not entries:
             raise LookupError(
                 f"ledger {self.directory} is empty -- run something with "
@@ -170,10 +184,15 @@ class Ledger:
     # Baselines
     # ------------------------------------------------------------------
     def baselines(self) -> Dict[str, Dict[str, Any]]:
-        if not os.path.exists(self.baselines_path):
-            return {}
-        with open(self.baselines_path, encoding="utf-8") as handle:
-            return json.load(handle)
+        return parse_baselines(self.baselines_bytes())
+
+    def baselines_bytes(self) -> Optional[bytes]:
+        """The raw ``baselines.json``, or ``None`` when it is absent."""
+        try:
+            with open(self.baselines_path, "rb") as handle:
+                return handle.read()
+        except FileNotFoundError:
+            return None
 
     def set_baseline(self, label: str, entry: Dict[str, Any]) -> None:
         """Pin ``entry`` as the baseline under ``label``."""
@@ -213,6 +232,11 @@ class Ledger:
         with open(self.check_state_path, "w", encoding="utf-8") as handle:
             json.dump(state, handle, indent=2, sort_keys=True)
             handle.write("\n")
+
+
+def parse_baselines(raw: Optional[bytes]) -> Dict[str, Dict[str, Any]]:
+    """The pins in raw ``baselines.json`` bytes (``None``: no pins)."""
+    return {} if raw is None else json.loads(raw)
 
 
 def record_run(

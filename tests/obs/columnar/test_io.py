@@ -178,6 +178,24 @@ class TestCorruption:
         with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
             reader(str(path))
 
+    @pytest.mark.parametrize("reader", [read_columnar, read_footer])
+    def test_three_byte_file_names_the_file(self, tmp_path, reader):
+        path = tmp_path / "tiny.rcol"
+        path.write_bytes(MAGIC[:3])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+            reader(str(path))
+
+    @pytest.mark.parametrize("reader", [read_columnar, read_footer])
+    def test_cut_gzip_trailer_names_the_file(self, tmp_path, reader):
+        # A complete gzip stream whose trace lost its last bytes.
+        path = tmp_path / "cut.rcol.gz"
+        _write(tmp_path / "whole.rcol", RECORDS)
+        path.write_bytes(
+            gzip.compress((tmp_path / "whole.rcol").read_bytes()[:-4])
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+            reader(str(path))
+
     def test_damaged_gzip_header_names_the_file(self, tmp_path):
         path = tmp_path / "bad.jsonl.gz"
         path.write_bytes(b"\x1f\x8b" + b"x" * 30)

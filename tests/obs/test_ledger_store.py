@@ -256,6 +256,26 @@ class TestIncrementalReads:
         assert ids == [f"sim-{seq:04d}-{suffix}" for seq in range(1, 601)]
         assert [e["id"] for e in ledger.entries()] == ids
 
+    def test_generation_moves_exactly_when_entries_change(self, ledger):
+        generation, entries = ledger.snapshot()
+        assert entries == [] and ledger.snapshot()[0] == generation
+        ledger.append(make_manifest(), {})
+        after_append, entries = ledger.snapshot()
+        assert after_append > generation and len(entries) == 1
+        with open(ledger.runs_path, "rb") as handle:
+            data = handle.read()
+        with open(ledger.runs_path, "r+b") as handle:
+            handle.write(data.replace(b'"outcomes":{}', b'"outcomes":[]'))
+        rewritten, entries = ledger.snapshot()
+        assert rewritten > after_append and entries[0]["outcomes"] == []
+        with open(ledger.runs_path, "a") as handle:
+            handle.write("\n  \n")
+        assert ledger.snapshot()[0] == rewritten
+        os.remove(ledger.runs_path)
+        removed, entries = ledger.snapshot()
+        assert removed > rewritten and entries == []
+        assert ledger.snapshot()[0] == removed
+
     def test_returned_list_is_a_copy(self, ledger):
         ledger.append(make_manifest(), {})
         listed = ledger.entries()

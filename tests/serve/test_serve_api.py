@@ -6,12 +6,14 @@ the CLI writes -- entries recorded after the server started appear
 without a restart.
 """
 
+import http.client
 import json
 import socket
 
 import pytest
 
 from repro.cli import main
+from repro.obs.ledger import Ledger
 from tests.serve.conftest import SIMULATE
 
 
@@ -50,6 +52,42 @@ class TestHealthAndErrors:
         status, payload = served.get(f"/api/runs?{name}=-1")
         assert status == 400
         assert payload["error"] == f"{name} must be >= 0"
+
+
+class TestCorruptLedger:
+    """A corrupt ``runs.jsonl`` line is a 500 naming ``PATH:LINE``; the
+    keep-alive connection survives it and nothing about it is cached."""
+
+    def test_500_names_the_line_and_the_connection_survives(self, served):
+        seed_ledger()
+        path = Ledger().runs_path
+        with open(path, "rb") as handle:
+            pristine = handle.read()
+        connection = http.client.HTTPConnection(
+            served.server.host, served.server.port, timeout=30
+        )
+        try:
+            assert _get(connection, "/api/runs")[0] == 200
+            with open(path, "ab") as handle:
+                handle.write(b"{not json\n")
+            for route in ("/api/runs", "/api/runs/latest", "/api/health"):
+                status, body = _get(connection, route)
+                assert status == 500, route
+                assert json.loads(body)["error"].startswith(
+                    f"{path}:2: corrupt ledger line ("
+                )
+            with open(path, "wb") as handle:
+                handle.write(pristine)
+            status, body = _get(connection, "/api/runs")
+            assert status == 200 and json.loads(body)["total"] == 1
+        finally:
+            connection.close()
+
+
+def _get(connection, path):
+    connection.request("GET", path)
+    response = connection.getresponse()
+    return response.status, response.read()
 
 
 class TestRunsEndpoints:
