@@ -1737,9 +1737,9 @@ def _print_check_report(report) -> int:
 
 
 def _cmd_runs_bench(args: argparse.Namespace) -> int:
-    from repro.obs.ledger import trajectory_summaries
+    from repro.obs.ledger import trajectory_files, trajectory_summaries
 
-    rows = trajectory_summaries(args.bench_dir)
+    rows = trajectory_summaries(trajectory_files(args.bench_dir))
     if not rows:
         print("no benchmark trajectories recorded")
     for row in rows:

@@ -13,6 +13,7 @@ from repro.obs.ledger.bench import (
     list_trajectories,
     load_trajectory,
     record_bench_point,
+    trajectory_files,
     trajectory_path,
     trajectory_summaries,
     validate_trajectory,
@@ -86,6 +87,7 @@ __all__ = [
     "simulate_manifest",
     "timing_block",
     "to_plain",
+    "trajectory_files",
     "trajectory_path",
     "trajectory_summaries",
     "validate_trajectory",
