@@ -23,139 +23,71 @@ Quick start::
         monitor.feed(response_time)
 """
 
-from repro.cluster import (
-    JoinShortestQueue,
-    RollingCoordinator,
-    RoundRobin,
-    WeightedRoundRobin,
-)
-from repro.core import (
-    CLTA,
-    PAPER_SLO,
-    PolicySpec,
-    SARAA,
-    SRAA,
-    BucketChain,
-    CUSUMPolicy,
-    DeterministicThreshold,
-    EWMAPolicy,
-    NeverRejuvenate,
-    PeriodicRejuvenation,
-    QuantilePolicy,
-    RejuvenationPolicy,
-    ResourceExhaustionPolicy,
-    RiskBasedThreshold,
-    ServiceLevelObjective,
-    StaticRejuvenation,
-    TrendPolicy,
-    available_policies,
-    make_policy,
-)
-from repro.ctmc import SampleMeanChain, clt_false_alarm_probability
-from repro.ecommerce import (
-    ArrivalSpec,
-    ECommerceSystem,
-    PAPER_CONFIG,
-    PoissonArrivals,
-    SystemConfig,
-    Telemetry,
-    run_once,
-    run_replications,
-    simulate_mmc_response_times,
-)
-from repro.exec import (
-    ProcessPoolBackend,
-    ReplicationJob,
-    SerialBackend,
-    make_backend,
-    use_backend,
-)
-from repro.experiments import Scale, run_experiment
-from repro.faults import FaultScenario, builtin_scenarios, run_campaign
-from repro.availability import HuangRejuvenationModel
-from repro.monitoring import (
-    AdaptiveSLO,
-    RejuvenationMonitor,
-    calibrate_slo,
-    robust_calibrate_slo,
-)
-from repro.obs import (
-    MetricsRegistry,
-    TraceSession,
-    Tracer,
-    explain_trace,
-    use_tracing,
-)
-from repro.obs.ledger import version_string
-from repro.queueing import MMcModel
-from repro.tuning import ParameterAdvisor, ParameterScore, default_grid
+from repro._lazy import lazy_exports
 
-# Resolved from installed distribution metadata when available, with a
-# "+src" marker for PYTHONPATH source-tree use (see repro.obs.ledger).
-from repro.obs.ledger.provenance import package_version as _package_version
+_EXPORTS = {
+    "HuangRejuvenationModel": ".availability.huang",
+    "JoinShortestQueue": ".cluster.balancer",
+    "RoundRobin": ".cluster.balancer",
+    "WeightedRoundRobin": ".cluster.balancer",
+    "RollingCoordinator": ".cluster.coordinator",
+    "RejuvenationPolicy": ".core.base",
+    "NeverRejuvenate": ".core.baselines",
+    "PeriodicRejuvenation": ".core.baselines",
+    "BucketChain": ".core.buckets",
+    "CLTA": ".core.buckets",
+    "SARAA": ".core.buckets",
+    "SRAA": ".core.buckets",
+    "StaticRejuvenation": ".core.buckets",
+    "CUSUMPolicy": ".core.control_charts",
+    "EWMAPolicy": ".core.control_charts",
+    "available_policies": ".core.factory",
+    "make_policy": ".core.factory",
+    "ResourceExhaustionPolicy": ".core.proactive",
+    "QuantilePolicy": ".core.quantile",
+    "PAPER_SLO": ".core.sla",
+    "ServiceLevelObjective": ".core.sla",
+    "PolicySpec": ".core.spec",
+    "DeterministicThreshold": ".core.threshold",
+    "RiskBasedThreshold": ".core.threshold",
+    "TrendPolicy": ".core.trend",
+    "SampleMeanChain": ".ctmc.sample_mean",
+    "clt_false_alarm_probability": ".ctmc.sample_mean",
+    "PAPER_CONFIG": ".ecommerce.config",
+    "SystemConfig": ".ecommerce.config",
+    "run_once": ".ecommerce.runner",
+    "run_replications": ".ecommerce.runner",
+    "simulate_mmc_response_times": ".ecommerce.runner",
+    "ArrivalSpec": ".ecommerce.spec",
+    "ECommerceSystem": ".ecommerce.system",
+    "Telemetry": ".ecommerce.telemetry",
+    "PoissonArrivals": ".ecommerce.workload",
+    "ProcessPoolBackend": ".exec.backends",
+    "SerialBackend": ".exec.backends",
+    "make_backend": ".exec.backends",
+    "use_backend": ".exec.backends",
+    "ReplicationJob": ".exec.jobs",
+    "run_experiment": ".experiments.registry",
+    "Scale": ".experiments.scale",
+    "run_campaign": ".faults.campaign",
+    "FaultScenario": ".faults.scenario",
+    "builtin_scenarios": ".faults.zoo",
+    "AdaptiveSLO": ".monitoring.adaptive",
+    "calibrate_slo": ".monitoring.calibration",
+    "robust_calibrate_slo": ".monitoring.calibration",
+    "RejuvenationMonitor": ".monitoring.monitor",
+    "explain_trace": ".obs.explain",
+    "version_string": ".obs.ledger.provenance",
+    "MetricsRegistry": ".obs.metrics",
+    "TraceSession": ".obs.session",
+    "use_tracing": ".obs.session",
+    "Tracer": ".obs.tracer",
+    "MMcModel": ".queueing.mmc",
+    "ParameterAdvisor": ".tuning",
+    "ParameterScore": ".tuning",
+    "default_grid": ".tuning",
+    "__version__": "._version",
+}
 
-__version__ = _package_version()
-
-__all__ = [
-    "AdaptiveSLO",
-    "ArrivalSpec",
-    "BucketChain",
-    "CLTA",
-    "CUSUMPolicy",
-    "DeterministicThreshold",
-    "ECommerceSystem",
-    "EWMAPolicy",
-    "FaultScenario",
-    "HuangRejuvenationModel",
-    "JoinShortestQueue",
-    "MMcModel",
-    "MetricsRegistry",
-    "NeverRejuvenate",
-    "PAPER_CONFIG",
-    "PAPER_SLO",
-    "ParameterAdvisor",
-    "ParameterScore",
-    "PeriodicRejuvenation",
-    "PoissonArrivals",
-    "PolicySpec",
-    "ProcessPoolBackend",
-    "QuantilePolicy",
-    "RejuvenationMonitor",
-    "RejuvenationPolicy",
-    "ReplicationJob",
-    "ResourceExhaustionPolicy",
-    "RiskBasedThreshold",
-    "RollingCoordinator",
-    "RoundRobin",
-    "SARAA",
-    "SRAA",
-    "SampleMeanChain",
-    "Scale",
-    "SerialBackend",
-    "ServiceLevelObjective",
-    "StaticRejuvenation",
-    "SystemConfig",
-    "Telemetry",
-    "TraceSession",
-    "Tracer",
-    "TrendPolicy",
-    "WeightedRoundRobin",
-    "available_policies",
-    "builtin_scenarios",
-    "default_grid",
-    "calibrate_slo",
-    "clt_false_alarm_probability",
-    "explain_trace",
-    "make_backend",
-    "make_policy",
-    "robust_calibrate_slo",
-    "run_campaign",
-    "run_experiment",
-    "run_once",
-    "run_replications",
-    "simulate_mmc_response_times",
-    "use_backend",
-    "use_tracing",
-    "version_string",
-    "__version__",
-]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

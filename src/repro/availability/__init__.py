@@ -14,6 +14,11 @@ the model on :class:`repro.ctmc.CTMC`, with steady-state availability,
 expected downtime cost, and the optimal rejuvenation rate.
 """
 
-from repro.availability.huang import HuangRejuvenationModel
+from repro._lazy import lazy_exports
 
-__all__ = ["HuangRejuvenationModel"]
+_EXPORTS = {
+    "HuangRejuvenationModel": ".huang",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

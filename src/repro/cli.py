@@ -89,7 +89,6 @@ from repro.experiments.registry import (
 )
 from repro.experiments.scale import Scale
 from repro.experiments.tables import ExperimentResult
-from repro.queueing.mmc import MMcModel
 
 
 class _VersionAction(argparse.Action):
@@ -1235,6 +1234,8 @@ def _cmd_run(
 
 
 def _cmd_mmc(load: float, servers: int, service_rate: float) -> int:
+    from repro.queueing.mmc import MMcModel
+
     model = MMcModel.from_offered_load(load, service_rate, servers)
     if not model.is_stable:
         print(

@@ -18,24 +18,19 @@ this package holds the parts that only a cluster needs:
   over it.
 """
 
-from repro.cluster.balancer import (
-    JoinShortestQueue,
-    LoadBalancer,
-    RandomBalancer,
-    RoundRobin,
-    WeightedRoundRobin,
-)
-from repro.cluster.coordinator import CanaryCoordinator, RollingCoordinator
-from repro.cluster.metrics import NodeStats, imbalance
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CanaryCoordinator",
-    "JoinShortestQueue",
-    "LoadBalancer",
-    "NodeStats",
-    "RandomBalancer",
-    "RollingCoordinator",
-    "RoundRobin",
-    "WeightedRoundRobin",
-    "imbalance",
-]
+_EXPORTS = {
+    "JoinShortestQueue": ".balancer",
+    "LoadBalancer": ".balancer",
+    "RandomBalancer": ".balancer",
+    "RoundRobin": ".balancer",
+    "WeightedRoundRobin": ".balancer",
+    "CanaryCoordinator": ".coordinator",
+    "RollingCoordinator": ".coordinator",
+    "NodeStats": ".metrics",
+    "imbalance": ".metrics",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -19,58 +19,40 @@ periodic, never), all behind the common
 :class:`~repro.core.base.RejuvenationPolicy` streaming interface.
 """
 
-from repro.core.base import BatchBuffer, DecisionListener, RejuvenationPolicy
-from repro.core.baselines import NeverRejuvenate, PeriodicRejuvenation
-from repro.core.buckets import (
-    CLTA,
-    SARAA,
-    SRAA,
-    BucketChain,
-    StaticRejuvenation,
-    Transition,
-    geometric_acceleration,
-    linear_acceleration,
-    no_acceleration,
-)
-from repro.core.composite import AllOf, AnyOf, MajorityOf
-from repro.core.control_charts import CUSUMPolicy, EWMAPolicy
-from repro.core.factory import available_policies, make_policy
-from repro.core.proactive import ResourceExhaustionPolicy
-from repro.core.quantile import QuantilePolicy
-from repro.core.sla import PAPER_SLO, ServiceLevelObjective
-from repro.core.spec import NO_POLICY, PolicySpec
-from repro.core.threshold import DeterministicThreshold, RiskBasedThreshold
-from repro.core.trend import TrendPolicy
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "BatchBuffer",
-    "BucketChain",
-    "CLTA",
-    "CUSUMPolicy",
-    "DecisionListener",
-    "EWMAPolicy",
-    "MajorityOf",
-    "DeterministicThreshold",
-    "NO_POLICY",
-    "NeverRejuvenate",
-    "PAPER_SLO",
-    "PolicySpec",
-    "PeriodicRejuvenation",
-    "QuantilePolicy",
-    "RejuvenationPolicy",
-    "ResourceExhaustionPolicy",
-    "RiskBasedThreshold",
-    "SARAA",
-    "SRAA",
-    "ServiceLevelObjective",
-    "StaticRejuvenation",
-    "Transition",
-    "TrendPolicy",
-    "available_policies",
-    "geometric_acceleration",
-    "linear_acceleration",
-    "make_policy",
-    "no_acceleration",
-]
+_EXPORTS = {
+    "BatchBuffer": ".base",
+    "DecisionListener": ".base",
+    "RejuvenationPolicy": ".base",
+    "NeverRejuvenate": ".baselines",
+    "PeriodicRejuvenation": ".baselines",
+    "BucketChain": ".buckets",
+    "CLTA": ".buckets",
+    "SARAA": ".buckets",
+    "SRAA": ".buckets",
+    "StaticRejuvenation": ".buckets",
+    "Transition": ".buckets",
+    "geometric_acceleration": ".buckets",
+    "linear_acceleration": ".buckets",
+    "no_acceleration": ".buckets",
+    "AllOf": ".composite",
+    "AnyOf": ".composite",
+    "MajorityOf": ".composite",
+    "CUSUMPolicy": ".control_charts",
+    "EWMAPolicy": ".control_charts",
+    "available_policies": ".factory",
+    "make_policy": ".factory",
+    "ResourceExhaustionPolicy": ".proactive",
+    "QuantilePolicy": ".quantile",
+    "PAPER_SLO": ".sla",
+    "ServiceLevelObjective": ".sla",
+    "NO_POLICY": ".spec",
+    "PolicySpec": ".spec",
+    "DeterministicThreshold": ".threshold",
+    "RiskBasedThreshold": ".threshold",
+    "TrendPolicy": ".trend",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

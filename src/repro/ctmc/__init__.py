@@ -20,22 +20,18 @@ This package re-implements the needed machinery from scratch:
   and the normal approximation used by CLTA.
 """
 
-from repro.ctmc.absorption import AbsorbingCTMC
-from repro.ctmc.birth_death import (
-    MMcQueueLengthProcess,
-    birth_death_generator,
-)
-from repro.ctmc.chain import CTMC
-from repro.ctmc.sample_mean import SampleMeanChain, clt_false_alarm_probability
-from repro.ctmc.transient import transient_expm, transient_uniformization
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AbsorbingCTMC",
-    "CTMC",
-    "MMcQueueLengthProcess",
-    "SampleMeanChain",
-    "birth_death_generator",
-    "clt_false_alarm_probability",
-    "transient_expm",
-    "transient_uniformization",
-]
+_EXPORTS = {
+    "AbsorbingCTMC": ".absorption",
+    "MMcQueueLengthProcess": ".birth_death",
+    "birth_death_generator": ".birth_death",
+    "CTMC": ".chain",
+    "SampleMeanChain": ".sample_mean",
+    "clt_false_alarm_probability": ".sample_mean",
+    "transient_expm": ".transient",
+    "transient_uniformization": ".transient",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -17,15 +17,16 @@ provides:
   to scalar draws.
 """
 
-from repro.des.engine import Simulator, StopSimulation
-from repro.des.events import Event, EventQueue
-from repro.des.random_streams import BlockDrawnGenerator, RandomStreams
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BlockDrawnGenerator",
-    "Event",
-    "EventQueue",
-    "RandomStreams",
-    "Simulator",
-    "StopSimulation",
-]
+_EXPORTS = {
+    "Simulator": ".engine",
+    "StopSimulation": ".engine",
+    "Event": ".events",
+    "EventQueue": ".events",
+    "BlockDrawnGenerator": ".random_streams",
+    "RandomStreams": ".random_streams",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

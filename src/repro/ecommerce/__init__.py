@@ -7,57 +7,33 @@ allocations -- reproduce the performance behaviour of the industrial
 system the paper studied.
 """
 
-from repro.ecommerce.config import PAPER_CONFIG, SystemConfig
-from repro.ecommerce.metrics import ReplicatedResult, RunResult
-from repro.ecommerce.runner import (
-    replication_jobs,
-    run_once,
-    run_replications,
-    simulate_mmc_response_times,
-)
-from repro.ecommerce.spec import ARRIVAL_KINDS, ArrivalSpec
-from repro.ecommerce.system import ECommerceSystem
-from repro.ecommerce.telemetry import (
-    TELEMETRY_COLUMNS,
-    Telemetry,
-    TelemetrySample,
-    write_telemetry_csv,
-)
-from repro.ecommerce.trace import (
-    RecordingArrivals,
-    load_trace,
-    save_trace,
-)
-from repro.ecommerce.workload import (
-    ArrivalProcess,
-    MMPPArrivals,
-    PeriodicArrivals,
-    PoissonArrivals,
-    TraceArrivals,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ARRIVAL_KINDS",
-    "ArrivalProcess",
-    "ArrivalSpec",
-    "ECommerceSystem",
-    "MMPPArrivals",
-    "PAPER_CONFIG",
-    "PeriodicArrivals",
-    "PoissonArrivals",
-    "RecordingArrivals",
-    "ReplicatedResult",
-    "RunResult",
-    "SystemConfig",
-    "TELEMETRY_COLUMNS",
-    "Telemetry",
-    "TelemetrySample",
-    "TraceArrivals",
-    "load_trace",
-    "replication_jobs",
-    "run_once",
-    "run_replications",
-    "save_trace",
-    "simulate_mmc_response_times",
-    "write_telemetry_csv",
-]
+_EXPORTS = {
+    "PAPER_CONFIG": ".config",
+    "SystemConfig": ".config",
+    "ReplicatedResult": ".metrics",
+    "RunResult": ".metrics",
+    "replication_jobs": ".runner",
+    "run_once": ".runner",
+    "run_replications": ".runner",
+    "simulate_mmc_response_times": ".runner",
+    "ARRIVAL_KINDS": ".spec",
+    "ArrivalSpec": ".spec",
+    "ECommerceSystem": ".system",
+    "TELEMETRY_COLUMNS": ".telemetry",
+    "Telemetry": ".telemetry",
+    "TelemetrySample": ".telemetry",
+    "write_telemetry_csv": ".telemetry",
+    "RecordingArrivals": ".trace",
+    "load_trace": ".trace",
+    "save_trace": ".trace",
+    "ArrivalProcess": ".workload",
+    "MMPPArrivals": ".workload",
+    "PeriodicArrivals": ".workload",
+    "PoissonArrivals": ".workload",
+    "TraceArrivals": ".workload",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -15,52 +15,30 @@ Select explicitly (``backend=...``), by name, or via the
 and wall-clock hooks live in :mod:`repro.exec.progress`.
 """
 
-from repro.exec.backends import (
-    BACKEND_NAMES,
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    current_backend,
-    make_backend,
-    resolve_backend,
-    use_backend,
-    workers_from_env,
-)
-from repro.exec.jobs import (
-    ArrivalSource,
-    PolicySource,
-    ReplicationJob,
-    build_arrival,
-    build_policy,
-    execute_job,
-    run_jobs,
-)
-from repro.exec.progress import (
-    JobEvent,
-    ProgressHook,
-    ProgressPrinter,
-    StageTimer,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArrivalSource",
-    "BACKEND_NAMES",
-    "ExecutionBackend",
-    "JobEvent",
-    "PolicySource",
-    "ProcessPoolBackend",
-    "ProgressHook",
-    "ProgressPrinter",
-    "ReplicationJob",
-    "SerialBackend",
-    "StageTimer",
-    "build_arrival",
-    "build_policy",
-    "current_backend",
-    "execute_job",
-    "make_backend",
-    "resolve_backend",
-    "run_jobs",
-    "use_backend",
-    "workers_from_env",
-]
+_EXPORTS = {
+    "BACKEND_NAMES": ".backends",
+    "ExecutionBackend": ".backends",
+    "ProcessPoolBackend": ".backends",
+    "SerialBackend": ".backends",
+    "current_backend": ".backends",
+    "make_backend": ".backends",
+    "resolve_backend": ".backends",
+    "use_backend": ".backends",
+    "workers_from_env": ".backends",
+    "ArrivalSource": ".jobs",
+    "PolicySource": ".jobs",
+    "ReplicationJob": ".jobs",
+    "build_arrival": ".jobs",
+    "build_policy": ".jobs",
+    "execute_job": ".jobs",
+    "run_jobs": ".jobs",
+    "JobEvent": ".progress",
+    "ProgressHook": ".progress",
+    "ProgressPrinter": ".progress",
+    "StageTimer": ".progress",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -10,33 +10,23 @@ Python::
 or from the command line: ``python -m repro run fig16 --scale quick``.
 """
 
-from repro.experiments.registry import (
-    describe,
-    experiment_ids,
-    run_experiment,
-)
-from repro.experiments.scale import PAPER_LOADS, Scale
-from repro.experiments.sweep import (
-    PolicyConfig,
-    SweepResult,
-    sraa_config,
-    sweep_jobs,
-    sweep_policies,
-)
-from repro.experiments.tables import ExperimentResult, Series, Table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentResult",
-    "PAPER_LOADS",
-    "PolicyConfig",
-    "Scale",
-    "Series",
-    "SweepResult",
-    "Table",
-    "describe",
-    "experiment_ids",
-    "run_experiment",
-    "sraa_config",
-    "sweep_jobs",
-    "sweep_policies",
-]
+_EXPORTS = {
+    "describe": ".registry",
+    "experiment_ids": ".registry",
+    "run_experiment": ".registry",
+    "PAPER_LOADS": ".scale",
+    "Scale": ".scale",
+    "PolicyConfig": ".sweep",
+    "SweepResult": ".sweep",
+    "sraa_config": ".sweep",
+    "sweep_jobs": ".sweep",
+    "sweep_policies": ".sweep",
+    "ExperimentResult": ".tables",
+    "Series": ".tables",
+    "Table": ".tables",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

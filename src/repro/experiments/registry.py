@@ -1,37 +1,19 @@
-"""Name -> experiment lookup used by the CLI and the benchmarks."""
+"""Name -> experiment lookup used by the CLI and the benchmarks.
+
+Each id maps to its description and the ``"module:function"`` of its
+runner, relative to :mod:`repro.experiments`.  The runner's module is
+imported when the experiment runs, so listing or describing
+experiments imports none of them.
+"""
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import Callable, Dict, Tuple, Union
 
 from repro.exec.backends import ExecutionBackend, resolve_backend, use_backend
-
-from repro.experiments.ablations import run_ablations
-from repro.experiments.analytical import (
-    run_false_alarm,
-    run_fig05,
-    run_mmc_baseline,
-)
-from repro.experiments.arl_exp import run_arl
-from repro.experiments.autocorr import run_autocorrelation
-from repro.experiments.availability_exp import run_availability
-from repro.experiments.cluster_exp import run_cluster
-from repro.experiments.comparison import run_fig16
-from repro.experiments.degradation_exp import run_degradation
-from repro.experiments.detectors_exp import run_detectors
-from repro.experiments.faults_exp import run_faults
-from repro.experiments.fidelity import run_fidelity
-from repro.experiments.fleet_exp import run_fleet
-from repro.experiments.saraa_fig import run_fig15
 from repro.experiments.scale import Scale
-from repro.experiments.sraa_figs import (
-    run_fig09_10,
-    run_fig11,
-    run_fig12_13,
-    run_fig14,
-)
 from repro.experiments.tables import ExperimentResult
-from repro.experiments.zoo import run_zoo
 
 ExperimentRunner = Callable[[Scale, int], ExperimentResult]
 
@@ -46,82 +28,94 @@ _ALIASES: Dict[str, str] = {
     "head-to-head": "detectors",
 }
 
-_REGISTRY: Dict[str, Tuple[str, ExperimentRunner]] = {
+_REGISTRY: Dict[str, Tuple[str, str]] = {
     "fig05": (
         "Density of the sample-mean RT vs normal approximation (Fig. 5)",
-        run_fig05,
+        "analytical:run_fig05",
     ),
     "false_alarm": (
         "Exact CLTA false-alarm probabilities (Section 4.1)",
-        run_false_alarm,
+        "analytical:run_false_alarm",
     ),
     "mmc_baseline": (
         "Analytical M/M/16 RT moments across loads (Section 4.1)",
-        run_mmc_baseline,
+        "analytical:run_mmc_baseline",
     ),
     "autocorr": (
         "Lag-1 autocorrelation of simulated RTs (Section 4.1)",
-        run_autocorrelation,
+        "autocorr:run_autocorrelation",
     ),
     "fig09_10": (
         "SRAA sweep, n*K*D = 15: RT (Fig. 9) and loss (Fig. 10)",
-        run_fig09_10,
+        "sraa_figs:run_fig09_10",
     ),
-    "fig11": ("SRAA sweep, sample size doubled (Fig. 11)", run_fig11),
+    "fig11": (
+        "SRAA sweep, sample size doubled (Fig. 11)",
+        "sraa_figs:run_fig11",
+    ),
     "fig12_13": (
         "SRAA sweep, bucket depth doubled: RT (Fig. 12) and loss (Fig. 13)",
-        run_fig12_13,
+        "sraa_figs:run_fig12_13",
     ),
-    "fig14": ("SRAA sweep, number of buckets doubled (Fig. 14)", run_fig14),
-    "fig15": ("SARAA vs SRAA sweep, n*K*D = 30 (Fig. 15)", run_fig15),
-    "fig16": ("SRAA vs SARAA vs CLTA comparison (Fig. 16)", run_fig16),
+    "fig14": (
+        "SRAA sweep, number of buckets doubled (Fig. 14)",
+        "sraa_figs:run_fig14",
+    ),
+    "fig15": (
+        "SARAA vs SRAA sweep, n*K*D = 30 (Fig. 15)",
+        "saraa_fig:run_fig15",
+    ),
+    "fig16": (
+        "SRAA vs SARAA vs CLTA comparison (Fig. 16)",
+        "comparison:run_fig16",
+    ),
     "ablations": (
         "Sensitivity to under-specified modelling choices",
-        run_ablations,
+        "ablations:run_ablations",
     ),
     "cluster": (
         "Cluster deployment: balancing and rolling restarts (beyond "
         "the paper; companion work [2])",
-        run_cluster,
+        "cluster_exp:run_cluster",
     ),
     "zoo": (
         "Every policy in the library at a low and a high load "
         "(integration study, beyond the paper)",
-        run_zoo,
+        "zoo:run_zoo",
     ),
     "arl": (
         "Exact false-trigger intervals and detection delays of SRAA "
         "configurations (run-length analysis, beyond the paper)",
-        run_arl,
+        "arl_exp:run_arl",
     ),
     "fidelity": (
         "Every Section-5 quoted number measured live vs the paper",
-        run_fidelity,
+        "fidelity:run_fidelity",
     ),
     "degradation": (
         "Detector families on the eroding-capacity substrate of "
         "ref. [3] (beyond the paper)",
-        run_degradation,
+        "degradation_exp:run_degradation",
     ),
     "faults": (
         "Fault-injection campaign: policy robustness across the "
         "adversarial scenario zoo (beyond the paper)",
-        run_faults,
+        "faults_exp:run_faults",
     ),
     "detectors": (
         "Detector head-to-head: adaptive/entropy/trend vs "
         "SRAA/SARAA/CLTA across the zoo (beyond the paper)",
-        run_detectors,
+        "detectors_exp:run_detectors",
     ),
     "fleet": (
         "Sharded fleet: rolling/canary rejuvenation schedulers under "
         "a capacity floor (beyond the paper)",
-        run_fleet,
+        "fleet_exp:run_fleet",
     ),
     "availability": (
         "Huang et al. availability planning (analytical, ref. [9]; "
         "beyond the paper)",
-        run_availability,
+        "availability_exp:run_availability",
     ),
 }
 
@@ -150,7 +144,10 @@ def run_experiment(
     ``run_replications`` / ``sweep_policies`` inside the experiment
     fans its replication jobs out through it.
     """
-    runner = _lookup(experiment_id)[1]
+    module, _, name = _lookup(experiment_id)[1].partition(":")
+    runner: ExperimentRunner = getattr(
+        import_module(f".{module}", __package__), name
+    )
     if backend is None:
         return runner(scale, seed)
     with use_backend(resolve_backend(backend)):
@@ -186,5 +183,5 @@ def resolve_experiment_id(experiment_id: str) -> str:
     return experiment_id
 
 
-def _lookup(experiment_id: str) -> Tuple[str, ExperimentRunner]:
+def _lookup(experiment_id: str) -> Tuple[str, str]:
     return _REGISTRY[resolve_experiment_id(experiment_id)]

@@ -22,74 +22,39 @@ CLI: ``repro faults list|run|score``; experiments registry id
 ``faults`` (alias ``robustness``).
 """
 
-from repro.faults.campaign import (
-    DEFAULT_POLICIES,
-    CampaignResult,
-    campaign_jobs,
-    run_campaign,
-    score_trace,
-)
-from repro.faults.injectors import (
-    INJECTION_TYPES,
-    AgingAcceleration,
-    CapacityErosion,
-    FaultInjection,
-    HeavyTailContamination,
-    NodeCrash,
-    NodeHang,
-    ServiceSlowdown,
-    TrafficSurge,
-    WorkloadRamp,
-    WorkloadShift,
-)
-from repro.faults.scenario import (
-    FaultScenario,
-    load_scenario,
-    save_scenario,
-    scenario_from_dict,
-)
-from repro.faults.score import (
-    PolicyScore,
-    RunScore,
-    format_scores,
-    score_policy,
-    score_run,
-    write_scores_csv,
-)
-from repro.faults.zoo import (
-    builtin_scenarios,
-    get_scenario,
-    scenario_names,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AgingAcceleration",
-    "CampaignResult",
-    "CapacityErosion",
-    "DEFAULT_POLICIES",
-    "FaultInjection",
-    "FaultScenario",
-    "HeavyTailContamination",
-    "INJECTION_TYPES",
-    "NodeCrash",
-    "NodeHang",
-    "PolicyScore",
-    "RunScore",
-    "ServiceSlowdown",
-    "TrafficSurge",
-    "WorkloadRamp",
-    "WorkloadShift",
-    "builtin_scenarios",
-    "campaign_jobs",
-    "format_scores",
-    "get_scenario",
-    "load_scenario",
-    "run_campaign",
-    "save_scenario",
-    "scenario_from_dict",
-    "scenario_names",
-    "score_policy",
-    "score_run",
-    "score_trace",
-    "write_scores_csv",
-]
+_EXPORTS = {
+    "CampaignResult": ".campaign",
+    "DEFAULT_POLICIES": ".campaign",
+    "campaign_jobs": ".campaign",
+    "run_campaign": ".campaign",
+    "score_trace": ".campaign",
+    "AgingAcceleration": ".injectors",
+    "CapacityErosion": ".injectors",
+    "FaultInjection": ".injectors",
+    "HeavyTailContamination": ".injectors",
+    "INJECTION_TYPES": ".injectors",
+    "NodeCrash": ".injectors",
+    "NodeHang": ".injectors",
+    "ServiceSlowdown": ".injectors",
+    "TrafficSurge": ".injectors",
+    "WorkloadRamp": ".injectors",
+    "WorkloadShift": ".injectors",
+    "FaultScenario": ".scenario",
+    "load_scenario": ".scenario",
+    "save_scenario": ".scenario",
+    "scenario_from_dict": ".scenario",
+    "PolicyScore": ".score",
+    "RunScore": ".score",
+    "format_scores": ".score",
+    "score_policy": ".score",
+    "score_run": ".score",
+    "write_scores_csv": ".score",
+    "builtin_scenarios": ".zoo",
+    "get_scenario": ".zoo",
+    "scenario_names": ".zoo",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

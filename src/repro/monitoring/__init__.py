@@ -14,14 +14,15 @@ needs:
   (classical or robust median/MAD estimators, with warm-up discard).
 """
 
-from repro.monitoring.adaptive import AdaptiveSLO
-from repro.monitoring.calibration import calibrate_slo, robust_calibrate_slo
-from repro.monitoring.monitor import MonitorReport, RejuvenationMonitor
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdaptiveSLO",
-    "MonitorReport",
-    "RejuvenationMonitor",
-    "calibrate_slo",
-    "robust_calibrate_slo",
-]
+_EXPORTS = {
+    "AdaptiveSLO": ".adaptive",
+    "calibrate_slo": ".calibration",
+    "robust_calibrate_slo": ".calibration",
+    "MonitorReport": ".monitor",
+    "RejuvenationMonitor": ".monitor",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -27,50 +27,31 @@ this package makes every signal of the reproduction inspectable:
   ``repro report`` / ``repro top`` renderers.
 """
 
-from repro.obs.events import TraceEvent, category_of
-from repro.obs.explain import explain_records, explain_trace
-from repro.obs.exporters import (
-    chrome_trace_records,
-    read_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-    write_prometheus,
-)
-from repro.obs.listener import TracingDecisionListener
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.session import (
-    TraceSession,
-    TracedRun,
-    current_session,
-    use_tracing,
-)
-from repro.obs.tracer import TRACE_LEVELS, Tracer, make_tracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "TRACE_LEVELS",
-    "TraceEvent",
-    "TraceSession",
-    "TracedRun",
-    "Tracer",
-    "TracingDecisionListener",
-    "category_of",
-    "chrome_trace_records",
-    "current_session",
-    "explain_records",
-    "explain_trace",
-    "make_tracer",
-    "read_jsonl",
-    "use_tracing",
-    "write_chrome_trace",
-    "write_jsonl",
-    "write_prometheus",
-]
+_EXPORTS = {
+    "TraceEvent": ".events",
+    "category_of": ".events",
+    "explain_records": ".explain",
+    "explain_trace": ".explain",
+    "chrome_trace_records": ".exporters",
+    "read_jsonl": ".exporters",
+    "write_chrome_trace": ".exporters",
+    "write_jsonl": ".exporters",
+    "write_prometheus": ".exporters",
+    "TracingDecisionListener": ".listener",
+    "Counter": ".metrics",
+    "Gauge": ".metrics",
+    "Histogram": ".metrics",
+    "MetricsRegistry": ".metrics",
+    "TraceSession": ".session",
+    "TracedRun": ".session",
+    "current_session": ".session",
+    "use_tracing": ".session",
+    "TRACE_LEVELS": ".tracer",
+    "Tracer": ".tracer",
+    "make_tracer": ".tracer",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

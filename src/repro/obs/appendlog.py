@@ -7,13 +7,16 @@ each time makes every read O(file) and a server's cost grow with the
 state it has accumulated; :class:`AppendLog` parses each byte once.
 
 It remembers the records parsed so far, the byte offset it has read up
-to, the file's ``(st_dev, st_ino)`` and the raw bytes of the last line
-it consumed.  A read parses only the bytes after that offset when the
-file is still the same inode, is not shorter than the offset, and still
-holds the remembered last line (plus its ``\\n``) just before it;
-otherwise -- rotated, truncated, rewritten in place -- it starts over
-from byte 0.  Only ``\\n``-terminated lines are consumed, so a reader
-racing an append sees the state before it instead of half a record.
+to, the file's ``(st_dev, st_ino)``, its ``st_mtime_ns`` at that read
+and the raw bytes of the last line it consumed.  A read parses only the
+bytes after that offset when the file is still the same inode, is not
+shorter than the offset, has not been modified since if it is exactly
+as long, and still holds the remembered last line (plus its ``\\n``)
+just before it; otherwise -- rotated, truncated, rewritten in place --
+it starts over from byte 0.  A same-length rewrite within one tick of
+the file system's clock keeps the old mtime and stays unseen.  Only
+``\\n``-terminated lines are consumed, so a reader racing an append
+sees the state before it instead of half a record.
 
 ``generation`` counts the changes to what :meth:`AppendLog.records`
 returns: it rises when a read consumes new records or drops a
@@ -56,6 +59,7 @@ class AppendLog:
         self._lineno = 0
         self._last_line = b""
         self._identity = identity
+        self._mtime_ns: Optional[int] = None
 
     # ------------------------------------------------------------------
     def records(self) -> List[Dict[str, Any]]:
@@ -87,11 +91,15 @@ class AppendLog:
             if (
                 identity != self._identity
                 or stat.st_size < self._offset
+                or (
+                    stat.st_size == self._offset
+                    and stat.st_mtime_ns != self._mtime_ns
+                )
                 or not self._tail_matches(handle)
             ):
                 self._reset(identity)
             handle.seek(self._offset)
-            self._consume(handle)
+            self._consume(handle, stat.st_mtime_ns)
 
     def _tail_matches(self, handle: Any) -> bool:
         """Whether the remembered last line still ends at the offset."""
@@ -101,7 +109,7 @@ class AppendLog:
         handle.seek(self._offset - len(expected))
         return handle.read(len(expected)) == expected
 
-    def _consume(self, handle: Any) -> None:
+    def _consume(self, handle: Any, mtime_ns: int) -> None:
         """Parse complete lines from the handle's position on.
 
         State is committed only after every new line parsed, so a
@@ -134,3 +142,4 @@ class AppendLog:
             lineno,
             last_line,
         )
+        self._mtime_ns = mtime_ns

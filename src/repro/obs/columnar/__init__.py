@@ -18,29 +18,20 @@ decodes back to the exact dict its JSONL twin parses to (pinned by
 tests/obs/columnar).
 """
 
-from .io import (
-    read_columnar,
-    read_footer,
-    read_trace,
-    sniff_format,
-    write_columnar,
-)
-from .query import (
-    ColumnarQuery,
-    as_query,
-    load_query,
-)
-from .store import ColumnarTrace, encode_records
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ColumnarQuery",
-    "ColumnarTrace",
-    "as_query",
-    "encode_records",
-    "load_query",
-    "read_columnar",
-    "read_footer",
-    "read_trace",
-    "sniff_format",
-    "write_columnar",
-]
+_EXPORTS = {
+    "read_columnar": ".io",
+    "read_footer": ".io",
+    "read_trace": ".io",
+    "sniff_format": ".io",
+    "write_columnar": ".io",
+    "ColumnarQuery": ".query",
+    "as_query": ".query",
+    "load_query": ".query",
+    "ColumnarTrace": ".store",
+    "encode_records": ".store",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs.columnar.query import as_query, load_query
 from repro.obs.events import (
     FAULT_CLEARED,
     FAULT_INJECTED,
@@ -290,6 +289,8 @@ def timeline_from_trace(
     kinds: Optional[Sequence[str]] = None,
 ) -> List[Dict[str, Any]]:
     """Load a trace file and return its machine-readable timeline."""
+    from repro.obs.columnar.query import load_query
+
     query = load_query(path)
     if since is not None or until is not None or kinds:
         query = query.filtered(since=since, until=until, kinds=kinds)
@@ -327,6 +328,8 @@ def explain_records(
     records call for).  ``since``/``until``/``kinds`` narrow the
     timeline before narration; ``run.meta`` headers always survive.
     """
+    from repro.obs.columnar.query import as_query
+
     query = as_query(records)
     if since is not None or until is not None or kinds:
         query = query.filtered(since=since, until=until, kinds=kinds)
@@ -340,6 +343,8 @@ def explain_trace(
     kinds: Optional[Sequence[str]] = None,
 ) -> str:
     """Load a trace file (JSONL or columnar) and explain it."""
+    from repro.obs.columnar.query import load_query
+
     query = load_query(path)
     if query.n_records == 0:
         return f"{path}: empty trace\n"

@@ -9,88 +9,48 @@ other, and :mod:`~repro.obs.ledger.bench` keeps benchmark trajectories
 in the same spirit.
 """
 
-from repro.obs.ledger.bench import (
-    list_trajectories,
-    load_trajectory,
-    record_bench_point,
-    trajectory_files,
-    trajectory_path,
-    trajectory_summaries,
-    validate_trajectory,
-)
-from repro.obs.ledger.canonical import canonical_hash, canonical_json, to_plain
-from repro.obs.ledger.diff import diff_entries, flatten, format_diff
-from repro.obs.ledger.manifest import (
-    RunManifest,
-    campaign_manifest,
-    experiment_manifest,
-    manifest_from_jobs,
-    simulate_manifest,
-)
-from repro.obs.ledger.outcome import (
-    campaign_outcomes,
-    experiment_outcomes,
-    replicated_outcomes,
-    timing_block,
-)
-from repro.obs.ledger.provenance import (
-    environment_info,
-    git_revision,
-    package_version,
-    version_string,
-)
-from repro.obs.ledger.regress import (
-    CheckReport,
-    MetricCheck,
-    compare_outcomes,
-    relative_check,
-    run_check,
-    welch_check,
-)
-from repro.obs.ledger.store import Ledger, ledger_enabled, record_run
-from repro.obs.ledger.summary import (
-    LIST_SCHEMA_VERSION,
-    entry_summary,
-    runs_payload,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CheckReport",
-    "LIST_SCHEMA_VERSION",
-    "Ledger",
-    "MetricCheck",
-    "RunManifest",
-    "campaign_manifest",
-    "campaign_outcomes",
-    "canonical_hash",
-    "canonical_json",
-    "compare_outcomes",
-    "diff_entries",
-    "entry_summary",
-    "environment_info",
-    "experiment_manifest",
-    "experiment_outcomes",
-    "flatten",
-    "format_diff",
-    "git_revision",
-    "ledger_enabled",
-    "list_trajectories",
-    "load_trajectory",
-    "manifest_from_jobs",
-    "package_version",
-    "record_bench_point",
-    "record_run",
-    "relative_check",
-    "replicated_outcomes",
-    "run_check",
-    "runs_payload",
-    "simulate_manifest",
-    "timing_block",
-    "to_plain",
-    "trajectory_files",
-    "trajectory_path",
-    "trajectory_summaries",
-    "validate_trajectory",
-    "version_string",
-    "welch_check",
-]
+_EXPORTS = {
+    "list_trajectories": ".bench",
+    "load_trajectory": ".bench",
+    "record_bench_point": ".bench",
+    "trajectory_files": ".bench",
+    "trajectory_path": ".bench",
+    "trajectory_summaries": ".bench",
+    "validate_trajectory": ".bench",
+    "canonical_hash": ".canonical",
+    "canonical_json": ".canonical",
+    "to_plain": ".canonical",
+    "diff_entries": ".diff",
+    "flatten": ".diff",
+    "format_diff": ".diff",
+    "RunManifest": ".manifest",
+    "campaign_manifest": ".manifest",
+    "experiment_manifest": ".manifest",
+    "manifest_from_jobs": ".manifest",
+    "simulate_manifest": ".manifest",
+    "campaign_outcomes": ".outcome",
+    "experiment_outcomes": ".outcome",
+    "replicated_outcomes": ".outcome",
+    "timing_block": ".outcome",
+    "environment_info": ".provenance",
+    "git_revision": ".provenance",
+    "package_version": ".provenance",
+    "version_string": ".provenance",
+    "CheckReport": ".regress",
+    "MetricCheck": ".regress",
+    "compare_outcomes": ".regress",
+    "relative_check": ".regress",
+    "run_check": ".regress",
+    "welch_check": ".regress",
+    "Ledger": ".store",
+    "ledger_enabled": ".store",
+    "record_run": ".store",
+    "LIST_SCHEMA_VERSION": ".summary",
+    "entry_summary": ".summary",
+    "runs_payload": ".summary",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

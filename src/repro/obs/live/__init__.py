@@ -16,73 +16,39 @@ memory whatever the horizon:
   ``repro report`` HTML dashboard and the ``repro top`` terminal view.
 """
 
-from repro.obs.live.profiler import (
-    DESProfiler,
-    Profile,
-    ProfileEntry,
-    merge_profiles,
-    subsystem_of,
-)
-from repro.obs.live.recorder import (
-    DEFAULT_TRIGGERS,
-    FlightDump,
-    FlightRecorder,
-    RecorderSpec,
-    write_flight_jsonl,
-)
-from repro.obs.live.report import render_report, write_report
-from repro.obs.live.sketches import (
-    DEFAULT_EPS,
-    MERGED_ERROR_FACTOR,
-    EwmaRate,
-    GKSketch,
-    RollingWindow,
-)
-from repro.obs.live.tap import (
-    DEFAULT_QUANTILES,
-    LiveAggregator,
-    LiveSpec,
-    LiveTap,
-    TeeTracer,
-    compose_tracers,
-    live_outcome,
-    merge_live,
-)
-from repro.obs.live.top import (
-    LiveDisplay,
-    follow_snapshots,
-    read_snapshot_source,
-    render_snapshot,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_EPS",
-    "DEFAULT_QUANTILES",
-    "DEFAULT_TRIGGERS",
-    "DESProfiler",
-    "EwmaRate",
-    "FlightDump",
-    "FlightRecorder",
-    "GKSketch",
-    "LiveAggregator",
-    "LiveDisplay",
-    "LiveSpec",
-    "LiveTap",
-    "MERGED_ERROR_FACTOR",
-    "Profile",
-    "ProfileEntry",
-    "RecorderSpec",
-    "RollingWindow",
-    "TeeTracer",
-    "compose_tracers",
-    "live_outcome",
-    "follow_snapshots",
-    "merge_live",
-    "merge_profiles",
-    "read_snapshot_source",
-    "render_report",
-    "render_snapshot",
-    "subsystem_of",
-    "write_flight_jsonl",
-    "write_report",
-]
+_EXPORTS = {
+    "DESProfiler": ".profiler",
+    "Profile": ".profiler",
+    "ProfileEntry": ".profiler",
+    "merge_profiles": ".profiler",
+    "subsystem_of": ".profiler",
+    "DEFAULT_TRIGGERS": ".recorder",
+    "FlightDump": ".recorder",
+    "FlightRecorder": ".recorder",
+    "RecorderSpec": ".recorder",
+    "write_flight_jsonl": ".recorder",
+    "render_report": ".report",
+    "write_report": ".report",
+    "DEFAULT_EPS": ".sketches",
+    "EwmaRate": ".sketches",
+    "GKSketch": ".sketches",
+    "MERGED_ERROR_FACTOR": ".sketches",
+    "RollingWindow": ".sketches",
+    "DEFAULT_QUANTILES": ".tap",
+    "LiveAggregator": ".tap",
+    "LiveSpec": ".tap",
+    "LiveTap": ".tap",
+    "TeeTracer": ".tap",
+    "compose_tracers": ".tap",
+    "live_outcome": ".tap",
+    "merge_live": ".tap",
+    "LiveDisplay": ".top",
+    "follow_snapshots": ".top",
+    "read_snapshot_source": ".top",
+    "render_snapshot": ".top",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -25,40 +25,25 @@ explicit, burn-rate state is driven by simulated-time snapshots, and
 incident ids/order are pinned by ``tests/obs/sentinel/``.
 """
 
-from repro.obs.sentinel.alerts import AlertLedger
-from repro.obs.sentinel.engine import AlertEngine, Incident, replay_trace
-from repro.obs.sentinel.rules import (
-    BurnRateRule,
-    RegressionRule,
-    rules_from_dict,
-)
-from repro.obs.sentinel.schedule import (
-    CronExpr,
-    ScheduleSpec,
-    Scheduler,
-    parse_cron,
-)
-from repro.obs.sentinel.sinks import (
-    FileSink,
-    StdoutSink,
-    WebhookSink,
-    sinks_from_specs,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AlertEngine",
-    "AlertLedger",
-    "BurnRateRule",
-    "CronExpr",
-    "FileSink",
-    "Incident",
-    "RegressionRule",
-    "ScheduleSpec",
-    "Scheduler",
-    "StdoutSink",
-    "WebhookSink",
-    "parse_cron",
-    "replay_trace",
-    "rules_from_dict",
-    "sinks_from_specs",
-]
+_EXPORTS = {
+    "AlertLedger": ".alerts",
+    "AlertEngine": ".engine",
+    "Incident": ".engine",
+    "replay_trace": ".engine",
+    "BurnRateRule": ".rules",
+    "RegressionRule": ".rules",
+    "rules_from_dict": ".rules",
+    "CronExpr": ".schedule",
+    "ScheduleSpec": ".schedule",
+    "Scheduler": ".schedule",
+    "parse_cron": ".schedule",
+    "FileSink": ".sinks",
+    "StdoutSink": ".sinks",
+    "WebhookSink": ".sinks",
+    "sinks_from_specs": ".sinks",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

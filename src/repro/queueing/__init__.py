@@ -18,23 +18,18 @@ This package implements:
   (3) for the mean and variance of the response time.
 """
 
-from repro.queueing.distributions import (
-    PhaseType,
-    erlang,
-    exponential,
-    hyperexponential,
-    hypoexponential,
-)
-from repro.queueing.mmc import MMcModel
-from repro.queueing.mmck import MMcKModel, erlang_b
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MMcKModel",
-    "MMcModel",
-    "PhaseType",
-    "erlang",
-    "erlang_b",
-    "exponential",
-    "hyperexponential",
-    "hypoexponential",
-]
+_EXPORTS = {
+    "PhaseType": ".distributions",
+    "erlang": ".distributions",
+    "exponential": ".distributions",
+    "hyperexponential": ".distributions",
+    "hypoexponential": ".distributions",
+    "MMcModel": ".mmc",
+    "MMcKModel": ".mmck",
+    "erlang_b": ".mmck",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

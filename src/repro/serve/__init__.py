@@ -7,22 +7,21 @@ sink attached to background runs), launches fault campaigns via a
 :class:`JobManager`, and renders a self-contained HTML dashboard.
 """
 
-from repro.serve.app import DEFAULT_HOST, DEFAULT_PORT, ReproServer
-from repro.serve.broker import EventBroker, Subscription
-from repro.serve.dashboard import render_dashboard
-from repro.serve.jobs import Job, JobCancelled, JobManager
-from repro.serve.tap import ServeSpec, ServeTap
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "EventBroker",
-    "Job",
-    "JobCancelled",
-    "JobManager",
-    "ReproServer",
-    "ServeSpec",
-    "ServeTap",
-    "Subscription",
-    "render_dashboard",
-]
+_EXPORTS = {
+    "DEFAULT_HOST": ".app",
+    "DEFAULT_PORT": ".app",
+    "ReproServer": ".app",
+    "EventBroker": ".broker",
+    "Subscription": ".broker",
+    "render_dashboard": ".dashboard",
+    "Job": ".jobs",
+    "JobCancelled": ".jobs",
+    "JobManager": ".jobs",
+    "ServeSpec": ".tap",
+    "ServeTap": ".tap",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -8,9 +8,11 @@ for HTTP, not simulation fan-out -- with a
 live.  Validation and the run itself are ``repro faults run``'s own
 code (:func:`~repro.faults.campaign.validate_campaign` and
 :func:`~repro.faults.campaign.run_request`), so the manager keeps only
-the job lifecycle: queue, run lock, cancel and summary.  Same seed,
-same parameters -> same manifest hash and the same outcome block as
-the CLI, byte for byte; pinned by ``tests/serve/test_serve_jobs.py``.
+the job lifecycle: queue, run lock, cancel and summary.  That module is
+imported on first use, so ``repro serve`` starts without the simulation
+code behind it.  Same seed, same parameters -> same manifest hash and
+the same outcome block as the CLI, byte for byte; pinned by
+``tests/serve/test_serve_jobs.py``.
 
 Execution is serialised through one manager-wide lock: jobs queue up
 rather than interleave, so ledger entry ids stay sequential and two
@@ -25,13 +27,10 @@ import threading
 import traceback
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.faults.campaign import (
-    CampaignRequest,
-    run_request,
-    validate_campaign,
-)
+if TYPE_CHECKING:
+    from repro.faults.campaign import CampaignRequest
 
 #: Job lifecycle states, in order.
 QUEUED = "queued"
@@ -176,7 +175,7 @@ class JobManager:
         The validator's ``ValueError`` propagates -- the HTTP layer
         maps it to a 400 *before* a job is created.
         """
-        request = validate_campaign(params)
+        request = self.validate_campaign(params)
         with self._lock:
             self._counter += 1
             job = Job(
@@ -195,9 +194,16 @@ class JobManager:
         ).start()
         return job.to_dict()
 
-    #: The scheduler validates specs at add time so a bad schedule is a
-    #: 400 at POST, not a failed job at tick time.
-    validate_campaign = staticmethod(validate_campaign)
+    @staticmethod
+    def validate_campaign(params: Dict[str, Any]) -> CampaignRequest:
+        """:func:`~repro.faults.campaign.validate_campaign`.
+
+        The scheduler validates specs at add time so a bad schedule is
+        a 400 at POST, not a failed job at tick time.
+        """
+        from repro.faults.campaign import validate_campaign
+
+        return validate_campaign(params)
 
     # ------------------------------------------------------------------
     # Execution
@@ -251,6 +257,7 @@ class JobManager:
                 )
 
     def _run_campaign(self, job: Job, request: CampaignRequest) -> None:
+        import repro.faults.campaign as campaigns
         from repro.exec.backends import SerialBackend
         from repro.obs.ledger import Ledger
         from repro.obs.live import RecorderSpec
@@ -262,7 +269,7 @@ class JobManager:
             if job.cancel_requested:
                 raise JobCancelled(job.id)
 
-        campaign, parts = run_request(
+        campaign, parts = campaigns.run_request(
             request,
             backend=SerialBackend(),
             progress=_abort_on_cancel,

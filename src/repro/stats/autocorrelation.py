@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np
-
 #: Two-sided 95 % standard-normal critical value used by the paper.
 Z_95 = 1.96
 
@@ -43,6 +41,8 @@ def autocorrelation(values: Sequence[float], lag: int, warmup: int = 0) -> float
         Number of leading observations discarded as simulation transient
         (the paper discards 10,000 of 100,000).
     """
+    import numpy as np
+
     if lag < 0:
         raise ValueError("lag must be non-negative")
     if warmup < 0:

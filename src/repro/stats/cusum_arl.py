@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
 
 def cusum_arl(
     cdf: Callable[[float], float],
@@ -40,6 +38,8 @@ def cusum_arl(
         Discretisation resolution ``m``; error vanishes as ``m`` grows
         (200 is ample for the tests' 2 % agreement with Monte Carlo).
     """
+    import numpy as np
+
     if decision_interval <= 0:
         raise ValueError("decision interval must be positive")
     if states < 10:

@@ -185,6 +185,24 @@ class TestIncrementalReads:
             handle.write(swapped)
         assert ledger.entries() == list(reversed(entries))
 
+    def test_same_size_rewrite_of_an_earlier_line(self, ledger):
+        ledger.append(make_manifest(seed=1), {"x": 1})
+        ledger.append(make_manifest(seed=2), {"x": 2})
+        generation, _ = ledger.snapshot()
+        before = os.stat(ledger.runs_path)
+        with open(ledger.runs_path, "rb") as handle:
+            data = handle.read()
+        with open(ledger.runs_path, "r+b") as handle:
+            handle.write(data.replace(b'{"x":1}', b'{"x":3}', 1))
+        # The clock the file system stamps mtimes with may tick slower
+        # than this test runs: date the rewrite a second later.
+        later = before.st_mtime_ns + 10**9
+        os.utime(ledger.runs_path, ns=(later, later))
+        assert os.path.getsize(ledger.runs_path) == before.st_size
+        rewritten, entries = ledger.snapshot()
+        assert rewritten > generation
+        assert [entry["outcomes"] for entry in entries] == [{"x": 3}, {"x": 2}]
+
     def test_replaced_by_rename_is_reread(self, ledger, tmp_path):
         ledger.append(make_manifest(seed=1), {})
         ledger.append(make_manifest(seed=2), {})

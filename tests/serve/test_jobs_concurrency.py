@@ -14,9 +14,9 @@ import time
 
 import pytest
 
+import repro.faults.campaign as campaigns
 from repro.obs.ledger import Ledger
 from repro.obs.sentinel import ScheduleSpec, Scheduler
-from repro.serve import jobs as serve_jobs
 from repro.serve.jobs import (
     CANCELLED,
     DONE,
@@ -65,12 +65,12 @@ class BoundaryGate:
 @pytest.fixture
 def gate(monkeypatch):
     gate = BoundaryGate()
-    run_request = serve_jobs.run_request
+    run_request = campaigns.run_request
 
     def gated(request, *, progress, **kwargs):
         return run_request(request, progress=gate.hold(progress), **kwargs)
 
-    monkeypatch.setattr(serve_jobs, "run_request", gated)
+    monkeypatch.setattr(campaigns, "run_request", gated)
     yield gate
     gate.release()  # never leave a runner thread parked
 

@@ -136,7 +136,7 @@ class TestExecution:
         def explode(*args, **kwargs):
             raise RuntimeError("exploded")
 
-        monkeypatch.setattr("repro.serve.jobs.run_request", explode)
+        monkeypatch.setattr("repro.faults.campaign.run_request", explode)
         manager = JobManager()
         job = manager.submit_campaign(dict(CAMPAIGN))
         done = manager.wait(job["id"], timeout_s=120.0)
