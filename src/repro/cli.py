@@ -356,8 +356,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     faults_score = faults_sub.add_parser(
         "score",
-        help="re-score a 'repro faults run --trace' JSONL file "
-        "against the built-in ground truth",
+        help="re-score a 'repro faults run --trace' file; the ground "
+        "truth comes from the trace's own fault events",
     )
     faults_score.add_argument("trace", help="path to a campaign trace")
     faults_score.add_argument(
@@ -366,7 +366,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write the scores as CSV",
     )
-    _add_horizon_option(faults_score)
 
     runs = sub.add_parser(
         "runs",
@@ -1454,11 +1453,17 @@ def _reading_trace(path: Optional[str]):
 
 
 def _cmd_faults_score(args: argparse.Namespace) -> int:
-    from repro.faults.campaign import score_trace
+    from repro.faults.campaign import score_records
     from repro.faults.score import format_scores, write_scores_csv
+    from repro.obs.columnar.query import load_query
 
     with _reading_trace(args.trace):
-        scores = score_trace(args.trace, horizon_s=args.horizon)
+        scores = score_records(load_query(args.trace), origin=args.trace)
+    if not scores:
+        raise SystemExit(
+            f"{args.trace}: no campaign replications found (expected "
+            "run.meta tags of the form ('faults', scenario, policy, rep))"
+        )
     print(format_scores(scores))
     if args.csv is not None:
         rows = write_scores_csv(args.csv, scores)

@@ -25,9 +25,6 @@ _EXPORTS = {
     "Telemetry": ".telemetry",
     "TelemetrySample": ".telemetry",
     "write_telemetry_csv": ".telemetry",
-    "RecordingArrivals": ".trace",
-    "load_trace": ".trace",
-    "save_trace": ".trace",
     "ArrivalProcess": ".workload",
     "MMPPArrivals": ".workload",
     "PeriodicArrivals": ".workload",

@@ -29,7 +29,6 @@ _EXPORTS = {
     "DEFAULT_POLICIES": ".campaign",
     "campaign_jobs": ".campaign",
     "run_campaign": ".campaign",
-    "score_trace": ".campaign",
     "AgingAcceleration": ".injectors",
     "CapacityErosion": ".injectors",
     "FaultInjection": ".injectors",

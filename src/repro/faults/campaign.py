@@ -399,7 +399,7 @@ def run_request(
 
 
 # ---------------------------------------------------------------------------
-# Re-scoring from a JSONL trace (``repro faults score``, ``repro report``)
+# Re-scoring from a trace (``repro faults score``, ``repro report``)
 # ---------------------------------------------------------------------------
 #: Fault kinds that *are* software aging: an injection of one of these
 #: opens a ground-truth degraded interval (workload shifts, surges,
@@ -455,12 +455,16 @@ def campaign_runs_from_records(
     ``system.rejuvenation`` span events, its summary from ``run.meta``,
     and ``fault_records`` holds the run's ``fault.injected`` /
     ``fault.cleared`` events (the ground-truth inputs of
-    :func:`degraded_intervals_from_records`).
+    :func:`degraded_intervals_from_records`).  A run whose ``run.meta``
+    reports rejuvenations or completions its trace holds no span
+    events for was traced without spans, and raises ``ValueError``
+    naming ``origin`` rather than scoring as if nothing happened.
     """
     from repro.obs.columnar.query import as_query
     from repro.obs.events import (
         FAULT_CLEARED,
         FAULT_INJECTED,
+        REQUEST_COMPLETE,
         SYSTEM_REJUVENATION,
     )
 
@@ -478,10 +482,17 @@ def campaign_runs_from_records(
         triggers = tuple(
             float(ts) for ts in view.ts_of(SYSTEM_REJUVENATION)
         )
+        missing = None
         if summary.get("rejuvenations", 0) and not triggers:
+            missing = ("rejuvenations", SYSTEM_REJUVENATION)
+        elif summary.get("completed", 0) and not view.counts().get(
+            REQUEST_COMPLETE
+        ):
+            missing = ("completions", REQUEST_COMPLETE)
+        if missing is not None:
             raise ValueError(
-                f"{origin}: run {view.run_id} reports rejuvenations but "
-                "the trace has no system.rejuvenation events -- re-run "
+                f"{origin}: run {view.run_id} reports {missing[0]} but "
+                f"the trace has no {missing[1]} events -- re-run "
                 "the campaign with --trace-level spans or all"
             )
         result = RunResult(
@@ -504,14 +515,18 @@ def campaign_runs_from_records(
     return replications
 
 
-def score_records(source) -> Tuple[PolicyScore, ...]:
+def score_records(
+    source, origin: str = "trace"
+) -> Tuple[PolicyScore, ...]:
     """Robustness scores from a trace, horizon-free.
 
     Each replication is scored against ground truth derived from its
     *own* aging fault events (:func:`degraded_intervals_from_records`),
-    so no scenario horizon needs to be supplied -- this is what the
-    ``repro report`` robustness section renders.  ``source`` is
-    records, a columnar trace, or a query (see
+    so no scenario horizon needs to be supplied and a campaign over a
+    scenario file scores like one over the built-in zoo -- this is what
+    ``repro faults score`` prints and the ``repro report`` robustness
+    section renders.  ``source`` is records, a columnar trace, or a
+    query; errors name ``origin`` (see
     :func:`campaign_runs_from_records`).  Returns an empty tuple when
     the trace holds no campaign replications.
     """
@@ -519,7 +534,9 @@ def score_records(source) -> Tuple[PolicyScore, ...]:
 
     cells: Dict[Tuple[str, str], List[RunResult]] = {}
     intervals: Dict[Tuple[str, str], List[Tuple[Tuple[float, float], ...]]] = {}
-    for tag, fault_records, result in campaign_runs_from_records(source):
+    for tag, fault_records, result in campaign_runs_from_records(
+        source, origin
+    ):
         key = (str(tag[1]), str(tag[2]))
         cells.setdefault(key, []).append(result)
         intervals.setdefault(key, []).append(
@@ -530,36 +547,3 @@ def score_records(source) -> Tuple[PolicyScore, ...]:
         for key in cells
         for scenario, policy in (key,)
     )
-
-
-def score_trace(
-    path: str, horizon_s: float = 3600.0
-) -> Tuple[PolicyScore, ...]:
-    """Re-score a ``repro faults run --trace`` file (either format).
-
-    Rebuilds each replication's trigger times from its
-    ``system.rejuvenation`` span events and its duration from the
-    ``run.meta`` summary, groups by the ``("faults", scenario, policy,
-    rep)`` job tags, and scores against the built-in scenario's ground
-    truth laid out for ``horizon_s`` (pass the value the campaign ran
-    with).  The trace may be JSONL or columnar; both score
-    identically.
-    """
-    from repro.obs.columnar.query import load_query
-
-    cells: Dict[Tuple[str, str], List[RunResult]] = {}
-    for tag, _fault_records, result in campaign_runs_from_records(
-        load_query(path), origin=path
-    ):
-        cells.setdefault((str(tag[1]), str(tag[2])), []).append(result)
-
-    if not cells:
-        raise ValueError(
-            f"{path}: no campaign replications found (expected run.meta "
-            "tags of the form ('faults', scenario, policy, rep))"
-        )
-    scores = []
-    for (scenario_name, policy_label), results in cells.items():
-        scenario = get_scenario(scenario_name, horizon_s)
-        scores.append(score_policy(scenario, policy_label, results))
-    return tuple(scores)

@@ -50,7 +50,6 @@ _EXPORTS = {
     "use_tracing": ".session",
     "TRACE_LEVELS": ".tracer",
     "Tracer": ".tracer",
-    "make_tracer": ".tracer",
 }
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

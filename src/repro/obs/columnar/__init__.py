@@ -22,7 +22,6 @@ from repro._lazy import lazy_exports
 
 _EXPORTS = {
     "read_columnar": ".io",
-    "read_footer": ".io",
     "read_trace": ".io",
     "sniff_format": ".io",
     "write_columnar": ".io",

@@ -369,12 +369,6 @@ def read_trace(path: str) -> ColumnarTrace:
     return encode_records(iter_jsonl(path))
 
 
-def read_footer(path: str) -> Dict[str, Any]:
-    """Parse only the footer (dictionaries + segment index), cheaply:
-    a plain file's column bytes are mapped but never read."""
-    return _parse_file(path, lambda data: _parse_footer(data)[0])
-
-
 def sniff_format(path: str) -> str:
     """``"columnar"`` or ``"jsonl"`` by magic bytes (gz-transparent)."""
     with open(path, "rb") as handle:

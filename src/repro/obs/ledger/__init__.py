@@ -40,6 +40,7 @@ _EXPORTS = {
     "version_string": ".provenance",
     "CheckReport": ".regress",
     "MetricCheck": ".regress",
+    "compare_entries": ".regress",
     "compare_outcomes": ".regress",
     "relative_check": ".regress",
     "run_check": ".regress",

@@ -289,24 +289,21 @@ def _compare_faults(
 # ---------------------------------------------------------------------------
 # The full check, with persistence
 # ---------------------------------------------------------------------------
-def run_check(
-    ledger: Any,
+def compare_entries(
     baseline_entry: Mapping[str, Any],
     candidate_entry: Mapping[str, Any],
     confidence: float = 0.95,
     tolerance: float = DEFAULT_TOLERANCE,
     persistence: int = DEFAULT_PERSISTENCE,
-    update_state: bool = True,
 ) -> CheckReport:
-    """Compare candidate against baseline and advance the streak state.
+    """Compare candidate against baseline: the verdict, with no streak.
 
     Manifest drift (differing hashed identity -- e.g. a doubled service
     time changes the config spec) is itself a finding: the drifting
     paths are listed and the run counts as exceeding, *and* the outcome
     metrics are still compared so the report shows how much the drift
-    moved them.  The streak is keyed by the baseline's manifest hash in
-    ``check_state.json``; a clean check resets it, an exceedance grows
-    it, and ``persistence`` consecutive exceedances flag.
+    moved them.  The report's ``streak`` is 0; whoever keeps a streak
+    (:func:`run_check`, or a sentinel rule) sets it.
     """
     if persistence < 1:
         raise ValueError("persistence must be >= 1")
@@ -330,7 +327,7 @@ def run_check(
         )
     else:
         drift = ["manifest.kind"] + drift
-    report = CheckReport(
+    return CheckReport(
         baseline_id=baseline_entry["id"],
         candidate_id=candidate_entry["id"],
         manifest_match=match,
@@ -338,13 +335,32 @@ def run_check(
         checks=checks,
         persistence=persistence,
     )
-    state = ledger.check_state() if ledger is not None else {}
+
+
+def run_check(
+    ledger: Any,
+    baseline_entry: Mapping[str, Any],
+    candidate_entry: Mapping[str, Any],
+    confidence: float = 0.95,
+    tolerance: float = DEFAULT_TOLERANCE,
+    persistence: int = DEFAULT_PERSISTENCE,
+) -> CheckReport:
+    """:func:`compare_entries`, then advance the ledger's streak state.
+
+    The streak is keyed by the baseline's manifest hash in
+    ``check_state.json``; a clean check resets it, an exceedance grows
+    it, and ``persistence`` consecutive exceedances flag.
+    """
+    report = compare_entries(
+        baseline_entry, candidate_entry, confidence, tolerance, persistence
+    )
+    base_hash = baseline_entry["manifest"]["manifest_hash"]
+    state = ledger.check_state()
     streak = int(state.get(base_hash, {}).get("streak", 0))
     report.streak = streak + 1 if report.exceeded else 0
-    if ledger is not None and update_state:
-        state[base_hash] = {
-            "streak": report.streak,
-            "last_candidate": candidate_entry["id"],
-        }
-        ledger.save_check_state(state)
+    state[base_hash] = {
+        "streak": report.streak,
+        "last_candidate": candidate_entry["id"],
+    }
+    ledger.save_check_state(state)
     return report

@@ -35,7 +35,7 @@ from repro.obs.explain import event_record
 from repro.obs.ledger.regress import (
     DEFAULT_PERSISTENCE,
     DEFAULT_TOLERANCE,
-    run_check,
+    compare_entries,
 )
 
 __all__ = ["BurnRateRule", "RegressionRule", "Signal", "rules_from_dict"]
@@ -279,14 +279,12 @@ class RegressionRule:
             return None
         if entry["kind"] != baseline_entry["kind"]:
             return None
-        report = run_check(
-            None,
+        report = compare_entries(
             baseline_entry,
             entry,
             confidence=self.confidence,
             tolerance=self.tolerance,
             persistence=self.persistence,
-            update_state=False,
         )
         # The rule owns its streak -- watching never writes the run
         # ledger's check_state.json.

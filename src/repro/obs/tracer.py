@@ -35,7 +35,7 @@ construction they imply -- entirely.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.obs.columnar.store import ColumnarTrace, encode_events
 
@@ -110,10 +110,3 @@ class Tracer:
         encoded into a one-segment trace (run index 0 -- the session
         assigns the real index at ingest)."""
         return encode_events(self._buffer)
-
-
-def make_tracer(level: Optional[str]) -> Optional[Tracer]:
-    """A tracer for the level, or ``None`` (the fast path) when unset."""
-    if level is None:
-        return None
-    return Tracer(level)

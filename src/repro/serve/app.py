@@ -200,6 +200,9 @@ class ReproServer:
         # The handler reaches back through the server object.
         self._httpd.repro = self  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
+        #: Whether a serve loop was entered (or is about to be): only
+        #: then does ``close`` have a loop to wait for.
+        self._serving = False
         self._ticker: Optional[threading.Thread] = None
         self._ticker_stop = threading.Event()
 
@@ -222,10 +225,12 @@ class ReproServer:
     # ------------------------------------------------------------------
     def serve_forever(self) -> None:
         """Block serving requests (the ``repro serve`` foreground path)."""
+        self._serving = True
         self._httpd.serve_forever(poll_interval=0.2)
 
     def start(self) -> "ReproServer":
         """Serve on a daemon thread (tests, benchmarks); returns self."""
+        self._serving = True
         self._thread = threading.Thread(
             target=self.serve_forever, name="repro-serve", daemon=True
         )
@@ -259,7 +264,8 @@ class ReproServer:
         if self._ticker is not None:
             self._ticker.join(timeout=5.0)
             self._ticker = None
-        self._httpd.shutdown()
+        if self._serving:
+            self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)

@@ -1,10 +1,12 @@
-"""Policy interface helpers: the batch buffer and observe_many."""
+"""Policy interface helpers: the batch buffer, observe_many, replay."""
 
+import numpy as np
 import pytest
 
 from repro.core.base import BatchBuffer
-from repro.core.buckets import CLTA
-from repro.core.sla import ServiceLevelObjective
+from repro.core.buckets import CLTA, SRAA
+from repro.core.sla import PAPER_SLO, ServiceLevelObjective
+from repro.ecommerce.runner import simulate_mmc_response_times
 
 
 class TestBatchBuffer:
@@ -67,3 +69,24 @@ class TestObserveMany:
         slo = ServiceLevelObjective(mean=5.0, std=5.0)
         policy = CLTA(slo, sample_size=2, z=1.96)
         assert policy.observe_many([1.0] * 10) == []
+
+
+class TestReplay:
+    """Offline replay is ``policy.reset()`` then ``observe_many``."""
+
+    def test_healthy_trace_triggers_rarely(self):
+        rts = simulate_mmc_response_times(1.6, 10_000, seed=2)
+        policy = SRAA(PAPER_SLO, 2, 5, 3)
+        assert policy.observe_many(rts) == []
+
+    def test_degraded_trace_triggers(self):
+        rng = np.random.default_rng(3)
+        degraded = rng.exponential(40.0, size=2_000)
+        assert SRAA(PAPER_SLO, 2, 5, 3).observe_many(degraded)
+
+    def test_policy_reset_before_replay(self):
+        policy = CLTA(PAPER_SLO, sample_size=4, z=1.96)
+        policy.observe(100.0)  # stale partial batch
+        policy.reset()
+        # A fresh batch of four: exactly one trigger at index 3.
+        assert policy.observe_many([100.0, 100.0, 100.0, 100.0]) == [3]

@@ -15,7 +15,6 @@ from repro.faults.campaign import (
     DEFAULT_POLICIES,
     campaign_jobs,
     run_campaign,
-    score_trace,
 )
 from repro.faults.zoo import builtin_scenarios, get_scenario
 
@@ -145,27 +144,35 @@ class TestAcceptance:
 
 class TestScoreTrace:
     def test_rescoring_a_trace_matches_direct_scores(self, tmp_path):
+        # Every zoo scenario at a horizon other than the CLI default:
+        # the ground truth comes from each run's own fault events, so
+        # re-scoring needs no horizon and agrees in both file formats.
+        from repro.faults.campaign import score_records
+        from repro.obs.columnar.query import load_query
         from repro.obs.session import TraceSession, use_tracing
 
-        scenarios = [get_scenario("false_aging", HORIZON_S)]
         session = TraceSession("spans")
         with use_tracing(session):
             campaign = run_campaign(
-                scenarios=scenarios,
-                replications=2,
+                scenarios=list(builtin_scenarios(HORIZON_S).values()),
+                replications=1,
                 seed=0,
                 backend=SerialBackend(),
             )
-        path = str(tmp_path / "campaign.jsonl")
-        session.write_jsonl(path)
-        rescored = score_trace(path, horizon_s=HORIZON_S)
-        assert rescored == campaign.scores
+        jsonl = str(tmp_path / "campaign.jsonl")
+        rcol = str(tmp_path / "campaign.rcol")
+        session.write_jsonl(jsonl)
+        session.write_columnar(rcol)
+        for path in (jsonl, rcol):
+            assert score_records(load_query(path)) == campaign.scores
 
     def test_non_campaign_trace_rejected(self, tmp_path):
+        from repro.cli import main
+
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        with pytest.raises(ValueError, match="no campaign replications"):
-            score_trace(str(path))
+        with pytest.raises(SystemExit, match="no campaign replications"):
+            main(["faults", "score", str(path)])
 
 
 class TestDefaults:

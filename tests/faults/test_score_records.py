@@ -47,6 +47,15 @@ def _rejuvenation(run, ts):
     return {"run": run, "ts": ts, "type": "system.rejuvenation", "data": {}}
 
 
+def _complete(run, ts):
+    return {
+        "run": run,
+        "ts": ts,
+        "type": "request.complete",
+        "data": {"response_time": 5.0},
+    }
+
+
 class TestDegradedIntervals:
     def test_aging_kinds_open_intervals(self):
         assert AGING_FAULT_KINDS == (
@@ -84,6 +93,7 @@ class TestScoreRecords:
     def test_detection_and_false_alarm_split(self):
         records = [
             _meta(0, rejuvenations=2),
+            _complete(0, 10.0),
             _fault(0, 1000.0, "slowdown"),
             _rejuvenation(0, 200.0),  # before the fault: false alarm
             _rejuvenation(0, 1150.0),  # inside: detection, 150 s latency
@@ -99,10 +109,13 @@ class TestScoreRecords:
     def test_groups_cells_across_replications(self):
         records = [
             _meta(0, policy="SRAA", rep=0),
+            _complete(0, 10.0),
             _fault(0, 1000.0, "slowdown"),
             _meta(1, policy="SRAA", rep=1),
+            _complete(1, 10.0),
             _fault(1, 1000.0, "slowdown"),
             _meta(2, policy="ADAPTIVE", rep=0),
+            _complete(2, 10.0),
         ]
         scores = {(s.scenario, s.policy): s for s in score_records(records)}
         assert scores[("aging_onset", "SRAA")].replications == 2
@@ -120,3 +133,13 @@ class TestScoreRecords:
         records = [_meta(0, rejuvenations=3)]
         with pytest.raises(ValueError, match="trace-level"):
             score_records(records)
+
+    def test_missing_completion_events_raise(self):
+        # A decisions-level trace of a policy that never fires: no
+        # rejuvenation is missing, but the run's completions are.
+        records = [_meta(0), _fault(0, 1000.0, "slowdown")]
+        with pytest.raises(
+            ValueError,
+            match="x.rcol: run 0 reports completions .*--trace-level",
+        ):
+            score_records(records, origin="x.rcol")

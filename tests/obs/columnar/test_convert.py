@@ -137,8 +137,9 @@ class TestConsumerParity:
             html_b = fb.read().replace(rcol, "TRACE")
         assert html_a == html_b
 
-    def test_score_trace_identical(self, tmp_path):
-        from repro.faults.campaign import score_trace
+    def test_score_records_identical(self, tmp_path):
+        from repro.faults.campaign import score_records
+        from repro.obs.columnar.query import load_query
 
         jsonl = str(tmp_path / "campaign.jsonl")
         assert (
@@ -157,4 +158,6 @@ class TestConsumerParity:
         )
         rcol = str(tmp_path / "campaign.rcol")
         convert_trace(jsonl, rcol)
-        assert score_trace(jsonl) == score_trace(rcol)
+        assert score_records(load_query(jsonl)) == score_records(
+            load_query(rcol)
+        )

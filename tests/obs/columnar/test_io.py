@@ -11,7 +11,6 @@ from repro.obs.columnar.io import (
     FORMAT_VERSION,
     MAGIC,
     read_columnar,
-    read_footer,
     read_trace,
     sniff_format,
     write_columnar,
@@ -121,28 +120,6 @@ class TestSniff:
         assert sniff_format(str(path)) == "jsonl"
 
 
-class TestFooter:
-    def test_footer_shape(self, tmp_path):
-        path = tmp_path / "t.rcol"
-        _write(path, RECORDS)
-        footer = read_footer(str(path))
-        assert footer["version"] == FORMAT_VERSION
-        for key in ("arrays", "segments", "shapes", "strings", "types"):
-            assert key in footer
-        assert isinstance(footer["segments"], list)
-        segment = footer["segments"][0]
-        assert segment["rows"] == [0, len(RECORDS)]
-        assert segment["ts_min"] == 0.0
-        assert segment["ts_max"] == 2.0
-
-    def test_footer_is_json(self, tmp_path):
-        # read_footer must not need to decode the column arrays.
-        path = tmp_path / "t.rcol"
-        _write(path, RECORDS)
-        footer = read_footer(str(path))
-        json.dumps(footer)  # fully JSON-serialisable
-
-
 class TestCorruption:
     def test_bad_magic_raises(self, tmp_path):
         path = tmp_path / "bad.rcol"
@@ -158,9 +135,7 @@ class TestCorruption:
         with pytest.raises((ValueError, EOFError, OSError)):
             read_columnar(str(path))
 
-    @pytest.mark.parametrize(
-        "reader", [read_columnar, read_trace, read_footer]
-    )
+    @pytest.mark.parametrize("reader", [read_columnar, read_trace])
     def test_truncated_gzip_names_the_file(self, tmp_path, reader):
         path = tmp_path / "cut.rcol.gz"
         _write(path, RECORDS)
@@ -168,9 +143,7 @@ class TestCorruption:
         with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
             reader(str(path))
 
-    @pytest.mark.parametrize(
-        "reader", [read_columnar, read_trace, read_footer]
-    )
+    @pytest.mark.parametrize("reader", [read_columnar, read_trace])
     def test_non_gzip_file_names_the_file(self, tmp_path, reader):
         path = tmp_path / "plain.rcol.gz"
         _write(tmp_path / "plain.rcol", RECORDS)
@@ -178,14 +151,14 @@ class TestCorruption:
         with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
             reader(str(path))
 
-    @pytest.mark.parametrize("reader", [read_columnar, read_footer])
+    @pytest.mark.parametrize("reader", [read_columnar])
     def test_three_byte_file_names_the_file(self, tmp_path, reader):
         path = tmp_path / "tiny.rcol"
         path.write_bytes(MAGIC[:3])
         with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
             reader(str(path))
 
-    @pytest.mark.parametrize("reader", [read_columnar, read_footer])
+    @pytest.mark.parametrize("reader", [read_columnar])
     def test_cut_gzip_trailer_names_the_file(self, tmp_path, reader):
         # A complete gzip stream whose trace lost its last bytes.
         path = tmp_path / "cut.rcol.gz"

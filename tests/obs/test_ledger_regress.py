@@ -15,6 +15,7 @@ from repro.ecommerce.spec import ArrivalSpec
 from repro.exec.backends import SerialBackend
 from repro.obs.ledger import (
     Ledger,
+    compare_entries,
     relative_check,
     replicated_outcomes,
     run_check,
@@ -219,7 +220,10 @@ class TestRunCheck:
         with pytest.raises(ValueError, match="persistence"):
             run_check(ledger, baseline, baseline, persistence=0)
 
-    def test_state_not_written_when_disabled(self, ledger):
+    def test_compare_entries_keeps_no_streak(self, ledger):
         baseline = record(ledger)
-        run_check(ledger, baseline, baseline, update_state=False)
+        slowed = record(ledger, config=replace(CONFIG, service_rate=0.1))
+        for _ in range(2):
+            report = compare_entries(baseline, slowed, persistence=1)
+            assert report.exceeded and report.streak == 0
         assert ledger.check_state() == {}

@@ -259,6 +259,14 @@ class TestRobustnessSection:
             records.append(
                 {
                     "run": run,
+                    "ts": 10.0,
+                    "type": "request.complete",
+                    "data": {"response_time": 6.0},
+                }
+            )
+            records.append(
+                {
+                    "run": run,
                     "ts": 1000.0,
                     "type": "fault.injected",
                     "data": {"kind": "slowdown"},

@@ -11,7 +11,7 @@ from repro.obs.events import (
     TraceEvent,
     category_of,
 )
-from repro.obs.tracer import TRACE_LEVELS, Tracer, make_tracer, validate_level
+from repro.obs.tracer import TRACE_LEVELS, Tracer, validate_level
 
 
 class TestTraceEvent:
@@ -57,10 +57,6 @@ class TestTracerLevels:
         everything = Tracer("all")
         assert everything.spans and everything.decisions and everything.engine
         assert not Tracer("spans").engine and not Tracer("decisions").engine
-
-    def test_make_tracer_none_is_none(self):
-        assert make_tracer(None) is None
-        assert isinstance(make_tracer("spans"), Tracer)
 
 
 class TestTracerBuffer:

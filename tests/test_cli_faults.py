@@ -166,9 +166,7 @@ class TestFaultsScoreRoundTrip:
         assert "fault.injected" in types
         assert "run.meta" in types
 
-        assert main(
-            ["faults", "score", trace, "--horizon", "600"]
-        ) == 0
+        assert main(["faults", "score", trace]) == 0
         score_out = capsys.readouterr().out
         # The re-scored table matches the live table line for line.
         run_table = [
@@ -183,6 +181,54 @@ class TestFaultsScoreRoundTrip:
         ]
         assert run_table == score_table
         assert len(run_table) == 3
+
+    def test_score_csv_equals_the_run_csv(self, tmp_path, capsys):
+        # The campaign ran at --horizon 600; scoring takes the ground
+        # truth from the trace, so no horizon is passed again.
+        trace = str(tmp_path / "campaign.rcol")
+        run_csv = tmp_path / "run.csv"
+        score_csv = tmp_path / "score.csv"
+        assert main(RUN + ["--trace", trace, "--csv", str(run_csv)]) == 0
+        assert main(["faults", "score", trace, "--csv", str(score_csv)]) == 0
+        assert score_csv.read_bytes() == run_csv.read_bytes()
+
+    def test_scenario_file_campaign_scores(self, tmp_path, capsys):
+        import dataclasses
+
+        from repro.faults.scenario import save_scenario
+        from repro.faults.zoo import get_scenario
+
+        custom = dataclasses.replace(
+            get_scenario("aging_onset", 600.0), name="my_aging"
+        )
+        path = str(tmp_path / "custom.json")
+        save_scenario(custom, path)
+        trace = str(tmp_path / "campaign.jsonl")
+        run_csv = tmp_path / "run.csv"
+        score_csv = tmp_path / "score.csv"
+        assert main(
+            RUN
+            + ["--scenario-file", path, "--policies", "SRAA", "--trace",
+               trace, "--csv", str(run_csv)]
+        ) == 0
+        assert main(["faults", "score", trace, "--csv", str(score_csv)]) == 0
+        assert "my_aging" in capsys.readouterr().out
+        assert score_csv.read_bytes() == run_csv.read_bytes()
+
+    def test_decisions_only_trace_is_refused(self, tmp_path, capsys):
+        # No span events: the runs' completions and fault events are
+        # missing, so scoring would report nothing as missed.
+        trace = str(tmp_path / "decisions.rcol")
+        assert main(
+            ["faults", "run", "aging_onset", "--policies", "never",
+             "--replications", "1", "--trace", trace,
+             "--trace-level", "decisions"]
+        ) == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["faults", "score", trace])
+        message = str(excinfo.value.code)
+        assert message.startswith(f"{trace}: run 0 reports completions")
+        assert message.endswith("--trace-level spans or all")
 
     def test_missing_trace_exits(self):
         with pytest.raises(SystemExit):

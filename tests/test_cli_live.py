@@ -158,9 +158,9 @@ class TestGzipTraces:
     def test_faults_score_reads_gz(self, tmp_path, capsys):
         plain, gz = self.make_gz(tmp_path, FAULTS_RUN)
         capsys.readouterr()
-        assert main(["faults", "score", plain, "--horizon", "600"]) == 0
+        assert main(["faults", "score", plain]) == 0
         plain_out = capsys.readouterr().out
-        assert main(["faults", "score", gz, "--horizon", "600"]) == 0
+        assert main(["faults", "score", gz]) == 0
         gz_out = capsys.readouterr().out
         assert plain_out == gz_out  # identical table from either form
 

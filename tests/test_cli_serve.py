@@ -6,7 +6,11 @@ we pin the argparse wiring and the follower loop (the observer side of
 """
 
 import json
+import os
+import subprocess
+import sys
 
+import repro
 from repro.cli import _build_parser, main
 from repro.obs.live import follow_snapshots, read_snapshot_source
 from repro.serve import ReproServer
@@ -107,3 +111,22 @@ class TestFollow:
         err = capsys.readouterr().err
         assert err.count("repro top") == 2
         assert "completed       450" in err
+
+
+class TestClose:
+    def test_close_without_start_returns(self, tmp_path):
+        # A server that never served has no serve loop for close() to
+        # wait on; a fresh interpreter keeps a hang from stalling the
+        # suite.
+        probe = (
+            "from repro.serve import ReproServer\n"
+            "ReproServer(port=0, ledger_dir='ledger').close()\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        subprocess.run(
+            [sys.executable, "-c", probe],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=30,
+            check=True,
+        )

@@ -44,6 +44,30 @@ def ledger_entry(entry_id, rts):
     }
 
 
+#: A regression rule against baseline ``prod`` that flags on two runs.
+REGRESSION_TICK = [
+    "watch", "--tick",
+    "--baseline", "prod",
+    "--persistence", "2",
+]
+
+
+def regression_ledger(tmp_path, *reruns):
+    """A ledger dir: baseline ``prod`` then one entry per rerun."""
+    ledger_dir = tmp_path / "ledger"
+    ledger_dir.mkdir()
+    entries = [ledger_entry("sim-0001", [1.0, 1.1, 0.9, 1.0])] + [
+        ledger_entry(f"sim-{index:04d}", rts)
+        for index, rts in enumerate(reruns, start=2)
+    ]
+    with open(ledger_dir / "runs.jsonl", "w", encoding="utf-8") as f:
+        for entry in entries:
+            f.write(json.dumps(entry) + "\n")
+    with open(ledger_dir / "baselines.json", "w", encoding="utf-8") as f:
+        json.dump({"prod": {"id": "sim-0001", "manifest_hash": "abc123"}}, f)
+    return str(ledger_dir)
+
+
 @pytest.fixture(scope="class")
 def traces(tmp_path_factory):
     """The seeded aging campaign, written in both trace formats."""
@@ -115,59 +139,28 @@ class TestWatchTick:
     def test_regression_streak_leaves_an_open_incident(
         self, tmp_path, capsys
     ):
-        import os
-
-        ledger_dir = tmp_path / "ledger"
-        os.makedirs(ledger_dir)
-        entries = [
-            ledger_entry("sim-0001", [1.0, 1.1, 0.9, 1.0]),
-            ledger_entry("sim-0002", [3.0, 3.1, 2.9, 3.05]),
-            ledger_entry("sim-0003", [3.0, 3.1, 2.9, 3.05]),
-        ]
-        with open(ledger_dir / "runs.jsonl", "w", encoding="utf-8") as f:
-            for entry in entries:
-                f.write(json.dumps(entry) + "\n")
-        with open(
-            ledger_dir / "baselines.json", "w", encoding="utf-8"
-        ) as f:
-            json.dump(
-                {"prod": {"id": "sim-0001", "manifest_hash": "abc123"}}, f
-            )
-        assert main([
-            "watch", "--tick",
-            "--baseline", "prod",
-            "--persistence", "2",
-            "--ledger", str(ledger_dir),
-        ]) == 1
+        ledger_dir = regression_ledger(
+            tmp_path, [3.0, 3.1, 2.9, 3.05], [3.0, 3.1, 2.9, 3.05]
+        )
+        assert main(REGRESSION_TICK + ["--ledger", ledger_dir]) == 1
         out = capsys.readouterr().out
         assert "[open] inc-0001" in out
         assert "rule=baseline-regression" in out
 
-    def test_healthy_reruns_stay_quiet(self, tmp_path, capsys):
-        import os
+    def test_regression_rule_leaves_no_check_state(self, tmp_path):
+        # The rule keeps its own streak: watching never advances the
+        # one `repro runs check` keeps in the ledger.
+        ledger_dir = regression_ledger(
+            tmp_path, [3.0, 3.1, 2.9, 3.05], [3.0, 3.1, 2.9, 3.05]
+        )
+        assert main(REGRESSION_TICK + ["--ledger", ledger_dir]) == 1
+        assert not (tmp_path / "ledger" / "check_state.json").exists()
 
-        ledger_dir = tmp_path / "ledger"
-        os.makedirs(ledger_dir)
-        entries = [
-            ledger_entry("sim-0001", [1.0, 1.1, 0.9, 1.0]),
-            ledger_entry("sim-0002", [1.02, 0.95, 1.05, 0.99]),
-            ledger_entry("sim-0003", [0.98, 1.04, 1.0, 1.01]),
-        ]
-        with open(ledger_dir / "runs.jsonl", "w", encoding="utf-8") as f:
-            for entry in entries:
-                f.write(json.dumps(entry) + "\n")
-        with open(
-            ledger_dir / "baselines.json", "w", encoding="utf-8"
-        ) as f:
-            json.dump(
-                {"prod": {"id": "sim-0001", "manifest_hash": "abc123"}}, f
-            )
-        assert main([
-            "watch", "--tick",
-            "--baseline", "prod",
-            "--persistence", "2",
-            "--ledger", str(ledger_dir),
-        ]) == 0
+    def test_healthy_reruns_stay_quiet(self, tmp_path, capsys):
+        ledger_dir = regression_ledger(
+            tmp_path, [1.02, 0.95, 1.05, 0.99], [0.98, 1.04, 1.0, 1.01]
+        )
+        assert main(REGRESSION_TICK + ["--ledger", ledger_dir]) == 0
         assert "no incidents" in capsys.readouterr().out
 
     def test_no_rules_is_an_error(self):
