@@ -184,23 +184,34 @@ class ProcessPoolBackend(ExecutionBackend):
                 pool.submit(_timed_call, fn, work[index]): index
                 for index in remote
             }
-            # Unpicklable stragglers run here while the pool is busy.
-            for index in local:
-                result, job_s = _timed_call(fn, work[index])
-                results[index] = result
-                done += 1
-                _emit(hook, index, done, len(work), started, job_s, work[index])
-            pending = set(futures)
-            while pending:
-                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    index = futures[future]
-                    results[index], job_s = future.result()
+            try:
+                # Unpicklable stragglers run here while the pool is busy.
+                for index in local:
+                    result, job_s = _timed_call(fn, work[index])
+                    results[index] = result
                     done += 1
                     _emit(
                         hook, index, done, len(work), started, job_s,
                         work[index],
                     )
+                pending = set(futures)
+                while pending:
+                    finished, pending = wait(
+                        pending, return_when=FIRST_COMPLETED
+                    )
+                    for future in finished:
+                        index = futures[future]
+                        results[index], job_s = future.result()
+                        done += 1
+                        _emit(
+                            hook, index, done, len(work), started, job_s,
+                            work[index],
+                        )
+            except BaseException:
+                # Drop the queued jobs: the error is raised once the
+                # running ones finish, not after every job has run.
+                pool.shutdown(wait=False, cancel_futures=True)
+                raise
         return results
 
 

@@ -34,14 +34,14 @@ from __future__ import annotations
 
 import gzip
 import json
-from typing import Any, BinaryIO, Callable, Dict, List, Tuple
+from typing import Any, BinaryIO, Callable, Dict, List, Tuple, Union
 
 import numpy as np
 
 from repro.obs.exporters import DAMAGED_FILE_ERRORS, iter_jsonl
 
 from . import store
-from .store import ColumnarTrace, encode_records
+from .store import ColumnarTrace, MergePlan, encode_records
 
 MAGIC = b"RCOLTRC1"
 TRAILER = b"RCOLEND1"
@@ -99,11 +99,15 @@ def _is_gz(path: str) -> bool:
     return str(path).endswith(".gz")
 
 
-def write_columnar(trace: ColumnarTrace, path: str) -> None:
+def write_columnar(
+    trace: Union[ColumnarTrace, MergePlan], path: str
+) -> None:
     """Write ``trace`` to ``path`` (gzip-compressed on a ``.gz`` suffix).
 
     The columns stream straight into the file, or into the gzip stream
-    over it, so a write holds no copy of the trace.
+    over it, so a write holds no copy of the trace.  ``trace`` may be a
+    :class:`~repro.obs.columnar.store.MergePlan`: each column then goes
+    out part by part, and the file is the one the merged trace writes.
     """
     with open(path, "wb") as handle:
         if _is_gz(path):
@@ -118,7 +122,9 @@ def write_columnar(trace: ColumnarTrace, path: str) -> None:
             _write_stream(trace, handle)
 
 
-def _write_stream(trace: ColumnarTrace, out: BinaryIO) -> None:
+def _write_stream(
+    trace: Union[ColumnarTrace, MergePlan], out: BinaryIO
+) -> None:
     out.write(MAGIC)
     position = len(MAGIC)
     table: List[Dict[str, Any]] = []
@@ -127,21 +133,15 @@ def _write_stream(trace: ColumnarTrace, out: BinaryIO) -> None:
         if pad:
             out.write(b"\0" * pad)
             position += pad
-        array = np.ascontiguousarray(
-            getattr(trace, name), dtype=np.dtype(dtype)
-        )
-        table.append(
-            {
-                "name": name,
-                "dtype": dtype,
-                "offset": position,
-                "count": int(array.shape[0]),
-            }
-        )
-        raw = memoryview(array).cast("B")
-        for start in range(0, len(raw), _WRITE_CHUNK):
-            out.write(raw[start : start + _WRITE_CHUNK])
-        position += len(raw)
+        entry = {"name": name, "dtype": dtype, "offset": position, "count": 0}
+        for part in trace.column_parts(name):
+            array = np.ascontiguousarray(part, dtype=np.dtype(dtype))
+            raw = memoryview(array).cast("B")
+            for start in range(0, len(raw), _WRITE_CHUNK):
+                out.write(raw[start : start + _WRITE_CHUNK])
+            entry["count"] += int(array.shape[0])
+            position += len(raw)
+        table.append(entry)
     footer = {
         "version": FORMAT_VERSION,
         "arrays": table,
@@ -271,16 +271,6 @@ def _trace_from_bytes(data: Any) -> ColumnarTrace:
     return trace
 
 
-#: Each dictionary-id column, with the dictionary its values index.
-_ID_COLUMNS = (
-    ("type_id", "types"),
-    ("source_id", "sources"),
-    ("shape_id", "shapes"),
-    ("strs", "strings"),
-    ("jsons", "fragments"),
-)
-
-
 def _check_columns(trace: ColumnarTrace) -> None:
     """Reject column values that point past what they index.
 
@@ -300,7 +290,7 @@ def _check_columns(trace: ColumnarTrace) -> None:
             "corrupt columnar trace (row columns differ in length)"
         )
     chunk = store._DECODE_CHUNK
-    for name, dictionary in _ID_COLUMNS:
+    for name, dictionary in store._ID_COLUMNS:
         column = getattr(trace, name)
         size = len(getattr(trace, dictionary))
         for start in range(0, column.shape[0], chunk):

@@ -7,8 +7,8 @@ how many events of each kind, where are the completions/faults/
 triggers, what do the response-time percentiles look like over time.
 :class:`ColumnarQuery` (and its per-run :class:`RunView`)
 answers them over a :class:`~repro.obs.columnar.store.ColumnarTrace`,
-vectorized: counts are one ``bincount``, run grouping is one stable
-argsort, completions are a per-shape float gather, and windowed
+vectorized: counts are one ``bincount``, run grouping splits the rows
+at run boundaries, completions are a per-shape float gather, and windowed
 percentiles bin a million latencies without building a million dicts.
 Sparse questions (the handful of fault/trigger records a narrative
 needs) decode just those rows.
@@ -227,19 +227,25 @@ class ColumnarQuery:
         return ColumnarQuery(trace, rows[mask])
 
     def run_views(self) -> List[RunView]:
+        """One view per run, in run-id order, each over its rows in
+        their original order.
+
+        Every trace this repo writes keeps each run's rows together,
+        so each view is a slice of this query's rows; only a trace
+        whose runs interleave is grouped by a stable sort first.
+        """
         rows = self._rows
         runs = self.trace.run[rows]
-        order = np.argsort(runs, kind="stable")
-        sorted_rows = rows[order]
-        sorted_runs = runs[order]
-        run_ids = np.unique(sorted_runs)
-        starts = np.searchsorted(sorted_runs, run_ids, side="left")
-        stops = np.searchsorted(sorted_runs, run_ids, side="right")
+        starts = _run_starts(runs)
+        if np.unique(runs[starts]).shape[0] != starts.shape[0]:
+            order = np.argsort(runs, kind="stable")
+            rows, runs = rows[order], runs[order]
+            starts = _run_starts(runs)
+        stops = np.append(starts[1:], runs.shape[0])
+        run_ids = runs[starts]
         return [
-            RunView(
-                int(run_id), self.trace, sorted_rows[start:stop]
-            )
-            for run_id, start, stop in zip(run_ids, starts, stops)
+            RunView(int(run_ids[at]), self.trace, rows[starts[at] : stops[at]])
+            for at in np.argsort(run_ids, kind="stable").tolist()
         ]
 
     def counts(self) -> Dict[str, int]:
@@ -253,6 +259,13 @@ class ColumnarQuery:
         ]
         _rows, values = self.trace.field_float("response_time", rows)
         return values
+
+
+def _run_starts(runs: np.ndarray) -> np.ndarray:
+    """Where each stretch of equal run ids in ``runs`` starts."""
+    if not runs.shape[0]:
+        return np.zeros(0, dtype=np.int64)
+    return np.append(0, np.flatnonzero(runs[1:] != runs[:-1]) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ def _completion_trace(
         strings=[],
         fragments=[],
         shapes=[_COMPLETION_SHAPE],
-        segments=[_segment(0, n, type_id, 1, ts)],
+        segments=[_segment(0, n, type_id, ts)],
     )
 
 

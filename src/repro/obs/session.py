@@ -28,6 +28,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.columnar.store import (
     ColumnarTrace,
+    MergePlan,
     encode_events,
     encode_records,
 )
@@ -156,6 +157,16 @@ class TraceSession:
             # Decoded on demand; run indices were stamped at ingest.
             yield from run.events.iter_records()
 
+    def _parts(self) -> List[ColumnarTrace]:
+        """The session's traces in file order: per run, its ``run.meta``
+        record, then its events (if any)."""
+        parts = []
+        for run in self.runs:
+            parts.append(encode_records([self._meta_record(run)]))
+            if len(run.events):
+                parts.append(run.events)
+        return parts
+
     def columnar_trace(self) -> ColumnarTrace:
         """The whole session as one consolidated columnar trace.
 
@@ -164,12 +175,7 @@ class TraceSession:
         record, then its events -- in submission order, so the segment
         index maps directly onto runs.
         """
-        traces = []
-        for run in self.runs:
-            traces.append(encode_records([self._meta_record(run)]))
-            if len(run.events):
-                traces.append(run.events)
-        return ColumnarTrace.from_batches(traces)
+        return ColumnarTrace.from_batches(self._parts())
 
     def registry(self) -> MetricsRegistry:
         """Metrics over all ingested runs, merged in submission order."""
@@ -183,21 +189,30 @@ class TraceSession:
             profile.to_registry(registry)
         return registry
 
+    def _jsonl_lines(self) -> Iterator[str]:
+        for part in self._parts():
+            yield from part.to_jsonl_lines()
+
     def write_jsonl(self, path: str) -> int:
         """Write the JSONL trace; return the line count.
 
-        The lines are those of :meth:`records`, written from the
-        consolidated :meth:`columnar_trace`.
+        The lines are those of :meth:`records`, written run by run from
+        the runs' own traces; no consolidated trace is built.
         """
-        return write_jsonl_lines(path, self.columnar_trace().to_jsonl_lines())
+        return write_jsonl_lines(path, self._jsonl_lines())
 
     def write_columnar(self, path: str) -> int:
-        """Write the columnar trace container; return the record count."""
+        """Write the columnar trace container; return the record count.
+
+        The file is that of :meth:`columnar_trace`, streamed column by
+        column from the runs' own traces through their
+        :class:`~repro.obs.columnar.store.MergePlan`.
+        """
         from repro.obs.columnar.io import write_columnar
 
-        trace = self.columnar_trace()
-        write_columnar(trace, path)
-        return len(trace)
+        plan = MergePlan(self._parts())
+        write_columnar(plan, path)
+        return len(plan)
 
     def write_trace(self, path: str) -> int:
         """Write the trace in this session's format; return records."""

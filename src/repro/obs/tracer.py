@@ -1,7 +1,8 @@
 """The event tracer and its near-free disabled path.
 
-A :class:`Tracer` buffers the raw ``(ts, type, source, data)`` emit
-tuples of one replication and hands them back encoded as one
+A :class:`Tracer` encodes the ``(ts, type, source, data)`` emits of one
+replication into typed columns as they arrive, one chunk of raw tuples
+at a time, and hands them back as one
 :class:`~repro.obs.columnar.store.ColumnarTrace`; the session layer
 (:mod:`repro.obs.session`) collects the traces and hands them to the
 exporters.  Tracing is structured in *levels*:
@@ -35,9 +36,13 @@ construction they imply -- entirely.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
-from repro.obs.columnar.store import ColumnarTrace, encode_events
+from repro.obs.columnar.store import (
+    _DECODE_CHUNK,
+    ColumnarTrace,
+    _BatchBuilder,
+)
 
 #: Accepted trace levels, in increasing verbosity.
 TRACE_LEVELS: Tuple[str, ...] = ("spans", "decisions", "all")
@@ -52,12 +57,24 @@ def validate_level(level: str) -> str:
     return level
 
 
+def _taken(
+    buffer: List[Tuple[float, str, str, Dict[str, Any]]],
+) -> Iterator[Tuple[int, float, str, str, Dict[str, Any]]]:
+    """The buffered emits as encoder rows; each tuple and its payload
+    dict are released as soon as the encoder has taken them."""
+    for at, (ts, etype, source, data) in enumerate(buffer):
+        buffer[at] = None  # type: ignore[call-overload]
+        yield 0, ts, etype, source, data
+
+
 class Tracer:
-    """An in-memory buffer of trace events for one replication.
+    """The trace events of one replication, encoded as they arrive.
 
     ``emit`` appends one plain tuple -- no event object is built on the
-    hot path; encoding into typed columns happens once, in
-    :meth:`payload`.
+    hot path.  Every :data:`~repro.obs.columnar.store._DECODE_CHUNK`
+    tuples go to the tracer's encoder, which moves them into typed
+    columns, so a run holds its trace encoded plus at most one chunk of
+    raw tuples; :meth:`payload` encodes the rest.
 
     Parameters
     ----------
@@ -83,6 +100,8 @@ class Tracer:
         "engine",
         "lifecycle",
         "_buffer",
+        "_builder",
+        "_encoded",
     )
 
     def __init__(self, level: str = "all") -> None:
@@ -93,20 +112,42 @@ class Tracer:
         #: A buffering tracer always wants the per-request microscope.
         self.lifecycle = True
         self._buffer: List[Tuple[float, str, str, Dict[str, Any]]] = []
+        self._builder = _BatchBuilder()
+        #: Events already handed to the encoder.
+        self._encoded = 0
 
     def emit(self, ts: float, etype: str, source: str, **data: Any) -> None:
         """Record one event (caller has already checked the level flag)."""
-        self._buffer.append((ts, etype, source, data))
+        buffer = self._buffer
+        buffer.append((ts, etype, source, data))
+        if len(buffer) >= _DECODE_CHUNK:
+            self._encode_buffer()
+
+    def _encode_buffer(self) -> None:
+        """Move the buffered tuples into the encoder (run index 0)."""
+        buffer = self._buffer
+        self._encoded += len(buffer)
+        self._builder.add_events(_taken(buffer))
+        buffer.clear()
 
     def clear(self) -> None:
-        """Drop all buffered events (a fresh run starts clean)."""
+        """Drop all recorded events (a fresh run starts clean)."""
         self._buffer.clear()
+        self._builder = _BatchBuilder()
+        self._encoded = 0
 
     def __len__(self) -> int:
-        return len(self._buffer)
+        return self._encoded + len(self._buffer)
 
     def payload(self) -> ColumnarTrace:
-        """What this run attaches to ``RunResult.trace``: the buffer
-        encoded into a one-segment trace (run index 0 -- the session
-        assigns the real index at ingest)."""
-        return encode_events(self._buffer)
+        """What this run attaches to ``RunResult.trace``: its events as
+        a one-segment trace (run index 0 -- the session assigns the
+        real index at ingest).
+
+        The trace takes the encoder's columns and dictionaries, so the
+        tracer hands them over and starts clean.
+        """
+        self._encode_buffer()
+        trace = self._builder.finish()
+        self.clear()
+        return trace

@@ -1,7 +1,9 @@
 """The execution backends: selection, env resolution, progress, order."""
 
 import gc
+import os
 import pickle
+import time
 
 import pytest
 
@@ -20,6 +22,16 @@ from repro.exec.progress import JobEvent, ProgressPrinter, StageTimer
 
 def _square(x):
     return x * x
+
+
+def _mark_and_sleep(item):
+    """Leave a marker file; job 0 then fails, the others take 0.2 s."""
+    index, directory = item
+    open(os.path.join(directory, f"{index}.ran"), "w").close()
+    if index == 0:
+        raise RuntimeError("job 0 failed")
+    time.sleep(0.2)
+    return index
 
 
 def _freeze_count(_item):
@@ -95,6 +107,15 @@ class TestProcessPoolBackend:
         backend.map(_square, [1, 2, 3, 4])
         assert [e.done for e in events] == [1, 2, 3, 4]
         assert all(e.total == 4 for e in events)
+
+    def test_failing_job_cancels_the_queued_jobs(self, tmp_path):
+        jobs = [(index, str(tmp_path)) for index in range(20)]
+        with pytest.raises(RuntimeError, match="job 0 failed"):
+            ProcessPoolBackend(workers=2).map(_mark_and_sleep, jobs)
+        ran = len(list(tmp_path.glob("*.ran")))
+        # The running jobs and the few already handed to the workers
+        # finish; the rest never start.
+        assert 1 <= ran <= 8, f"{ran} of 20 jobs ran"
 
     def test_workers_freeze_the_inherited_heap(self):
         # A worker's collections skip what it inherited, so those pages

@@ -12,8 +12,12 @@ from repro.obs.columnar.query import (
     exact_percentile,
     load_query,
 )
+from repro.faults.campaign import score_records
 from repro.obs.columnar.store import ColumnarTrace
+from repro.obs.columnar.synth import synth_campaign_trace
 from repro.obs.events import compact_json
+from repro.obs.exporters import write_jsonl_lines
+from repro.obs.live.report import render_report
 
 import numpy as np
 
@@ -200,6 +204,57 @@ class TestRunViews:
             "fault.injected",
             "system.rejuvenation",
         ]
+
+
+    def test_runs_out_of_id_order_come_back_in_id_order(self):
+        records = [
+            {**record, "run": 1 - record["run"]}
+            if isinstance(record.get("run"), int)
+            else record
+            for record in RECORDS
+        ]
+        views = as_query(records).run_views()
+        assert [view.run_id for view in views] == [0, 1]
+        assert [view.n_records for view in views] == [3, 5]
+
+
+class TestInterleavedRuns:
+    """A trace whose runs interleave is grouped by a stable sort: its
+    run views, report and scores are those of the same runs written
+    one after another."""
+
+    @pytest.fixture(scope="class")
+    def traces(self, tmp_path_factory):
+        grouped = synth_campaign_trace(
+            runs=6,
+            events_per_run=400,
+            seed=7,
+            scenarios=("aging_onset", "leak"),
+            false_alarms_per_run=1,
+        )
+        records = sorted(grouped.records(), key=lambda r: r["ts"])
+        path = tmp_path_factory.mktemp("interleaved") / "t.jsonl"
+        write_jsonl_lines(str(path), map(compact_json, records))
+        interleaved = load_query(str(path))
+        runs = interleaved.trace.run
+        assert (np.diff(runs) < 0).any()  # the runs do interleave
+        return ColumnarQuery(grouped), interleaved
+
+    def test_run_views(self, traces):
+        grouped, interleaved = traces
+        expected = grouped.run_views()
+        views = interleaved.run_views()
+        assert [v.run_id for v in views] == [v.run_id for v in expected]
+        for view, want in zip(views, expected):
+            assert view.records() == want.records()
+            assert view.meta == want.meta
+            assert view.counts() == want.counts()
+
+    def test_report_and_scores(self, traces):
+        grouped, interleaved = traces
+        assert render_report(interleaved) == render_report(grouped)
+        scores = score_records(interleaved)
+        assert scores and scores == score_records(grouped)
 
 
 class TestFiltered:

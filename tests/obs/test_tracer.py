@@ -1,7 +1,9 @@
 """The event taxonomy and the per-replication tracer."""
 
+import numpy as np
 import pytest
 
+from repro.obs.columnar.store import ColumnarTrace, encode_events
 from repro.obs.events import (
     DECISION_TYPES,
     ENGINE_TYPES,
@@ -92,3 +94,50 @@ class TestTracerBuffer:
             (3.0, REQUEST_COMPLETE, "system", {"index": 1}),
             (4.0, POLICY_TRIGGER, "policy:sraa", {"level": 2, "ok": True}),
         ]
+
+
+def _emit_tuples(n):
+    """``n`` varied emit tuples: every payload tag, and dictionary
+    values that first show up in later chunks."""
+    out = []
+    for index in range(n):
+        data = {"index": index, "response_time": index / 8.0}
+        if index % 7 == 0:
+            data["policy"] = f"p{index % 5000}"
+        if index % 11 == 0:
+            data.update(ok=bool(index % 2), none=None, path=[index, "x"])
+        source = f"src{index // 3000}"
+        out.append((index * 0.5, f"type.{index % 13}", source, data))
+    return out
+
+
+class TestTracerChunks:
+    """A tracer encodes a chunk of emits at a time; the trace it hands
+    back is the one encoding every emit at once gives."""
+
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 3 * 4096 + 17])
+    def test_payload_equals_encode_events(self, n):
+        tuples = _emit_tuples(n)
+        tracer = Tracer("all")
+        for ts, etype, source, data in tuples:
+            tracer.emit(ts, etype, source, **data)
+        assert len(tracer) == n
+        payload = tracer.payload()
+        expected = encode_events(_emit_tuples(n))
+        for name in ColumnarTrace._STORED:
+            got, want = getattr(payload, name), getattr(expected, name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype, name
+                assert np.array_equal(got, want), name
+            else:
+                assert got == want, name
+
+    def test_payload_hands_the_events_over(self):
+        tracer = Tracer("all")
+        for ts, etype, source, data in _emit_tuples(5000):
+            tracer.emit(ts, etype, source, **data)
+        assert len(tracer.payload()) == 5000
+        assert len(tracer) == 0
+        tracer.emit(1.0, REQUEST_COMPLETE, "system", index=1)
+        (record,) = tracer.payload().iter_records()
+        assert record["data"] == {"index": 1}
