@@ -51,6 +51,36 @@ class TestScoring:
         values = [s.score for s in scores]
         assert values == sorted(values)
 
+    def test_score_grid_matches_pins(self, advisor):
+        # Captured while the grid still ran one job list per
+        # (configuration, load) point.
+        grid = [(2, 5, 3), (30, 1, 1), (15, 2, 1), (3, 2, 5)]
+        scores = advisor.score_grid(grid)
+        assert [
+            (s.n, s.K, s.D, s.high_load_rt, s.low_load_loss) for s in scores
+        ] == [
+            (30, 1, 1, 4.85190746495428, 0.0),
+            (3, 2, 5, 8.70141737863871, 0.0),
+            (2, 5, 3, 8.901776811374178, 0.0),
+            (15, 2, 1, 12.821936914512163, 0.0),
+        ]
+
+    def test_saraa_score_grid_matches_pins(self):
+        advisor = ParameterAdvisor(
+            PAPER_CONFIG,
+            PAPER_SLO,
+            transactions=1_500,
+            replications=2,
+            seed=5,
+        )
+        scores = advisor.score_grid([(2, 5, 3), (30, 1, 1)], "saraa")
+        assert [
+            (s.n, s.high_load_rt, s.low_load_loss, s.score) for s in scores
+        ] == [
+            (30, 4.8543419562207735, 0.0026666666666666666, 7.5210086228874395),
+            (2, 10.259466699011169, 0.0, 10.259466699011169),
+        ]
+
     def test_saraa_supported(self, advisor):
         score = advisor.score(2, 5, 3, algorithm="saraa")
         assert score.algorithm == "saraa"
