@@ -20,6 +20,7 @@ import numpy as np
 from repro.core.base import RejuvenationPolicy
 from repro.ecommerce.config import SystemConfig
 from repro.ecommerce.metrics import ReplicatedResult, RunResult
+from repro.ecommerce.spec import ArrivalSpec
 from repro.ecommerce.system import ECommerceSystem
 from repro.ecommerce.workload import ArrivalProcess, PoissonArrivals
 from repro.exec.backends import ExecutionBackend
@@ -100,6 +101,21 @@ def replication_jobs(
         )
         for i in range(replications)
     ]
+
+
+def poisson_jobs(
+    config: SystemConfig,
+    load: float,
+    policy: PolicySource,
+    n_transactions: int,
+    replications: int,
+    seed: int = 0,
+) -> List[ReplicationJob]:
+    """:func:`replication_jobs` under Poisson arrivals at ``load`` CPUs."""
+    arrival = ArrivalSpec.poisson(config.arrival_rate_for_load(load))
+    return replication_jobs(
+        config, arrival, policy, n_transactions, replications, seed=seed
+    )
 
 
 def run_replications(

@@ -271,8 +271,8 @@ _DEFAULT_STACK: List[ExecutionBackend] = []
 def use_backend(backend: ExecutionBackend) -> Iterator[ExecutionBackend]:
     """Install ``backend`` as the default within the ``with`` block.
 
-    ``run_replications`` / ``sweep_policies`` calls that do not receive
-    an explicit backend use the innermost installed one, which is how
+    :func:`~repro.exec.jobs.run_jobs` calls that do not receive an
+    explicit backend use the innermost installed one, which is how
     ``repro run --workers N`` parallelises experiments without every
     experiment function having to thread a backend parameter through.
     """

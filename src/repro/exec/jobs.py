@@ -19,6 +19,7 @@ backends when they are module-level functions).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -219,3 +220,20 @@ def run_jobs(
     if session is not None:
         session.ingest(jobs, runs)
     return runs
+
+
+def run_cells(
+    cells: Sequence[Sequence[ReplicationJob]],
+    backend: Union[ExecutionBackend, str, None] = None,
+    progress: Optional[ProgressHook] = None,
+) -> List[Tuple["RunResult", ...]]:
+    """Run a grid of cells in one :func:`run_jobs` call.
+
+    A cell is one job list (say, the replications of one configuration
+    at one load).  The cells' jobs are submitted together, so a pool
+    overlaps every point of the grid; the runs come back as one tuple
+    per cell, in submission order.
+    """
+    jobs = [job for cell in cells for job in cell]
+    runs = iter(run_jobs(jobs, backend, progress))
+    return [tuple(islice(runs, len(cell))) for cell in cells]

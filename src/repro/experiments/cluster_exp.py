@@ -15,9 +15,10 @@ import dataclasses
 from repro.core.spec import PolicySpec
 from repro.ecommerce.config import PAPER_CONFIG
 from repro.ecommerce.spec import ArrivalSpec
-from repro.exec.jobs import ReplicationJob, run_jobs
+from repro.exec.jobs import ReplicationJob
 from repro.experiments.scale import Scale
-from repro.experiments.tables import ExperimentResult, Series, Table
+from repro.experiments.sweep import run_sweep
+from repro.experiments.tables import ExperimentResult
 from repro.systems.cluster import ClusterSpec
 from repro.systems.schedulers import SchedulerSpec
 
@@ -44,57 +45,50 @@ def _scenarios():
 
 def run_cluster(scale: Scale, seed: int = 0) -> ExperimentResult:
     """The cluster scenario grid at the scale's transaction budget."""
-    scenarios = _scenarios()
     # The whole cluster sees N_NODES times the per-node load and runs
     # scale.transactions in total, so the spec scales neither.
-    jobs = [
-        ReplicationJob(
-            config=config,
-            arrival=ArrivalSpec.poisson(
-                N_NODES * config.arrival_rate_for_load(load)
-            ),
-            policy=policy,
-            n_transactions=scale.transactions,
-            seed=seed,
-            tag=(label, load),
-            system=ClusterSpec(
-                n_nodes=N_NODES,
-                balancer=balancer,
-                scheduler=scheduler,
-                scale_arrivals=False,
-                scale_transactions=False,
-            ),
+    grid = [
+        (
+            label,
+            load,
+            [
+                ReplicationJob(
+                    config=config,
+                    arrival=ArrivalSpec.poisson(
+                        N_NODES * config.arrival_rate_for_load(load)
+                    ),
+                    policy=policy,
+                    n_transactions=scale.transactions,
+                    seed=seed,
+                    tag=(label, load),
+                    system=ClusterSpec(
+                        n_nodes=N_NODES,
+                        balancer=balancer,
+                        scheduler=scheduler,
+                        scale_arrivals=False,
+                        scale_transactions=False,
+                    ),
+                )
+            ],
         )
-        for label, config, policy, balancer, scheduler in scenarios
+        for label, config, policy, balancer, scheduler in _scenarios()
         for load in CLUSTER_LOADS
     ]
-    runs = iter(run_jobs(jobs))
-    rt_table = Table(
-        title=f"{N_NODES}-node cluster: average response time",
-        x_label="load_per_node_cpus",
-        y_label="avg_response_time_s",
-    )
-    loss_table = Table(
-        title=f"{N_NODES}-node cluster: fraction of transactions lost",
-        x_label="load_per_node_cpus",
-        y_label="loss_fraction",
-    )
-    for label, *_ in scenarios:
-        rt_series = Series(label=label)
-        loss_series = Series(label=label)
-        for load in CLUSTER_LOADS:
-            result = next(runs)
-            rt_series.add(load, result.avg_response_time)
-            loss_series.add(load, result.loss_fraction)
-        rt_table.add_series(rt_series)
-        loss_table.add_series(loss_series)
+    sweep = run_sweep(grid, CLUSTER_LOADS, x_label="load_per_node_cpus")
     return ExperimentResult(
         experiment_id="cluster",
         description=(
             "Cluster deployment of the rejuvenation algorithms "
             "(companion work [2]; beyond this paper)"
         ),
-        tables=[rt_table, loss_table],
+        tables=[
+            sweep.response_time_table(
+                f"{N_NODES}-node cluster: average response time"
+            ),
+            sweep.loss_table(
+                f"{N_NODES}-node cluster: fraction of transactions lost"
+            ),
+        ],
         paper_expectations=[
             "not a figure of this paper; [2] reports that the "
             "single-server conclusions carry over to clusters",

@@ -18,9 +18,10 @@ from repro.core.sla import ServiceLevelObjective
 from repro.core.spec import PolicySpec
 from repro.ecommerce.config import SystemConfig
 from repro.ecommerce.spec import ArrivalSpec
-from repro.exec.jobs import ReplicationJob, run_jobs
+from repro.exec.jobs import ReplicationJob
 from repro.experiments.scale import Scale
-from repro.experiments.tables import ExperimentResult, Series, Table
+from repro.experiments.sweep import run_sweep
+from repro.experiments.tables import ExperimentResult
 from repro.faults.injectors import CapacityErosion
 
 #: The degrading exchange: 8 workers, mean service 2 s, load 4 Erlangs.
@@ -45,52 +46,41 @@ def detector_families() -> List[Tuple[str, PolicySpec]]:
 
 def run_degradation(scale: Scale, seed: int = 0) -> ExperimentResult:
     """Sweep erosion speed x detector family."""
-    families = detector_families()
-    jobs = [
-        ReplicationJob(
-            config=CONFIG,
-            arrival=ARRIVAL,
-            policy=policy,
-            n_transactions=scale.transactions,
-            seed=seed + replication,
-            tag=(label, period, replication),
-            faults=(CapacityErosion(1.0 / period, MIN_CAPACITY),),
+    grid = [
+        (
+            label,
+            period,
+            [
+                ReplicationJob(
+                    config=CONFIG,
+                    arrival=ARRIVAL,
+                    policy=policy,
+                    n_transactions=scale.transactions,
+                    seed=seed + replication,
+                    tag=(label, period, replication),
+                    faults=(CapacityErosion(1.0 / period, MIN_CAPACITY),),
+                )
+                for replication in range(scale.replications)
+            ],
         )
-        for label, policy in families
+        for label, policy in detector_families()
         for period in EROSION_PERIODS_S
-        for replication in range(scale.replications)
     ]
-    runs = run_jobs(jobs)
-    rt_table = Table(
-        title="Degradable system: average response time vs erosion period",
-        x_label="erosion_period_s",
-        y_label="avg_response_time_s",
-    )
-    loss_table = Table(
-        title="Degradable system: loss fraction vs erosion period",
-        x_label="erosion_period_s",
-        y_label="loss_fraction",
-    )
-    cursor = 0
-    for label, _ in families:
-        rt_series = Series(label=label)
-        loss_series = Series(label=label)
-        for period in EROSION_PERIODS_S:
-            cell = runs[cursor : cursor + scale.replications]
-            cursor += scale.replications
-            rt = sum(result.avg_response_time for result in cell)
-            loss = sum(result.loss_fraction for result in cell)
-            rt_series.add(period, rt / scale.replications)
-            loss_series.add(period, loss / scale.replications)
-        rt_table.add_series(rt_series)
-        loss_table.add_series(loss_series)
+    sweep = run_sweep(grid, EROSION_PERIODS_S, x_label="erosion_period_s")
     return ExperimentResult(
         experiment_id="degradation",
         description=(
             "Detector families on the eroding-capacity substrate of "
             "ref. [3] (beyond the paper)"
         ),
-        tables=[rt_table, loss_table],
+        tables=[
+            sweep.response_time_table(
+                "Degradable system: average response time vs erosion period"
+            ),
+            sweep.loss_table(
+                "Degradable system: loss fraction vs erosion period"
+            ),
+        ],
         paper_expectations=[
             "expected shape: unmanaged response times blow up once "
             "capacity erodes below the offered load; every detector "

@@ -8,25 +8,26 @@ hidden.  This is EXPERIMENTS.md's headline table, regenerated live.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.core.spec import PolicySpec
 from repro.ecommerce.config import PAPER_CONFIG
-from repro.ecommerce.runner import run_replications
-from repro.ecommerce.spec import ArrivalSpec
+from repro.ecommerce.metrics import ReplicatedResult
+from repro.ecommerce.runner import poisson_jobs
+from repro.exec.jobs import run_cells
 from repro.experiments.paper_values import QUOTED_VALUES, QuotedValue
 from repro.experiments.scale import Scale
 from repro.experiments.tables import ExperimentResult, Series, Table
 
 
-def _policy_spec(quoted: QuotedValue) -> PolicySpec:
-    if quoted.algorithm == "sraa":
-        return PolicySpec.sraa(quoted.n, quoted.K, quoted.D)
-    if quoted.algorithm == "saraa":
-        return PolicySpec.saraa(quoted.n, quoted.K, quoted.D)
-    if quoted.algorithm == "clta":
-        return PolicySpec.clta(quoted.n, z=1.96)
-    raise ValueError(f"unknown algorithm {quoted.algorithm!r}")
+def _policy_spec(algorithm: str, n: int, K: int, D: int) -> PolicySpec:
+    if algorithm == "sraa":
+        return PolicySpec.sraa(n, K, D)
+    if algorithm == "saraa":
+        return PolicySpec.saraa(n, K, D)
+    if algorithm == "clta":
+        return PolicySpec.clta(n, z=1.96)
+    raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
 def _scenario_key(quoted: QuotedValue) -> Tuple[str, int, int, int, float]:
@@ -35,26 +36,22 @@ def _scenario_key(quoted: QuotedValue) -> Tuple[str, int, int, int, float]:
 
 def run_fidelity(scale: Scale, seed: int = 0) -> ExperimentResult:
     """Measure every quoted scenario and report ratios."""
-    # One simulation per distinct (policy, load) scenario; several
-    # quotes can share one run.
-    measured: Dict[Tuple, Tuple[float, float]] = {}
-    for quoted in QUOTED_VALUES:
-        key = _scenario_key(quoted)
-        if key in measured:
-            continue
-        rate = PAPER_CONFIG.arrival_rate_for_load(quoted.load_cpus)
-        replicated = run_replications(
-            PAPER_CONFIG,
-            arrival=ArrivalSpec.poisson(rate),
-            policy=_policy_spec(quoted),
-            n_transactions=scale.transactions,
-            replications=scale.replications,
-            seed=seed,
-        )
-        measured[key] = (
-            replicated.avg_response_time,
-            replicated.loss_fraction,
-        )
+    # One cell per distinct (policy, load) scenario, all in one map;
+    # several quotes can share one cell.
+    scenarios = list(dict.fromkeys(map(_scenario_key, QUOTED_VALUES)))
+    cells = run_cells(
+        [
+            poisson_jobs(
+                PAPER_CONFIG, load, _policy_spec(algorithm, n, K, D),
+                scale.transactions, scale.replications, seed,
+            )
+            for algorithm, n, K, D, load in scenarios
+        ]
+    )
+    measured = {
+        key: (result.avg_response_time, result.loss_fraction)
+        for key, result in zip(scenarios, map(ReplicatedResult, cells))
+    }
     table = Table(
         title="Fidelity: paper-quoted values vs this reproduction",
         x_label="quote_index",

@@ -19,8 +19,9 @@ from typing import List, Optional, Tuple
 from repro.core.spec import PolicySpec
 from repro.ecommerce.config import PAPER_CONFIG
 from repro.ecommerce.spec import ArrivalSpec
-from repro.exec.jobs import ReplicationJob, run_jobs
+from repro.exec.jobs import ReplicationJob
 from repro.experiments.scale import Scale
+from repro.experiments.sweep import run_sweep
 from repro.experiments.tables import ExperimentResult, Series, Table
 from repro.systems.fleet import FleetSpec
 from repro.systems.schedulers import SchedulerSpec
@@ -89,62 +90,52 @@ def run_fleet(scale: Scale, seed: int = 0) -> ExperimentResult:
     config = dataclasses.replace(
         PAPER_CONFIG, rejuvenation_downtime_s=DOWNTIME_S
     )
-    schedulers = _schedulers()
     # Same per-node budget as the cluster experiment: scale.transactions
     # across 4 nodes there, so n_nodes/4 times that for the whole fleet.
     n_transactions = scale.transactions * n_nodes // 4
-    jobs = [
-        ReplicationJob(
-            config=config,
-            arrival=ArrivalSpec.poisson(config.arrival_rate_for_load(load)),
-            policy=PolicySpec.sraa(2, 5, 3),
-            n_transactions=n_transactions,
-            seed=seed,
-            tag=(label, load),
-            system=FleetSpec(
-                n_nodes=n_nodes, shards=shards, scheduler=scheduler
-            ),
+    grid = [
+        (
+            label,
+            load,
+            [
+                ReplicationJob(
+                    config=config,
+                    arrival=ArrivalSpec.poisson(
+                        config.arrival_rate_for_load(load)
+                    ),
+                    policy=PolicySpec.sraa(2, 5, 3),
+                    n_transactions=n_transactions,
+                    seed=seed,
+                    tag=(label, load),
+                    system=FleetSpec(
+                        n_nodes=n_nodes, shards=shards, scheduler=scheduler
+                    ),
+                )
+            ],
         )
-        for label, scheduler in schedulers
+        for label, scheduler in _schedulers()
         for load in FLEET_LOADS
     ]
-    runs = iter(run_jobs(jobs))
+    sweep = run_sweep(grid, FLEET_LOADS, x_label="load_per_node_cpus")
     shape = f"{n_nodes}-node / {shards}-shard fleet"
-    rt_table = Table(
-        title=f"{shape}: average response time",
-        x_label="load_per_node_cpus",
-        y_label="avg_response_time_s",
-    )
-    loss_table = Table(
-        title=f"{shape}: fraction of transactions lost",
-        x_label="load_per_node_cpus",
-        y_label="loss_fraction",
-    )
     down_table = Table(
         title=f"{shape}: peak nodes simultaneously in restart downtime",
         x_label="load_per_node_cpus",
         y_label="peak_nodes_down",
     )
-    tables = (rt_table, loss_table, down_table)
-    for label, _ in schedulers:
-        rt_series = Series(label=label)
-        loss_series = Series(label=label)
+    for label, by_load in sweep.results.items():
         down_series = Series(label=label)
-        for load in FLEET_LOADS:
-            result = next(runs)
+        for load, replicated in by_load.items():
+            (result,) = replicated.runs
             # Every grant downs its node for exactly DOWNTIME_S.
             intervals = [
                 (time, time + DOWNTIME_S)
                 for time in result.rejuvenation_times
             ]
-            rt_series.add(load, result.avg_response_time)
-            loss_series.add(load, result.loss_fraction)
             down_series.add(
                 load,
                 peak_nodes_down(intervals, horizon_s=result.sim_duration_s),
             )
-        rt_table.add_series(rt_series)
-        loss_table.add_series(loss_series)
         down_table.add_series(down_series)
     return ExperimentResult(
         experiment_id="fleet",
@@ -152,7 +143,11 @@ def run_fleet(scale: Scale, seed: int = 0) -> ExperimentResult:
             "Sharded fleet deployment: rolling and canary rejuvenation "
             "schedulers under a capacity floor (beyond the paper)"
         ),
-        tables=list(tables),
+        tables=[
+            sweep.response_time_table(f"{shape}: average response time"),
+            sweep.loss_table(f"{shape}: fraction of transactions lost"),
+            down_table,
+        ],
         paper_expectations=[
             "not a figure of this paper; extends the cluster companion "
             "work [2] to a sharded fleet",

@@ -140,9 +140,9 @@ def run_experiment(
 
     ``backend`` (an :class:`~repro.exec.backends.ExecutionBackend`, a
     backend name, or ``None`` for the current default) is installed as
-    the default execution backend for the duration of the run, so every
-    ``run_replications`` / ``sweep_policies`` inside the experiment
-    fans its replication jobs out through it.
+    the default execution backend for the duration of the run, so the
+    experiment's job grid -- one :func:`~repro.exec.jobs.run_jobs`
+    call per simulating experiment -- fans out through it.
     """
     module, _, name = _lookup(experiment_id)[1].partition(":")
     runner: ExperimentRunner = getattr(

@@ -23,7 +23,7 @@ from repro.ecommerce.config import PAPER_CONFIG, SystemConfig
 from repro.ecommerce.metrics import ReplicatedResult
 from repro.ecommerce.spec import ArrivalSpec
 from repro.exec.backends import ExecutionBackend
-from repro.exec.jobs import PolicySource, ReplicationJob, run_jobs
+from repro.exec.jobs import PolicySource, ReplicationJob, run_cells
 from repro.exec.progress import ProgressHook
 from repro.experiments.scale import Scale
 from repro.experiments.tables import Series, Table
@@ -54,38 +54,83 @@ def sraa_config(
 
 @dataclass
 class SweepResult:
-    """Results of one (configurations x loads) sweep."""
+    """Results of one (configurations x loads) sweep.
+
+    ``x_label`` names the x axis of both tables: ``load_cpus`` for the
+    paper's sweeps, ``load_per_node_cpus`` for the cluster and the
+    fleet, ``erosion_period_s`` for the eroding-capacity study.
+    """
 
     results: Dict[str, Dict[float, ReplicatedResult]]
     loads: Tuple[float, ...]
+    x_label: str = "load_cpus"
 
     def response_time_table(self, title: str) -> Table:
         """The figure's 'Average Response Time' panel."""
-        table = Table(
-            title=title,
-            x_label="load_cpus",
-            y_label="avg_response_time_s",
-        )
-        for label, by_load in self.results.items():
-            series = Series(label=label)
-            for load, replicated in by_load.items():
-                series.add(load, replicated.avg_response_time)
-            table.add_series(series)
-        return table
+        return self._table(title, "avg_response_time_s", "avg_response_time")
 
     def loss_table(self, title: str) -> Table:
         """The figure's 'Average Fraction of Transaction Loss' panel."""
-        table = Table(
-            title=title,
-            x_label="load_cpus",
-            y_label="loss_fraction",
-        )
+        return self._table(title, "loss_fraction", "loss_fraction")
+
+    def _table(self, title: str, y_label: str, metric: str) -> Table:
+        """One series per label of ``ReplicatedResult.<metric>``."""
+        table = Table(title=title, x_label=self.x_label, y_label=y_label)
         for label, by_load in self.results.items():
             series = Series(label=label)
             for load, replicated in by_load.items():
-                series.add(load, replicated.loss_fraction)
+                series.add(load, getattr(replicated, metric))
             table.add_series(series)
         return table
+
+
+#: One grid cell: the curve's label, its x value and the cell's jobs.
+Cell = Tuple[str, float, List[ReplicationJob]]
+
+
+def run_sweep(
+    grid: Sequence[Cell],
+    loads: Tuple[float, ...],
+    x_label: str = "load_cpus",
+    backend: Union[ExecutionBackend, str, None] = None,
+    progress: Optional[ProgressHook] = None,
+) -> SweepResult:
+    """Run a ``(label, x, jobs)`` grid in one map, grouped by label.
+
+    ``loads`` are the grid's x values, in order.
+    """
+    cells = run_cells([jobs for _, _, jobs in grid], backend, progress)
+    results: Dict[str, Dict[float, ReplicatedResult]] = {}
+    for (label, load, _), runs in zip(grid, cells):
+        results.setdefault(label, {})[load] = ReplicatedResult(runs=runs)
+    return SweepResult(results=results, loads=loads, x_label=x_label)
+
+
+def _sweep_grid(
+    configs: Sequence[PolicyConfig],
+    scale: Scale,
+    system_config: SystemConfig,
+    seed: int,
+    warmup: int,
+) -> List[Cell]:
+    grid: List[Cell] = []
+    for config in configs:
+        for load_index, load in enumerate(scale.loads):
+            rate = system_config.arrival_rate_for_load(load)
+            jobs = [
+                ReplicationJob(
+                    config=system_config,
+                    arrival=ArrivalSpec.poisson(rate),
+                    policy=config.policy,
+                    n_transactions=scale.transactions,
+                    seed=seed + 1_000 * load_index + i,
+                    warmup=warmup,
+                    tag=(config.label, load, i),
+                )
+                for i in range(scale.replications)
+            ]
+            grid.append((config.label, load, jobs))
+    return grid
 
 
 def sweep_jobs(
@@ -103,23 +148,8 @@ def sweep_jobs(
     configuration -- common random numbers, so that curve differences
     reflect the policies and not the draws.
     """
-    jobs: List[ReplicationJob] = []
-    for config in configs:
-        for load_index, load in enumerate(scale.loads):
-            arrival_rate = system_config.arrival_rate_for_load(load)
-            for i in range(scale.replications):
-                jobs.append(
-                    ReplicationJob(
-                        config=system_config,
-                        arrival=ArrivalSpec.poisson(arrival_rate),
-                        policy=config.policy,
-                        n_transactions=scale.transactions,
-                        seed=seed + 1_000 * load_index + i,
-                        warmup=warmup,
-                        tag=(config.label, load, i),
-                    )
-                )
-    return jobs
+    grid = _sweep_grid(configs, scale, system_config, seed, warmup)
+    return [job for _, _, jobs in grid for job in jobs]
 
 
 def sweep_policies(
@@ -133,23 +163,15 @@ def sweep_policies(
 ) -> SweepResult:
     """Run every configuration at every load of the scale.
 
-    The whole grid is enumerated up front (:func:`sweep_jobs`) and
-    fanned out through ``backend`` (``None``: the current default
-    backend -- see :func:`repro.exec.use_backend`); results are
-    reassembled in grid order, so the output is independent of the
-    backend and of job completion order.
+    The whole grid (:func:`sweep_jobs`) goes through ``backend`` in
+    one map (``None``: the current default backend -- see
+    :func:`repro.exec.use_backend`); results are reassembled in grid
+    order, so the output is independent of the backend and of job
+    completion order.
     """
-    jobs = sweep_jobs(
-        configs, scale, system_config=system_config, seed=seed, warmup=warmup
+    return run_sweep(
+        _sweep_grid(configs, scale, system_config, seed, warmup),
+        tuple(scale.loads),
+        backend=backend,
+        progress=progress,
     )
-    runs = run_jobs(jobs, backend, progress)
-    results: Dict[str, Dict[float, ReplicatedResult]] = {}
-    cursor = 0
-    for config in configs:
-        by_load: Dict[float, ReplicatedResult] = {}
-        for load in scale.loads:
-            chunk = runs[cursor : cursor + scale.replications]
-            cursor += scale.replications
-            by_load[load] = ReplicatedResult(runs=tuple(chunk))
-        results[config.label] = by_load
-    return SweepResult(results=results, loads=tuple(scale.loads))

@@ -18,11 +18,11 @@ from repro.core.sla import PAPER_SLO
 from repro.core.spec import PolicySpec
 from repro.core.threshold import DeterministicThreshold
 from repro.ecommerce.config import PAPER_CONFIG
-from repro.ecommerce.runner import run_replications
-from repro.ecommerce.spec import ArrivalSpec
+from repro.ecommerce.runner import poisson_jobs
 from repro.exec.jobs import PolicySource
 from repro.experiments.scale import Scale
-from repro.experiments.tables import ExperimentResult, Series, Table
+from repro.experiments.sweep import run_sweep
+from repro.experiments.tables import ExperimentResult
 
 ZOO_LOADS = (0.5, 9.0)
 
@@ -61,40 +61,29 @@ def zoo_members() -> List[Tuple[str, PolicySource]]:
 
 def run_zoo(scale: Scale, seed: int = 0) -> ExperimentResult:
     """Run every policy at a low and a high load."""
-    rt_table = Table(
-        title="Policy zoo: average response time",
-        x_label="load_cpus",
-        y_label="avg_response_time_s",
-    )
-    loss_table = Table(
-        title="Policy zoo: fraction of transactions lost",
-        x_label="load_cpus",
-        y_label="loss_fraction",
-    )
-    for label, policy in zoo_members():
-        rt_series = Series(label=label)
-        loss_series = Series(label=label)
-        for load in ZOO_LOADS:
-            rate = PAPER_CONFIG.arrival_rate_for_load(load)
-            replicated = run_replications(
-                PAPER_CONFIG,
-                arrival=ArrivalSpec.poisson(rate),
-                policy=policy,
-                n_transactions=scale.transactions,
-                replications=scale.replications,
-                seed=seed,
-            )
-            rt_series.add(load, replicated.avg_response_time)
-            loss_series.add(load, replicated.loss_fraction)
-        rt_table.add_series(rt_series)
-        loss_table.add_series(loss_series)
+    grid = [
+        (
+            label,
+            load,
+            poisson_jobs(
+                PAPER_CONFIG, load, policy, scale.transactions,
+                scale.replications, seed,
+            ),
+        )
+        for label, policy in zoo_members()
+        for load in ZOO_LOADS
+    ]
+    sweep = run_sweep(grid, ZOO_LOADS)
     return ExperimentResult(
         experiment_id="zoo",
         description=(
             "Every policy in the library on the Section-3 system "
             "(integration study, beyond the paper)"
         ),
-        tables=[rt_table, loss_table],
+        tables=[
+            sweep.response_time_table("Policy zoo: average response time"),
+            sweep.loss_table("Policy zoo: fraction of transactions lost"),
+        ],
         paper_expectations=[
             "expected shape: 'never' melts down at 9 CPUs; the naive "
             "threshold is burst-fragile (loss at low load); the paper's "

@@ -31,7 +31,7 @@ from typing import (
 from repro.core.spec import PolicySpec
 from repro.ecommerce.metrics import RunResult
 from repro.exec.backends import ExecutionBackend
-from repro.exec.jobs import ReplicationJob, run_jobs
+from repro.exec.jobs import ReplicationJob, run_cells
 from repro.exec.progress import ProgressHook
 from repro.faults.scenario import FaultScenario
 from repro.faults.score import PolicyScore, format_scores, score_policy
@@ -221,6 +221,52 @@ class CampaignResult:
         )
 
 
+def _campaign_cells(
+    scenarios: Sequence[FaultScenario],
+    policies: Mapping[str, PolicySpec],
+    replications: int,
+    seed: int,
+    live: Optional[object],
+    profile: bool,
+    system: Optional[object],
+) -> List[Tuple[FaultScenario, str, List[ReplicationJob]]]:
+    """One ``(scenario, policy label, jobs)`` cell per campaign cell."""
+    if replications < 1:
+        raise ValueError("need at least one replication")
+    if not scenarios:
+        raise ValueError("need at least one scenario")
+    if not policies:
+        raise ValueError("need at least one policy")
+    spec = None
+    if system is not None:
+        from repro.systems import resolve_system
+
+        spec = resolve_system(system)
+    cells = []
+    for s_index, scenario in enumerate(scenarios):
+        n_transactions = scenario.n_transactions
+        if spec is not None:
+            n_transactions = spec.job_transactions(n_transactions)
+        for label, policy in policies.items():
+            jobs = [
+                ReplicationJob(
+                    config=scenario.config,
+                    arrival=scenario.arrival,
+                    policy=policy,
+                    n_transactions=n_transactions,
+                    seed=seed + 1000 * s_index + i,
+                    tag=("faults", scenario.name, label, i),
+                    faults=scenario,
+                    live=live,
+                    profile=profile,
+                    system=spec,
+                )
+                for i in range(replications)
+            ]
+            cells.append((scenario, label, jobs))
+    return cells
+
+
 def campaign_jobs(
     scenarios: Sequence[FaultScenario],
     policies: Mapping[str, PolicySpec],
@@ -247,39 +293,10 @@ def campaign_jobs(
     ``SystemSpec.job_transactions``), so the simulated time horizon --
     and with it the scenario's scripted fault times -- is preserved.
     """
-    if replications < 1:
-        raise ValueError("need at least one replication")
-    if not scenarios:
-        raise ValueError("need at least one scenario")
-    if not policies:
-        raise ValueError("need at least one policy")
-    spec = None
-    if system is not None:
-        from repro.systems import resolve_system
-
-        spec = resolve_system(system)
-    jobs: List[ReplicationJob] = []
-    for s_index, scenario in enumerate(scenarios):
-        n_transactions = scenario.n_transactions
-        if spec is not None:
-            n_transactions = spec.job_transactions(n_transactions)
-        for label, policy in policies.items():
-            for i in range(replications):
-                jobs.append(
-                    ReplicationJob(
-                        config=scenario.config,
-                        arrival=scenario.arrival,
-                        policy=policy,
-                        n_transactions=n_transactions,
-                        seed=seed + 1000 * s_index + i,
-                        tag=("faults", scenario.name, label, i),
-                        faults=scenario,
-                        live=live,
-                        profile=profile,
-                        system=spec,
-                    )
-                )
-    return jobs
+    cells = _campaign_cells(
+        scenarios, policies, replications, seed, live, profile, system
+    )
+    return [job for _, _, jobs in cells for job in jobs]
 
 
 def run_campaign(
@@ -317,7 +334,7 @@ def run_campaign(
         configured spec -- the campaign, the CRN protocol, and the
         robustness scoring are substrate-polymorphic.
 
-    The jobs run through :func:`repro.exec.jobs.run_jobs`: under an
+    The jobs run in one :func:`repro.exec.jobs.run_jobs` call: under an
     installed :class:`~repro.obs.session.TraceSession` they are traced
     and ingested, so ``repro faults run --trace`` produces a narratable
     JSONL file.
@@ -326,26 +343,20 @@ def run_campaign(
         scenarios = list(builtin_scenarios().values())
     if policies is None:
         policies = DEFAULT_POLICIES
-    jobs = campaign_jobs(
-        scenarios,
-        policies,
-        replications,
-        seed=seed,
-        live=live,
-        profile=profile,
-        system=system,
+    grid = _campaign_cells(
+        scenarios, policies, replications, seed, live, profile, system
     )
-    runs = run_jobs(jobs, backend, progress)
-    scores: List[PolicyScore] = []
-    cells: List[Tuple[Tuple[str, str], Tuple[RunResult, ...]]] = []
-    cursor = 0
-    for scenario in scenarios:
-        for label in policies:
-            cell = tuple(runs[cursor : cursor + replications])
-            cursor += replications
-            scores.append(score_policy(scenario, label, cell))
-            cells.append(((scenario.name, label), cell))
-    return CampaignResult(scores=tuple(scores), runs=tuple(cells))
+    cells = run_cells([jobs for _, _, jobs in grid], backend, progress)
+    return CampaignResult(
+        scores=tuple(
+            score_policy(scenario, label, runs)
+            for (scenario, label, _), runs in zip(grid, cells)
+        ),
+        runs=tuple(
+            ((scenario.name, label), runs)
+            for (scenario, label, _), runs in zip(grid, cells)
+        ),
+    )
 
 
 class CampaignEntry(NamedTuple):

@@ -41,16 +41,11 @@ from repro.obs.events import (
     category_of,
 )
 from repro.obs.live.recorder import FlightRecorder, RecorderSpec
-from repro.obs.live.sketches import (
-    DEFAULT_EPS,
-    EwmaRate,
-    GKSketch,
-    RollingWindow,
-)
+from repro.obs.live.sketches import EwmaRate, GKSketch, RollingWindow
 from repro.obs.tracer import Tracer
 from repro.stats.running import OnlineMoments
 
-#: Default dashboard quantiles.
+#: The quantiles a snapshot reports (the sketch answers any).
 DEFAULT_QUANTILES: Tuple[float, ...] = (0.5, 0.9, 0.95, 0.99)
 
 #: Event types the aggregator counts (beyond response-time updates).
@@ -72,16 +67,14 @@ COUNTED_TYPES = frozenset(
 class LiveSpec:
     """Picklable live-telemetry configuration (rides on the job).
 
+    The aggregators' shape is fixed: a snapshot reports
+    :data:`DEFAULT_QUANTILES`, and the sketch, the rolling window and
+    the rate meter keep their defaults (rank error
+    :data:`~repro.obs.live.sketches.DEFAULT_EPS`, 256 completions,
+    60 simulated seconds).
+
     Parameters
     ----------
-    quantiles:
-        Quantiles the snapshot reports (the sketch answers any).
-    eps:
-        Rank-error budget of the GK sketch.
-    window:
-        Rolling-window size for the recent-past statistics.
-    ewma_tau_s:
-        Time constant of the completion-rate meter (simulated seconds).
     aggregate:
         Run the streaming aggregators (sketch, window, rate, counts).
         ``False`` leaves only the flight recorder: the cheapest
@@ -98,10 +91,6 @@ class LiveSpec:
         terminal renderer must live.
     """
 
-    quantiles: Tuple[float, ...] = DEFAULT_QUANTILES
-    eps: float = DEFAULT_EPS
-    window: int = 256
-    ewma_tau_s: float = 60.0
     aggregate: bool = True
     recorder: Optional[RecorderSpec] = None
     display: Optional[Any] = None
@@ -121,7 +110,6 @@ class LiveAggregator:
     """The mergeable live state of one (or many folded) replications."""
 
     __slots__ = (
-        "quantiles",
         "moments",
         "sketch",
         "window",
@@ -131,12 +119,11 @@ class LiveAggregator:
         "last_ts",
     )
 
-    def __init__(self, spec: LiveSpec) -> None:
-        self.quantiles = tuple(spec.quantiles)
+    def __init__(self) -> None:
         self.moments = OnlineMoments()
-        self.sketch = GKSketch(eps=spec.eps)
-        self.window = RollingWindow(size=spec.window)
-        self.rate = EwmaRate(tau_s=spec.ewma_tau_s)
+        self.sketch = GKSketch()
+        self.window = RollingWindow()
+        self.rate = EwmaRate()
         self.counts: Dict[str, int] = {}
         #: Current detector bucket level (from ``policy.level`` events).
         self.level = 0
@@ -162,13 +149,7 @@ class LiveAggregator:
         deterministic, so serial and process-pool folds agree bit for
         bit.
         """
-        spec = LiveSpec(
-            quantiles=self.quantiles,
-            eps=max(self.sketch.eps, other.sketch.eps),
-            window=max(self.window.size, other.window.size),
-            ewma_tau_s=max(self.rate.tau_s, other.rate.tau_s),
-        )
-        merged = LiveAggregator(spec)
+        merged = LiveAggregator()
         merged.moments = self.moments.merge(other.moments)
         merged.sketch = self.sketch.merge(other.sketch)
         merged.window = self.window.merge(other.window)
@@ -204,7 +185,7 @@ class LiveAggregator:
         if self.sketch.count:
             out["rt_quantiles"] = {
                 f"p{int(q * 100):02d}": self.sketch.query(q)
-                for q in self.quantiles
+                for q in DEFAULT_QUANTILES
             }
         else:
             out["rt_quantiles"] = {}
@@ -227,7 +208,6 @@ class LiveTap:
     """
 
     __slots__ = (
-        "spec",
         "aggregator",
         "recorder",
         "display",
@@ -248,8 +228,7 @@ class LiveTap:
     level_name = "decisions"
 
     def __init__(self, spec: LiveSpec) -> None:
-        self.spec = spec
-        self.aggregator = LiveAggregator(spec)
+        self.aggregator = LiveAggregator()
         self.recorder: Optional[FlightRecorder] = (
             spec.recorder.build() if spec.recorder is not None else None
         )
@@ -322,7 +301,7 @@ class LiveTap:
 
     def clear(self) -> None:
         """Reset all live state (a fresh run starts clean)."""
-        self.aggregator = LiveAggregator(self.spec)
+        self.aggregator = LiveAggregator()
         if self.recorder is not None:
             self.recorder.clear()
 

@@ -27,8 +27,9 @@ from typing import Iterable, List, Sequence, Tuple
 from repro.core.sla import ServiceLevelObjective
 from repro.core.spec import PolicySpec
 from repro.ecommerce.config import SystemConfig
-from repro.ecommerce.runner import run_replications
-from repro.ecommerce.spec import ArrivalSpec
+from repro.ecommerce.metrics import ReplicatedResult
+from repro.ecommerce.runner import poisson_jobs
+from repro.exec.jobs import run_cells
 
 
 @dataclass(frozen=True)
@@ -108,53 +109,52 @@ class ParameterAdvisor:
         self.loss_penalty = loss_penalty
 
     # ------------------------------------------------------------------
-    def _policy_spec(
-        self, algorithm: str, n: int, K: int, D: int
-    ) -> PolicySpec:
-        if algorithm == "sraa":
-            return PolicySpec.sraa(n, K, D, slo=self.slo)
-        if algorithm == "saraa":
-            return PolicySpec.saraa(n, K, D, slo=self.slo)
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; expected 'sraa' or 'saraa'"
-        )
-
-    def _measure(self, spec: PolicySpec, load: float) -> Tuple[float, float]:
-        rate = self.system_config.arrival_rate_for_load(load)
-        replicated = run_replications(
-            self.system_config,
-            arrival=ArrivalSpec.poisson(rate),
-            policy=spec,
-            n_transactions=self.transactions,
-            replications=self.replications,
-            seed=self.seed,
-        )
-        return replicated.avg_response_time, replicated.loss_fraction
-
     def score(
         self, n: int, K: int, D: int, algorithm: str = "sraa"
     ) -> ParameterScore:
         """Assess one configuration."""
-        spec = self._policy_spec(algorithm, n, K, D)
-        high_rt, _ = self._measure(spec, self.high_load)
-        _, low_loss = self._measure(spec, self.low_load)
-        return ParameterScore(
-            n=n,
-            K=K,
-            D=D,
-            algorithm=algorithm,
-            high_load_rt=high_rt,
-            low_load_loss=low_loss,
-            score=high_rt + self.loss_penalty * low_loss,
-        )
+        return self.score_grid([(n, K, D)], algorithm)[0]
 
     def score_grid(
         self,
         configs: Iterable[Tuple[int, int, int]],
         algorithm: str = "sraa",
     ) -> List[ParameterScore]:
-        """Assess a grid; returns scores sorted best-first."""
-        scores = [self.score(n, K, D, algorithm) for n, K, D in configs]
+        """Assess a grid in one map; returns scores sorted best-first."""
+        if algorithm not in ("sraa", "saraa"):
+            raise ValueError(
+                f"unknown algorithm {algorithm!r}; expected 'sraa' or 'saraa'"
+            )
+        configs = list(configs)
+        cells = run_cells(
+            [
+                poisson_jobs(
+                    self.system_config,
+                    load,
+                    PolicySpec(algorithm, {"n": n, "K": K, "D": D}, self.slo),
+                    self.transactions,
+                    self.replications,
+                    self.seed,
+                )
+                for n, K, D in configs
+                for load in (self.high_load, self.low_load)
+            ]
+        )
+        scores = []
+        for (n, K, D), high, low in zip(configs, cells[::2], cells[1::2]):
+            high_rt = ReplicatedResult(runs=high).avg_response_time
+            low_loss = ReplicatedResult(runs=low).loss_fraction
+            scores.append(
+                ParameterScore(
+                    n=n,
+                    K=K,
+                    D=D,
+                    algorithm=algorithm,
+                    high_load_rt=high_rt,
+                    low_load_loss=low_loss,
+                    score=high_rt + self.loss_penalty * low_loss,
+                )
+            )
         return sorted(scores, key=lambda s: s.score)
 
     def recommend(
